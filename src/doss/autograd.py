@@ -47,7 +47,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray, Tensor], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,7 +78,9 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     if _grad_enabled and backward is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = lambda g, _out=out: backward(g, _out)
+        # called as backward(g, out): a closure over `out` would make every
+        # node a reference cycle that only the cyclic garbage collector frees
+        out._backward = backward
     return out
 
 
@@ -318,7 +320,7 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
             g = store.get(id(node))
             if g is None or node._backward is None:
                 continue
-            node._backward(g)
+            node._backward(g, node)
     finally:
         _GRAD_STORE = None
     grads: dict[str, np.ndarray] = {}

@@ -12,10 +12,10 @@ thread pools (it must be handled before numpy is first imported).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import logging
 import os
-import sys
 from pathlib import Path
 
 log = logging.getLogger("doss")
@@ -68,9 +68,6 @@ class Pipeline:
         self.man = man
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self._train_sets = None
-        self._eval_sets = None
-        self._ext_sets = None
 
     # -- artifact paths ----------------------------------------------------
 
@@ -92,68 +89,63 @@ class Pipeline:
     def ft_ckpt(self, name: str) -> Path:
         return self.out / f"ft_{name}.ckpt"
 
+    @property
+    def ft_names(self) -> list[str]:
+        """One finetune baseline per domain, plus one on all domains."""
+        return [d.name for d in self.man.domains] + ["all"]
+
     def extend_dir(self, mode: str) -> Path:
         return self.out / f"extend_{mode}"
 
     # -- data --------------------------------------------------------------
 
-    def _load_parallel(self, specs):
-        from .data import (encode_pairs, filter_corpus, load_parallel_text,
-                           vocab_from_pairs)
+    @functools.cached_property
+    def splits(self):
+        """(train, eval) datasets of each base domain, then of the extension.
+
+        Parallel-text domains, the extension included, are encoded with one
+        vocabulary ranked over the base domains' text, so a word has the same
+        id in every domain."""
+        from .data import (N_RESERVED, DomainDataset, encode_pairs, filter_corpus,
+                           load_parallel_text, vocab_from_pairs)
         from .errors import ConfigError
 
-        token_pairs = {}
-        for spec in specs:
-            pairs = load_parallel_text(spec.src_file, spec.tgt_file)
-            token_pairs[spec.name], _ = filter_corpus(pairs, spec.filter)
-        all_pairs = [p for pairs in token_pairs.values() for p in pairs]
-        vocab = vocab_from_pairs(all_pairs, self.man.model.vocab_size - 4)
-        datasets = {}
-        for spec in specs:
-            ds = encode_pairs(token_pairs[spec.name], vocab, spec.name)
+        man = self.man
+        specs = man.domains + ([man.extension] if man.extension else [])
+        texts = [None if s.synthetic else
+                 filter_corpus(load_parallel_text(s.src_file, s.tgt_file), s.filter)[0]
+                 for s in specs]
+        base_text = [p for t in texts[:len(man.domains)] if t for p in t]
+        vocab = vocab_from_pairs(base_text, man.model.vocab_size - N_RESERVED)
+        out = []
+        for spec, text in zip(specs, texts):
+            if spec.synthetic:
+                out.append((spec.train_set(), spec.eval_set()))
+                continue
+            if not base_text:
+                raise ConfigError(f"domain {spec.name!r} is parallel text but no base "
+                                  f"domain is: the vocabulary comes from their text")
+            ds = encode_pairs(text, vocab, spec.name)
             need = spec.train_pairs + spec.eval_pairs
             if ds.size < need:
                 raise ConfigError(f"domain {spec.name!r} has {ds.size} usable pairs, "
                                   f"needs {need}")
-            datasets[spec.name] = ds
-        return datasets
-
-    def _materialize(self, specs):
-        from .data import DomainDataset
-
-        synthetic = [s for s in specs if s.synthetic]
-        parallel = [s for s in specs if not s.synthetic]
-        train, evals = [], []
-        loaded = self._load_parallel(parallel) if parallel else {}
-        for spec in specs:
-            if spec.synthetic:
-                train.append(spec.train_set())
-                evals.append(spec.eval_set())
-            else:
-                ds = loaded[spec.name]
-                train.append(DomainDataset(spec.name, ds.pairs[:spec.train_pairs]))
-                evals.append(DomainDataset(
-                    spec.name, ds.pairs[spec.train_pairs:spec.train_pairs + spec.eval_pairs]))
-        return train, evals
+            out.append((DomainDataset(spec.name, ds.pairs[:spec.train_pairs]),
+                        DomainDataset(spec.name, ds.pairs[spec.train_pairs:need])))
+        return out
 
     def train_sets(self):
-        if self._train_sets is None:
-            self._train_sets, self._eval_sets = self._materialize(self.man.domains)
-        return self._train_sets
+        return [train for train, _ in self.splits[:len(self.man.domains)]]
 
     def eval_sets(self):
-        self.train_sets()
-        return self._eval_sets
+        return [evals for _, evals in self.splits[:len(self.man.domains)]]
 
     def ext_sets(self):
         from .errors import ConfigError
 
         if self.man.extension is None:
             raise ConfigError("manifest has no [extension <name>] section")
-        if self._ext_sets is None:
-            trains, evals = self._materialize([self.man.extension])
-            self._ext_sets = (trains[0], evals[0])
-        return self._ext_sets
+        return self.splits[-1]
 
     # -- loading helpers ---------------------------------------------------
 
@@ -169,6 +161,32 @@ class Pipeline:
 
         return MaskSet([load_mask(self.mask_path(d.name)) for d in self.man.domains])
 
+    # -- caching -----------------------------------------------------------
+
+    def _upstream(self, *roles: str) -> dict:
+        """sha256 of upstream artifacts by role, for a stage key."""
+        files = {"base": self.base_ckpt, "doss": self.doss_ckpt,
+                 "masks": [self.mask_path(d.name) for d in self.man.domains],
+                 "fts": [self.ft_ckpt(n) for n in self.ft_names]}
+        return {r: [_sha256_file(f) for f in files[r]] if isinstance(files[r], list)
+                else _sha256_file(files[r]) for r in roles}
+
+    def _cached(self, stage: str, artifacts: list[Path], compute,
+                extra: dict | None = None) -> bool:
+        """Run `compute(key)` unless every artifact is valid for the stage
+        key, then stamp each artifact's sidecar. True when it ran."""
+        man = self.man
+        key = man.stage_key(stage, extra)
+        if all(artifact_valid(a, key) for a in artifacts):
+            log.info("%s: cache hit (key %s), skipping", stage, key)
+            return False
+        log.info("%s: running (key %s)", stage, key)
+        compute(key)
+        cfg = man.stage_train(stage)
+        for a in artifacts:
+            write_meta(a, key, stage, man.seed if cfg is None else cfg.seed)
+        return True
+
     # -- stages ------------------------------------------------------------
 
     def pretrain(self) -> bool:
@@ -176,98 +194,80 @@ class Pipeline:
         from .training import MetricsLog, train_full
 
         man = self.man
-        key = man.stage_key("pretrain")
         metrics = self.out / "pretrain_metrics.csv"
-        arts = [self.base_ckpt, self.base_reg, metrics]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("pretrain: cache hit, skipping")
-            return False
-        log.info("pretrain: training the base model")
-        store, registry = build_model(man.model, man.stage_seed("init"))
-        mlog = MetricsLog()
-        lam0 = train_full(store, self.train_sets(), man.train["pretrain"],
-                          man.model, log=mlog)
-        save_checkpoint(lam0, self.base_ckpt)
-        save_registry(registry, self.base_reg)
-        mlog.write_csv(metrics)
-        for a in arts:
-            write_meta(a, key, "pretrain", man.train["pretrain"].seed)
-        return True
+
+        def compute(key):
+            store, registry = build_model(man.model, man.stage_seed("init"))
+            mlog = MetricsLog()
+            lam0 = train_full(store, self.train_sets(), man.train["pretrain"],
+                              man.model, log=mlog)
+            save_checkpoint(lam0, self.base_ckpt)
+            save_registry(registry, self.base_reg)
+            mlog.write_csv(metrics)
+
+        return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute)
 
     def make_masks(self, disjoint: bool | None = None) -> bool:
         from .masks import MaskSet, create_domain_mask, overlap_stats, save_mask
 
         man = self.man
         disjoint = man.masks_disjoint if disjoint is None else disjoint
-        key = man.stage_key("make_masks", {"disjoint": disjoint,
-                                           "base": _sha256_file(self.base_ckpt)})
         stats_path = self.out / "mask_stats.csv"
+
+        def compute(key):
+            lam0, registry = self.load_base()
+            built = MaskSet([])
+            for spec, ds in zip(man.domains, self.train_sets()):
+                log.info("make_masks: domain %s%s", spec.name, " (disjoint)" if disjoint else "")
+                mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], registry,
+                                          man.model, disjoint_against=built if disjoint else None)
+                built = built.plus(mask)
+                save_mask(mask, self.mask_path(spec.name))
+            stats = overlap_stats(built)
+            stats_path.write_text(f"# config_hash={key}\n" + "\n".join(stats.to_lines()) + "\n",
+                                  encoding="utf-8")
+
         arts = [self.mask_path(d.name) for d in man.domains] + [stats_path]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("make_masks: cache hit, skipping")
-            return False
-        lam0, registry = self.load_base()
-        built = MaskSet([])
-        for spec, ds in zip(man.domains, self.train_sets()):
-            log.info("make_masks: domain %s%s", spec.name, " (disjoint)" if disjoint else "")
-            mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], registry,
-                                      man.model, disjoint_against=built if disjoint else None)
-            built = built.plus(mask)
-            save_mask(mask, self.mask_path(spec.name))
-        stats = overlap_stats(built)
-        stats_path.write_text(f"# config_hash={key}\n" + "\n".join(stats.to_lines()) + "\n",
-                              encoding="utf-8")
-        for a in arts:
-            write_meta(a, key, "make_masks", man.train["masks"].seed)
-        return True
+        return self._cached("make_masks", arts, compute,
+                            {"disjoint": disjoint, **self._upstream("base")})
 
     def train_doss(self) -> bool:
         from .model import save_checkpoint
         from .training import MetricsLog, train_doss
 
         man = self.man
-        key = man.stage_key("train_doss", {
-            "base": _sha256_file(self.base_ckpt),
-            "masks": [_sha256_file(self.mask_path(d.name)) for d in man.domains]})
         metrics = self.out / "doss_metrics.csv"
-        arts = [self.doss_ckpt, metrics]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("train_doss: cache hit, skipping")
-            return False
-        log.info("train_doss: structure-aware joint training")
-        lam0, _ = self.load_base()
-        mlog = MetricsLog()
-        lam = train_doss(lam0, self.load_masks(), self.train_sets(),
-                         man.train["doss"], man.model, log=mlog)
-        save_checkpoint(lam, self.doss_ckpt)
-        mlog.write_csv(metrics)
-        for a in arts:
-            write_meta(a, key, "train_doss", man.train["doss"].seed)
-        return True
+
+        def compute(key):
+            lam0, _ = self.load_base()
+            mlog = MetricsLog()
+            lam = train_doss(lam0, self.load_masks(), self.train_sets(),
+                             man.train["doss"], man.model, log=mlog)
+            save_checkpoint(lam, self.doss_ckpt)
+            mlog.write_csv(metrics)
+
+        return self._cached("train_doss", [self.doss_ckpt, metrics], compute,
+                            self._upstream("base", "masks"))
 
     def finetune(self) -> bool:
         from .model import save_checkpoint
         from .training import MetricsLog, train_full
 
         man = self.man
-        key = man.stage_key("finetune", {"base": _sha256_file(self.base_ckpt)})
-        jobs = [(d.name, [ds]) for d, ds in zip(man.domains, self.train_sets())]
-        jobs.append(("all", list(self.train_sets())))
-        arts = [self.ft_ckpt(name) for name, _ in jobs]
-        arts += [self.out / f"ft_{name}_metrics.csv" for name, _ in jobs]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("finetune: cache hit, skipping")
-            return False
-        lam0, _ = self.load_base()
-        for name, data in jobs:
-            log.info("finetune: %s", name)
-            mlog = MetricsLog()
-            trained = train_full(lam0, data, man.train["finetune"], man.model, log=mlog)
-            save_checkpoint(trained, self.ft_ckpt(name))
-            mlog.write_csv(self.out / f"ft_{name}_metrics.csv")
-        for a in arts:
-            write_meta(a, key, "finetune", man.train["finetune"].seed)
-        return True
+
+        def compute(key):
+            lam0, _ = self.load_base()
+            sets = self.train_sets()
+            for name, data in zip(self.ft_names, [[ds] for ds in sets] + [sets]):
+                log.info("finetune: %s", name)
+                mlog = MetricsLog()
+                trained = train_full(lam0, data, man.train["finetune"], man.model, log=mlog)
+                save_checkpoint(trained, self.ft_ckpt(name))
+                mlog.write_csv(self.out / f"ft_{name}_metrics.csv")
+
+        arts = [self.ft_ckpt(name) for name in self.ft_names]
+        arts += [self.out / f"ft_{name}_metrics.csv" for name in self.ft_names]
+        return self._cached("finetune", arts, compute, self._upstream("base"))
 
     def extend(self, mode: str | None = None, steps: int | None = None) -> bool:
         import dataclasses
@@ -285,170 +285,151 @@ class Pipeline:
         ext_train, ext_eval = self.ext_sets()
         edir = self.extend_dir(mode)
         edir.mkdir(parents=True, exist_ok=True)
-        key = man.stage_key("extend", {
-            "mode": mode, "steps": cfg.max_steps,
-            "base": _sha256_file(self.base_ckpt),
-            "doss": _sha256_file(self.doss_ckpt),
-            "masks": [_sha256_file(self.mask_path(d.name)) for d in man.domains]})
         new_mask_path = edir / f"mask_{ext_train.domain_id}.mask"
         ext_ckpt = edir / "extended.ckpt"
         metrics = edir / "extend_metrics.csv"
         diff_path = edir / "preservation_diff.txt"
         report_md = edir / "report.md"
         report_csv = edir / "report.csv"
-        arts = [new_mask_path, ext_ckpt, metrics, diff_path, report_md, report_csv]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("extend[%s]: cache hit, skipping", mode)
-            return False
-        log.info("extend[%s]: adding domain %s", mode, ext_train.domain_id)
-        lam0, registry = self.load_base()
-        lam = load_checkpoint(self.doss_ckpt)
-        maskset = self.load_masks()
-        mlog = MetricsLog()
-        lam2, maskset2 = extend_domain(
-            lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg,
-            model_cfg=man.model, registry=registry, mask_cfg=man.train["masks"],
-            existing_data=self.train_sets(), log=mlog)
-        new_mask = maskset2.get(ext_train.domain_id)
-        save_mask(new_mask, new_mask_path)
-        save_checkpoint(lam2, ext_ckpt)
-        mlog.write_csv(metrics)
 
-        # old-domain decodes before vs after extension, token for token
-        diffs = []
-        for ds in self.eval_sets():
-            dmask = maskset.get(ds.domain_id)
-            pre = decode_dataset(overlay(lam0, lam, dmask), man.model, ds,
-                                 man.eval_max_len, man.eval_batch)
-            post = decode_dataset(overlay(lam0, lam2, dmask), man.model, ds,
+        def compute(key):
+            log.info("extend[%s]: adding domain %s", mode, ext_train.domain_id)
+            lam0, registry = self.load_base()
+            lam = load_checkpoint(self.doss_ckpt)
+            maskset = self.load_masks()
+            mlog = MetricsLog()
+            lam2, maskset2 = extend_domain(
+                lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg,
+                model_cfg=man.model, registry=registry, mask_cfg=man.train["masks"],
+                existing_data=self.train_sets(), log=mlog)
+            new_mask = maskset2.get(ext_train.domain_id)
+            save_mask(new_mask, new_mask_path)
+            save_checkpoint(lam2, ext_ckpt)
+            mlog.write_csv(metrics)
+
+            # old-domain decodes before vs after extension, token for token
+            diffs = []
+            for ds in self.eval_sets():
+                dmask = maskset.get(ds.domain_id)
+                pre = decode_dataset(overlay(lam0, lam, dmask), man.model, ds,
+                                     man.eval_max_len, man.eval_batch)
+                post = decode_dataset(overlay(lam0, lam2, dmask), man.model, ds,
+                                      man.eval_max_len, man.eval_batch)
+                for i, (a, b) in enumerate(zip(pre, post)):
+                    if trim_eos(a) != trim_eos(b):
+                        diffs.append(f"{ds.domain_id}\t{i}\t{trim_eos(a)}\t{trim_eos(b)}")
+            diff_path.write_text("\n".join(diffs) + ("\n" if diffs else ""), encoding="utf-8")
+
+            trained_count = (count_params(registry, maskset2.union_mask())["masked_ones"]
+                             if mode == "all_masks_joint" else new_mask.popcount())
+            ext_variant = Variant(f"extended[{mode}]", lam2, base=lam0, masks=maskset2,
+                                  trainable=trained_count)
+            # the pre-extension model has no mask for the new domain, so it is
+            # scored on the old domains only
+            rep_old = eval_matrix([Variant("doss", lam, base=lam0, masks=maskset), ext_variant],
+                                  self.eval_sets(), man.model, man.eval_max_len, man.eval_batch)
+            rep_new = eval_matrix([ext_variant], [ext_eval], man.model,
                                   man.eval_max_len, man.eval_batch)
-            for i, (a, b) in enumerate(zip(pre, post)):
-                if trim_eos(a) != trim_eos(b):
-                    diffs.append(f"{ds.domain_id}\t{i}\t{trim_eos(a)}\t{trim_eos(b)}")
-        diff_path.write_text("\n".join(diffs) + ("\n" if diffs else ""), encoding="utf-8")
+            report_md.write_text(
+                f"<!-- config_hash={key} -->\n"
+                + rep_old.to_markdown(f"Domain extension ({mode}): pre-existing domains")
+                + "\n" + rep_new.to_markdown(f"Domain extension ({mode}): new domain"),
+                encoding="utf-8")
+            new_csv_rows = rep_new.to_csv().splitlines()[1:]
+            report_csv.write_text(f"# config_hash={key}\n" + rep_old.to_csv()
+                                  + "\n".join(new_csv_rows) + "\n", encoding="utf-8")
 
-        trained_count = (count_params(registry, maskset2.union_mask())["masked_ones"]
-                         if mode == "all_masks_joint" else new_mask.popcount())
-        ext_variant = Variant(f"extended[{mode}]", lam2, base=lam0, masks=maskset2,
-                              trainable=trained_count)
-        # the pre-extension model has no mask for the new domain, so it is
-        # scored on the old domains only
-        rep_old = eval_matrix([Variant("doss", lam, base=lam0, masks=maskset), ext_variant],
-                              self.eval_sets(), man.model, man.eval_max_len, man.eval_batch)
-        rep_new = eval_matrix([ext_variant], [ext_eval], man.model,
-                              man.eval_max_len, man.eval_batch)
-        report_md.write_text(
-            f"<!-- config_hash={key} -->\n"
-            + rep_old.to_markdown(f"Domain extension ({mode}): pre-existing domains")
-            + "\n" + rep_new.to_markdown(f"Domain extension ({mode}): new domain"),
-            encoding="utf-8")
-        new_csv_rows = rep_new.to_csv().splitlines()[1:]
-        report_csv.write_text(f"# config_hash={key}\n" + rep_old.to_csv()
-                              + "\n".join(new_csv_rows) + "\n", encoding="utf-8")
-        for a in arts:
-            write_meta(a, key, "extend", cfg.seed)
-        return True
+        arts = [new_mask_path, ext_ckpt, metrics, diff_path, report_md, report_csv]
+        return self._cached("extend", arts, compute, {
+            "mode": mode, "steps": cfg.max_steps, **self._upstream("base", "doss", "masks")})
 
     def evaluate(self) -> bool:
         from .evaluation import Variant, eval_matrix
         from .model import count_params, load_checkpoint
 
         man = self.man
-        ft_names = [d.name for d in man.domains] + ["all"]
-        key = man.stage_key("eval", {
-            "max_len": man.eval_max_len, "batch": man.eval_batch,
-            "base": _sha256_file(self.base_ckpt),
-            "doss": _sha256_file(self.doss_ckpt),
-            "fts": [_sha256_file(self.ft_ckpt(n)) for n in ft_names],
-            "masks": [_sha256_file(self.mask_path(d.name)) for d in man.domains]})
         report_md = self.out / "report.md"
         report_csv = self.out / "report.csv"
-        arts = [report_md, report_csv]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("eval: cache hit, skipping")
-            return False
-        log.info("eval: scoring all variants")
-        lam0, registry = self.load_base()
-        maskset = self.load_masks()
-        total = count_params(registry)["total"]
-        variants = [Variant("baseline", lam0, trainable=0)]
-        for name in ft_names:
-            variants.append(Variant(f"ft_{name}", load_checkpoint(self.ft_ckpt(name)),
-                                    trainable=total))
-        variants.append(Variant("doss", load_checkpoint(self.doss_ckpt), base=lam0,
-                                masks=maskset,
-                                trainable=count_params(registry, maskset.union_mask())["masked_ones"]))
-        report = eval_matrix(variants, self.eval_sets(), man.model,
-                             man.eval_max_len, man.eval_batch)
-        report_md.write_text(f"<!-- config_hash={key} -->\n"
-                             + report.to_markdown("Domain finetuning vs sub-networks"),
-                             encoding="utf-8")
-        report_csv.write_text(f"# config_hash={key}\n" + report.to_csv(), encoding="utf-8")
-        for a in arts:
-            write_meta(a, key, "eval", man.seed)
-        return True
+
+        def compute(key):
+            lam0, registry = self.load_base()
+            maskset = self.load_masks()
+            total = count_params(registry)["total"]
+            variants = [Variant("baseline", lam0, trainable=0)]
+            for name in self.ft_names:
+                variants.append(Variant(f"ft_{name}", load_checkpoint(self.ft_ckpt(name)),
+                                        trainable=total))
+            variants.append(Variant(
+                "doss", load_checkpoint(self.doss_ckpt), base=lam0, masks=maskset,
+                trainable=count_params(registry, maskset.union_mask())["masked_ones"]))
+            report = eval_matrix(variants, self.eval_sets(), man.model,
+                                 man.eval_max_len, man.eval_batch)
+            report_md.write_text(f"<!-- config_hash={key} -->\n"
+                                 + report.to_markdown("Domain finetuning vs sub-networks"),
+                                 encoding="utf-8")
+            report_csv.write_text(f"# config_hash={key}\n" + report.to_csv(), encoding="utf-8")
+
+        return self._cached("eval", [report_md, report_csv], compute, {
+            "max_len": man.eval_max_len, "batch": man.eval_batch,
+            **self._upstream("base", "doss", "fts", "masks")})
 
     def sweep(self) -> bool:
         import dataclasses
 
+        from .errors import ConfigError, DossError
         from .evaluation import Variant, eval_matrix
         from .masks import MaskSet, PruneSpec, create_domain_mask
         from .training import train_doss
 
         man = self.man
         if not man.sweep_alphas or not man.sweep_betas:
-            from .errors import ConfigError
             raise ConfigError("sweep needs non-empty alphas/betas grids in [sweep]")
         grid = sorted({(a, b) for a in man.sweep_alphas for b in man.sweep_betas})
-        key = man.stage_key("sweep", {"sweep": grid, "steps": man.sweep_steps,
-                                      "base": _sha256_file(self.base_ckpt)})
         sweep_csv = self.out / "sweep.csv"
         corr_csv = self.out / "correlations.csv"
-        arts = [sweep_csv, corr_csv]
-        if all(artifact_valid(a, key) for a in arts):
-            log.info("sweep: cache hit, skipping")
-            return False
-        lam0, registry = self.load_base()
-        doss_cfg = dataclasses.replace(man.train["doss"], max_steps=man.sweep_steps)
-        domain_ids = [d.name for d in man.domains]
-        rows = []
-        for alpha, beta in grid:
-            log.info("sweep: alpha=%s beta=%s", alpha, beta)
-            try:
-                spec = PruneSpec(alpha, beta, man.prune.ft_epochs)
-                masks = MaskSet([create_domain_mask(lam0, ds, spec, man.train["masks"],
-                                                    registry, man.model)
-                                 for ds in self.train_sets()])
-                lam = train_doss(lam0, masks, self.train_sets(), doss_cfg, man.model)
-                rep = eval_matrix([Variant("doss", lam, base=lam0, masks=masks)],
-                                  self.eval_sets(), man.model,
-                                  man.eval_max_len, man.eval_batch)
-                avg_bleu, avg_em = rep.averages("doss")
-                cells = [rep.cell("doss", d) for d in domain_ids]
-                rows.append((alpha, beta, "ok",
-                             [c.bleu for c in cells], [c.exact_match for c in cells],
-                             avg_bleu, avg_em))
-            except Exception as exc:  # keep the rest of the grid running
-                log.warning("sweep point (%s, %s) failed: %s", alpha, beta, exc)
-                rows.append((alpha, beta, "failed", [], [], float("nan"), float("nan")))
-        header = ["alpha", "beta", "status"]
-        header += [f"bleu_{d}" for d in domain_ids] + [f"em_{d}" for d in domain_ids]
-        header += ["avg_bleu", "avg_em"]
-        lines = [f"# config_hash={key}", ",".join(header)]
-        for alpha, beta, status, bleus, ems, avg_bleu, avg_em in rows:
-            bleu_cols = [f"{x!r}" for x in bleus] or [""] * len(domain_ids)
-            em_cols = [f"{x!r}" for x in ems] or [""] * len(domain_ids)
-            lines.append(",".join([f"{alpha!r}", f"{beta!r}", status]
-                                  + bleu_cols + em_cols + [f"{avg_bleu!r}", f"{avg_em!r}"]))
-        sweep_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        ok_rows = [r for r in rows if r[2] == "ok"]
-        corr_lines = [f"# config_hash={key}", "coefficient,value"]
-        corr_lines.append(f"rho_alpha,{sweep_correlation([(r[0], r[5]) for r in ok_rows])!r}")
-        corr_lines.append(f"rho_beta,{sweep_correlation([(r[1], r[5]) for r in ok_rows])!r}")
-        corr_csv.write_text("\n".join(corr_lines) + "\n", encoding="utf-8")
-        for a in arts:
-            write_meta(a, key, "sweep", man.seed)
-        return True
+
+        def compute(key):
+            lam0, registry = self.load_base()
+            doss_cfg = dataclasses.replace(man.train["doss"], max_steps=man.sweep_steps)
+            domain_ids = [d.name for d in man.domains]
+            rows = []
+            for alpha, beta in grid:
+                log.info("sweep: alpha=%s beta=%s", alpha, beta)
+                try:
+                    spec = PruneSpec(alpha, beta, man.prune.ft_epochs)
+                    masks = MaskSet([create_domain_mask(lam0, ds, spec, man.train["masks"],
+                                                        registry, man.model)
+                                     for ds in self.train_sets()])
+                    lam = train_doss(lam0, masks, self.train_sets(), doss_cfg, man.model)
+                    rep = eval_matrix([Variant("doss", lam, base=lam0, masks=masks)],
+                                      self.eval_sets(), man.model,
+                                      man.eval_max_len, man.eval_batch)
+                    avg_bleu, avg_em = rep.averages("doss")
+                    cells = [rep.cell("doss", d) for d in domain_ids]
+                    rows.append((alpha, beta, "ok",
+                                 [c.bleu for c in cells], [c.exact_match for c in cells],
+                                 avg_bleu, avg_em))
+                except DossError as exc:  # keep the rest of the grid running
+                    log.warning("sweep point (%s, %s) failed: %s", alpha, beta, exc)
+                    rows.append((alpha, beta, "failed", [], [], float("nan"), float("nan")))
+            header = ["alpha", "beta", "status"]
+            header += [f"bleu_{d}" for d in domain_ids] + [f"em_{d}" for d in domain_ids]
+            header += ["avg_bleu", "avg_em"]
+            lines = [f"# config_hash={key}", ",".join(header)]
+            for alpha, beta, status, bleus, ems, avg_bleu, avg_em in rows:
+                bleu_cols = [f"{x!r}" for x in bleus] or [""] * len(domain_ids)
+                em_cols = [f"{x!r}" for x in ems] or [""] * len(domain_ids)
+                lines.append(",".join([f"{alpha!r}", f"{beta!r}", status]
+                                      + bleu_cols + em_cols + [f"{avg_bleu!r}", f"{avg_em!r}"]))
+            sweep_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            ok_rows = [r for r in rows if r[2] == "ok"]
+            corr_lines = [f"# config_hash={key}", "coefficient,value"]
+            corr_lines.append(f"rho_alpha,{sweep_correlation([(r[0], r[5]) for r in ok_rows])!r}")
+            corr_lines.append(f"rho_beta,{sweep_correlation([(r[1], r[5]) for r in ok_rows])!r}")
+            corr_csv.write_text("\n".join(corr_lines) + "\n", encoding="utf-8")
+
+        return self._cached("sweep", [sweep_csv, corr_csv], compute, {
+            "sweep": grid, "steps": man.sweep_steps, **self._upstream("base")})
 
     def run(self, stages: list[str] | None = None) -> None:
         order = stages or ["pretrain", "make_masks", "train_doss", "finetune",
@@ -480,15 +461,8 @@ def sweep_correlation(points) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _configure_threads(argv: list[str]) -> None:
-    """Apply --threads before numpy import; affects BLAS pool sizes."""
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            n = argv[idx + 1]
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-                os.environ.setdefault(var, n)
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -529,21 +503,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _configure_threads(argv)
+    args = _build_parser().parse_args(argv)
+    if args.threads is not None:
+        # BLAS reads these when numpy is first imported, which is below
+        for var in _THREAD_VARS:
+            os.environ[var] = str(args.threads)
     logging.basicConfig(
         level=getattr(logging, os.environ.get("DOSS_LOG", "INFO").upper(), logging.INFO),
         format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
 
     from .errors import DossError
     from .manifest import load_manifest
 
     try:
-        man = load_manifest(args.config)
-        if args.seed is not None:
-            import dataclasses
-            man = dataclasses.replace(man, seed=args.seed)
+        man = load_manifest(args.config, seed=args.seed)
         out = Path(args.out or man.out or f"runs/{Path(args.config).stem}")
         pipe = Pipeline(man, out)
         command = args.command.replace("-", "_")

@@ -9,7 +9,6 @@ sub-networks stay learnable.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -18,9 +17,6 @@ import numpy as np
 from .autograd import derive_seed
 from .errors import ConfigError, FormatError
 from .model import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-
-DATA_MAGIC = b"DOSSDATA"
-DATA_VERSION = 1
 
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 N_RESERVED = len(RESERVED_TOKENS)
@@ -194,21 +190,6 @@ class Vocab:
         table = self.token_to_id()
         return [table.get(tok, UNK_ID) for tok in tokens]
 
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        all_tokens = RESERVED_TOKENS + self.content
-        return [all_tokens[i] if 0 <= i < self.size else RESERVED_TOKENS[UNK_ID]
-                for i in ids]
-
-
-def build_vocab(content_size: int, content_tokens: Sequence[str] | None = None) -> Vocab:
-    if content_size < 1:
-        raise ConfigError("content_size must be >= 1")
-    if content_tokens is None:
-        content_tokens = tuple(f"w{i}" for i in range(content_size))
-    else:
-        content_tokens = tuple(content_tokens[:content_size])
-    return Vocab(content_tokens)
-
 
 def vocab_from_pairs(token_pairs, content_size: int) -> Vocab:
     """Frequency-ranked vocabulary from tokenized text pairs (ties by token)."""
@@ -236,51 +217,6 @@ def encode_pairs(token_pairs, vocab: Vocab, domain_id: str) -> DomainDataset:
     pairs = [(np.asarray(vocab.encode(s), dtype=np.int64),
               np.asarray(vocab.encode(t), dtype=np.int64))
              for s, t in token_pairs if s and t]
-    return DomainDataset(domain_id, pairs)
-
-
-# ---------------------------------------------------------------------------
-# dataset cache files
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(ds: DomainDataset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(DATA_MAGIC)
-        fh.write(struct.pack("<H", DATA_VERSION))
-        raw = ds.domain_id.encode("utf-8")
-        fh.write(struct.pack("<H", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<I", ds.size))
-        for src, tgt in ds.pairs:
-            fh.write(struct.pack("<II", len(src), len(tgt)))
-            fh.write(np.asarray(src, dtype="<u4").tobytes())
-            fh.write(np.asarray(tgt, dtype="<u4").tobytes())
-
-
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError("dataset file truncated")
-    return buf
-
-
-def load_dataset(path) -> DomainDataset:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, len(DATA_MAGIC)) != DATA_MAGIC:
-            raise FormatError("bad dataset magic")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2))
-        if version != DATA_VERSION:
-            raise FormatError(f"unsupported dataset version {version}")
-        (dlen,) = struct.unpack("<H", _read_exact(fh, 2))
-        domain_id = _read_exact(fh, dlen).decode("utf-8")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        pairs = []
-        for _ in range(count):
-            ns, nt = struct.unpack("<II", _read_exact(fh, 8))
-            src = np.frombuffer(_read_exact(fh, 4 * ns), dtype="<u4").astype(np.int64)
-            tgt = np.frombuffer(_read_exact(fh, 4 * nt), dtype="<u4").astype(np.int64)
-            pairs.append((src, tgt))
     return DomainDataset(domain_id, pairs)
 
 

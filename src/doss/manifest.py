@@ -23,27 +23,6 @@ from .masks import PruneSpec
 from .model import ModelConfig
 from .training import TrainConfig
 
-STAGES = ("pretrain", "make_masks", "train_doss", "finetune", "extend", "eval")
-
-_MODEL_KEYS = {"vocab_content", "d_model", "ffn_dim", "enc_layers", "dec_layers",
-               "heads", "dropout", "max_len", "tie_embeddings"}
-_DOMAIN_KEYS = {"kind", "shift", "min_len", "max_len", "train_pairs", "eval_pairs",
-                "seed", "src_file", "tgt_file", "filter_max_len", "min_ratio", "max_ratio"}
-_TRAIN_KEYS = {"learning_rate", "warmup", "dropout", "batch_tokens", "steps",
-               "epochs", "grad_clip", "mixing"}
-_MASKS_KEYS = _TRAIN_KEYS | {"alpha", "beta", "ft_epochs", "disjoint"}
-_EXTEND_KEYS = _TRAIN_KEYS | {"domain", "mode", "alpha", "beta", "ft_epochs"}
-_SWEEP_KEYS = {"alphas", "betas", "steps"}
-_EVAL_KEYS = {"max_decode_len", "batch_size"}
-_META_KEYS = {"seed", "out"}
-
-
-def _check_keys(section: str, got, allowed) -> None:
-    unknown = set(got) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-
 @dataclass
 class DomainSpec:
     """One domain: either a synthetic task or a pair of parallel text files."""
@@ -94,13 +73,9 @@ class Manifest:
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.seed, stage) % (2 ** 31)
 
-    def domain(self, name: str) -> DomainSpec:
-        for d in self.domains:
-            if d.name == name:
-                return d
-        if self.extension is not None and self.extension.name == name:
-            return self.extension
-        raise ConfigError(f"unknown domain {name!r}")
+    def stage_train(self, stage: str) -> TrainConfig | None:
+        """The training config a pipeline stage runs with, if it trains."""
+        return self.train.get(_STAGE_TRAIN.get(stage, ""))
 
     def _fingerprint(self) -> dict:
         return {
@@ -111,10 +86,11 @@ class Manifest:
         }
 
     def stage_key(self, stage: str, extra: dict | None = None) -> str:
+        cfg = self.stage_train(stage)
         payload = {
             "stage": stage,
             "common": self._fingerprint(),
-            "train": _train_dict(self.train.get(_stage_train_name(stage))),
+            "train": None if cfg is None else vars(cfg),
             "extra": extra or {},
         }
         if stage == "make_masks":
@@ -125,9 +101,9 @@ class Manifest:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _stage_train_name(stage: str) -> str:
-    return {"pretrain": "pretrain", "make_masks": "masks", "train_doss": "doss",
-            "finetune": "finetune", "extend": "extend"}.get(stage, "")
+# pipeline stage -> its [section] and key in Manifest.train
+_STAGE_TRAIN = {"pretrain": "pretrain", "make_masks": "masks", "train_doss": "doss",
+                "finetune": "finetune", "extend": "extend"}
 
 
 def _domain_dict(d: DomainSpec | None) -> dict | None:
@@ -142,190 +118,165 @@ def _domain_dict(d: DomainSpec | None) -> dict | None:
     return out
 
 
-def _train_dict(cfg: TrainConfig | None) -> dict | None:
-    if cfg is None:
-        return None
-    return {k: v for k, v in vars(cfg).items()}
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
 
-def _get(section, key, conv, default):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{section.name}]")
-        return default
-    raw = section[key]
-    try:
-        if conv is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key} in [{section.name}]: {raw!r}") from exc
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _parse_train(section, *, seed: int, defaults: dict) -> TrainConfig:
-    _check_keys(section.name, section.keys(), _TRAIN_KEYS | _MASKS_KEYS | _EXTEND_KEYS | _SWEEP_KEYS)
-    steps = _get(section, "steps", int, defaults.get("steps", -1))
-    epochs = _get(section, "epochs", int, -1)
-    clip = _get(section, "grad_clip", float, defaults.get("grad_clip", 1.0))
+def _floats(raw: str) -> list[float]:
+    return [float(x) for x in raw.split()]
+
+
+_TRAIN = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int,
+          "steps": int, "epochs": int, "grad_clip": float, "mixing": str}
+_PRUNE = {"alpha": float, "beta": float, "ft_epochs": int}
+
+# section kind -> every key a section of that kind may hold -> its parser
+_SCHEMA = {
+    "meta": {"seed": int, "out": str},
+    "model": {"vocab_content": int, "d_model": int, "ffn_dim": int, "enc_layers": int,
+              "dec_layers": int, "heads": int, "dropout": float, "max_len": int,
+              "tie_embeddings": _bool},
+    "domain": {"kind": str, "shift": int, "min_len": int, "max_len": int,
+               "train_pairs": int, "eval_pairs": int, "seed": int, "src_file": str,
+               "tgt_file": str, "filter_max_len": int, "min_ratio": float,
+               "max_ratio": float},
+    "train": _TRAIN,
+    "masks": _TRAIN | _PRUNE | {"disjoint": _bool},
+    "extend": _TRAIN | _PRUNE | {"domain": str, "mode": str},
+    "sweep": {"alphas": _floats, "betas": _floats, "steps": int},
+    "eval": {"max_decode_len": int, "batch_size": int},
+}
+
+# a negative steps or epochs, or a grad_clip <= 0, means unset
+_TRAIN_DEFAULTS = {"batch_tokens": 256, "epochs": -1, "grad_clip": 1.0, "mixing": "round_robin"}
+
+
+def _read(parser, section: str, kind: str, defaults: dict) -> dict:
+    """The typed values of `section` over `defaults` (all of them when the
+    section is absent). Keys outside the kind's schema and values that do not
+    parse are ConfigErrors."""
+    values = dict(defaults)
+    if section not in parser:
+        return values
+    schema = _SCHEMA[kind]
+    unknown = set(parser[section]) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    for key, raw in parser[section].items():
+        try:
+            values[key] = schema[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key} in [{section}]: {raw!r}") from exc
+    return values
+
+
+def _train_config(t: dict, seed: int) -> TrainConfig:
     return TrainConfig(
-        learning_rate=_get(section, "learning_rate", float, defaults["learning_rate"]),
-        warmup_steps=_get(section, "warmup", int, defaults["warmup"]),
-        batch_tokens=_get(section, "batch_tokens", int, defaults.get("batch_tokens", 256)),
-        dropout=_get(section, "dropout", float, defaults["dropout"]),
-        max_steps=None if steps < 0 else steps,
-        epochs=None if epochs < 0 else epochs,
-        seed=seed,
-        grad_clip=None if clip <= 0 else clip,
-        mixing=_get(section, "mixing", str, defaults.get("mixing", "round_robin")),
+        learning_rate=t["learning_rate"], warmup_steps=t["warmup"],
+        batch_tokens=t["batch_tokens"], dropout=t["dropout"],
+        max_steps=None if t["steps"] < 0 else t["steps"],
+        epochs=None if t["epochs"] < 0 else t["epochs"], seed=seed,
+        grad_clip=None if t["grad_clip"] <= 0 else t["grad_clip"], mixing=t["mixing"],
     ).validate()
 
 
-def _parse_domain(name: str, section, default_seed: int, content: int) -> DomainSpec:
-    _check_keys(section.name, section.keys(), _DOMAIN_KEYS)
+def _parse_domain(parser, section: str, default_seed: int, content: int) -> DomainSpec:
+    name = section.split(None, 1)[1]
+    d = _read(parser, section, "domain", {
+        "kind": "", "train_pairs": 1500, "eval_pairs": 150, "filter_max_len": 250,
+        "min_ratio": 0.67, "max_ratio": 1.5, "min_len": 3, "max_len": 6, "shift": 1,
+        "seed": default_seed, "src_file": None, "tgt_file": None})
     spec = DomainSpec(
-        name=name,
-        train_pairs=_get(section, "train_pairs", int, 1500),
-        eval_pairs=_get(section, "eval_pairs", int, 150),
-        filter=FilterSpec(
-            max_len=_get(section, "filter_max_len", int, 250),
-            min_ratio=_get(section, "min_ratio", float, 0.67),
-            max_ratio=_get(section, "max_ratio", float, 1.5),
-        ).validate(),
-    )
-    kind = _get(section, "kind", str, "")
-    if kind == "parallel":
-        spec.src_file = _get(section, "src_file", str, None)
-        spec.tgt_file = _get(section, "tgt_file", str, None)
-        for path in (spec.src_file, spec.tgt_file):
-            if not Path(path).exists():
-                raise ConfigError(f"domain {name!r} references missing file {path}")
+        name=name, train_pairs=d["train_pairs"], eval_pairs=d["eval_pairs"],
+        filter=FilterSpec(d["filter_max_len"], d["min_ratio"], d["max_ratio"]).validate())
+    if d["kind"] == "parallel":
+        for key in ("src_file", "tgt_file"):
+            if d[key] is None:
+                raise ConfigError(f"missing required key {key!r} in [{section}]")
+            if not Path(d[key]).exists():
+                raise ConfigError(f"domain {name!r} references missing file {d[key]}")
+        spec.src_file, spec.tgt_file = d["src_file"], d["tgt_file"]
         return spec
     spec.task = SyntheticTask(
-        kind=kind or "copy",
-        content_lo=N_RESERVED,
-        content_hi=N_RESERVED + content,
-        min_len=_get(section, "min_len", int, 3),
-        max_len=_get(section, "max_len", int, 6),
-        shift=_get(section, "shift", int, 1),
-        seed=_get(section, "seed", int, default_seed),
+        kind=d["kind"] or "copy", content_lo=N_RESERVED, content_hi=N_RESERVED + content,
+        min_len=d["min_len"], max_len=d["max_len"], shift=d["shift"], seed=d["seed"],
     ).validate()
     return spec
 
 
-def load_manifest(path) -> Manifest:
+def load_manifest(path, seed: int | None = None) -> Manifest:
+    """Parse a manifest. `seed` replaces [meta] seed before any stage seed is
+    derived from it."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"manifest not found: {path}")
-
     if "meta" not in parser:
         raise ConfigError("manifest needs a [meta] section with the global seed")
-    _check_keys("meta", parser["meta"].keys(), _META_KEYS)
-    seed = _get(parser["meta"], "seed", int, 0)
-    out = parser["meta"].get("out") or None
+    meta = _read(parser, "meta", "meta", {"seed": 0, "out": ""})
 
-    model_sec = parser["model"] if "model" in parser else {}
-    if model_sec:
-        _check_keys("model", model_sec.keys(), _MODEL_KEYS)
-    content = _get(model_sec, "vocab_content", int, 16) if model_sec else 16
+    m = _read(parser, "model", "model", {
+        "vocab_content": 16, "d_model": 64, "ffn_dim": 128, "enc_layers": 2,
+        "dec_layers": 2, "heads": 4, "dropout": 0.1, "max_len": 24, "tie_embeddings": False})
+    content = m["vocab_content"]
     model = ModelConfig(
-        vocab_size=N_RESERVED + content,
-        d_model=_get(model_sec, "d_model", int, 64) if model_sec else 64,
-        ffn_dim=_get(model_sec, "ffn_dim", int, 128) if model_sec else 128,
-        n_enc_layers=_get(model_sec, "enc_layers", int, 2) if model_sec else 2,
-        n_dec_layers=_get(model_sec, "dec_layers", int, 2) if model_sec else 2,
-        n_heads=_get(model_sec, "heads", int, 4) if model_sec else 4,
-        dropout=_get(model_sec, "dropout", float, 0.1) if model_sec else 0.1,
-        max_len=_get(model_sec, "max_len", int, 24) if model_sec else 24,
-        tie_embeddings=_get(model_sec, "tie_embeddings", bool, False) if model_sec else False,
+        vocab_size=N_RESERVED + content, d_model=m["d_model"], ffn_dim=m["ffn_dim"],
+        n_enc_layers=m["enc_layers"], n_dec_layers=m["dec_layers"], n_heads=m["heads"],
+        dropout=m["dropout"], max_len=m["max_len"], tie_embeddings=m["tie_embeddings"],
     ).validate()
 
-    domains = []
-    for sec_name in parser.sections():
-        if sec_name.startswith("domain "):
-            name = sec_name.split(None, 1)[1]
-            domains.append(_parse_domain(name, parser[sec_name],
-                                         default_seed=10 + len(domains), content=content))
+    domain_secs = [s for s in parser.sections() if s.startswith("domain ")]
+    domains = [_parse_domain(parser, s, 10 + i, content) for i, s in enumerate(domain_secs)]
     if not domains:
         raise ConfigError("manifest defines no [domain <name>] sections")
-
     extension = None
-    for sec_name in parser.sections():
-        if sec_name.startswith("extension "):
-            name = sec_name.split(None, 1)[1]
-            extension = _parse_domain(name, parser[sec_name], default_seed=90, content=content)
+    for sec in parser.sections():
+        if sec.startswith("extension "):
+            extension = _parse_domain(parser, sec, 90, content)
 
     # desk-scale defaults per training regime (dropout per regime; rates
     # scaled for the model size, see README)
-    def stage_cfg(sec_name: str, defaults: dict, stage: str) -> TrainConfig:
-        section = parser[sec_name] if sec_name in parser else {}
-        stage_seed = derive_seed(seed, stage) % (2 ** 31)
-        if not section:
-            return TrainConfig(
-                learning_rate=defaults["learning_rate"], warmup_steps=defaults["warmup"],
-                batch_tokens=defaults.get("batch_tokens", 256), dropout=defaults["dropout"],
-                max_steps=defaults["steps"], seed=stage_seed,
-                mixing=defaults.get("mixing", "round_robin")).validate()
-        return _parse_train(section, seed=stage_seed, defaults=defaults)
-
-    train = {
-        "pretrain": stage_cfg("pretrain", dict(learning_rate=2e-3, warmup=200,
-                                               dropout=0.1, steps=7000), "pretrain"),
-        "masks": stage_cfg("masks", dict(learning_rate=1e-3, warmup=50,
-                                         dropout=0.3, steps=1), "make_masks"),
-        "doss": stage_cfg("doss", dict(learning_rate=1e-3, warmup=50, dropout=0.1,
-                                       steps=4500, mixing="proportional"), "train_doss"),
-        "finetune": stage_cfg("finetune", dict(learning_rate=1e-3, warmup=50,
-                                               dropout=0.3, steps=1200), "finetune"),
-        "extend": stage_cfg("extend", dict(learning_rate=1.25e-3, warmup=100,
-                                           dropout=0.1, steps=4500), "extend"),
+    sections = {
+        "pretrain": _read(parser, "pretrain", "train", _TRAIN_DEFAULTS | {
+            "learning_rate": 2e-3, "warmup": 200, "dropout": 0.1, "steps": 7000}),
+        "masks": _read(parser, "masks", "masks", _TRAIN_DEFAULTS | {
+            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3, "steps": 1,
+            "alpha": 0.6, "beta": 0.6, "ft_epochs": 5, "disjoint": False}),
+        "doss": _read(parser, "doss", "train", _TRAIN_DEFAULTS | {
+            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.1, "steps": 4500,
+            "mixing": "proportional"}),
+        "finetune": _read(parser, "finetune", "train", _TRAIN_DEFAULTS | {
+            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3, "steps": 1200}),
+        "extend": _read(parser, "extend", "extend", _TRAIN_DEFAULTS | {
+            "learning_rate": 1.25e-3, "warmup": 100, "dropout": 0.1, "steps": 4500,
+            "alpha": 0.1, "beta": 0.1, "ft_epochs": 5, "mode": "new_only_disjoint",
+            "domain": None}),
     }
+    masks, extend = sections["masks"], sections["extend"]
+    ext_name = extend["domain"]
+    if ext_name is not None and (extension is None or extension.name != ext_name):
+        raise ConfigError(f"[extend] references domain {ext_name!r} without a "
+                          f"matching [extension {ext_name}] section")
+    sweep = _read(parser, "sweep", "sweep", {"alphas": [], "betas": [], "steps": 1500})
+    evals = _read(parser, "eval", "eval", {"max_decode_len": 10, "batch_size": 64})
 
-    masks_sec = parser["masks"] if "masks" in parser else {}
-    prune = PruneSpec(
-        alpha=_get(masks_sec, "alpha", float, 0.6) if masks_sec else 0.6,
-        beta=_get(masks_sec, "beta", float, 0.6) if masks_sec else 0.6,
-        ft_epochs=_get(masks_sec, "ft_epochs", int, 5) if masks_sec else 5,
-    ).validate()
-    masks_disjoint = _get(masks_sec, "disjoint", bool, False) if masks_sec else False
-
-    extend_sec = parser["extend"] if "extend" in parser else {}
-    extend_mode = _get(extend_sec, "mode", str, "new_only_disjoint") if extend_sec else "new_only_disjoint"
-    extend_prune = PruneSpec(
-        alpha=_get(extend_sec, "alpha", float, 0.1) if extend_sec else 0.1,
-        beta=_get(extend_sec, "beta", float, 0.1) if extend_sec else 0.1,
-        ft_epochs=_get(extend_sec, "ft_epochs", int, 5) if extend_sec else 5,
-    ).validate()
-    if extend_sec and "domain" in extend_sec:
-        ext_name = extend_sec["domain"]
-        if extension is None or extension.name != ext_name:
-            raise ConfigError(f"[extend] references domain {ext_name!r} without a "
-                              f"matching [extension {ext_name}] section")
-
-    sweep_sec = parser["sweep"] if "sweep" in parser else {}
-    if sweep_sec:
-        _check_keys("sweep", sweep_sec.keys(), _SWEEP_KEYS)
-    alphas = [float(x) for x in sweep_sec.get("alphas", "").split()] if sweep_sec else []
-    betas = [float(x) for x in sweep_sec.get("betas", "").split()] if sweep_sec else []
-    sweep_steps = _get(sweep_sec, "steps", int, 1500) if sweep_sec else 1500
-
-    eval_sec = parser["eval"] if "eval" in parser else {}
-    if eval_sec:
-        _check_keys("eval", eval_sec.keys(), _EVAL_KEYS)
-    eval_max_len = _get(eval_sec, "max_decode_len", int, 10) if eval_sec else 10
-    eval_batch = _get(eval_sec, "batch_size", int, 64) if eval_sec else 64
-
-    return Manifest(seed=seed, out=out, model=model, domains=domains, prune=prune,
-                    masks_disjoint=masks_disjoint, extension=extension,
-                    extend_mode=extend_mode, extend_prune=extend_prune, train=train,
-                    sweep_alphas=alphas, sweep_betas=betas, sweep_steps=sweep_steps,
-                    eval_max_len=eval_max_len, eval_batch=eval_batch)
+    man = Manifest(
+        seed=meta["seed"] if seed is None else seed, out=meta["out"] or None,
+        model=model, domains=domains,
+        prune=PruneSpec(masks["alpha"], masks["beta"], masks["ft_epochs"]).validate(),
+        masks_disjoint=masks["disjoint"], extension=extension, extend_mode=extend["mode"],
+        extend_prune=PruneSpec(extend["alpha"], extend["beta"], extend["ft_epochs"]).validate(),
+        train={}, sweep_alphas=sweep["alphas"], sweep_betas=sweep["betas"],
+        sweep_steps=sweep["steps"], eval_max_len=evals["max_decode_len"],
+        eval_batch=evals["batch_size"])
+    for stage, name in _STAGE_TRAIN.items():
+        man.train[name] = _train_config(sections[name], man.stage_seed(stage))
+    return man

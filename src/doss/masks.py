@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, RegistryMismatchError
-from .model import DECODER, ENCODER, ParameterRegistry, ParamStore
+from .errors import ConfigError, RegistryMismatchError
+from .model import DECODER, ENCODER, FramedReader, ParameterRegistry, ParamStore
 
 MASK_MAGIC = b"DOSSMASK"
 MASK_VERSION = 1
@@ -58,9 +58,6 @@ class DomainMask:
         if expected != got:
             raise RegistryMismatchError(
                 f"mask {self.domain_id!r} does not cover the registry's maskable pool")
-
-    def shaped(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        return self.bits[name].reshape(shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DomainMask):
@@ -303,30 +300,17 @@ def save_mask(mask: DomainMask, path) -> None:
             fh.write(np.packbits(bits, bitorder="little").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError("mask file truncated")
-    return buf
-
-
 def load_mask(path) -> DomainMask:
     with open(path, "rb") as fh:
-        if _read_exact(fh, len(MASK_MAGIC)) != MASK_MAGIC:
-            raise FormatError("bad mask magic")
-        version, alpha, beta = struct.unpack("<Hdd", _read_exact(fh, 18))
-        if version != MASK_VERSION:
-            raise FormatError(f"unsupported mask version {version}")
-        (dlen,) = struct.unpack("<H", _read_exact(fh, 2))
-        domain_id = _read_exact(fh, dlen).decode("utf-8")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        reader = FramedReader(fh, MASK_MAGIC, MASK_VERSION, "mask")
+        alpha, beta = reader.unpack("<dd")
+        domain_id = reader.string()
+        (count,) = reader.unpack("<I")
         bits: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, nlen).decode("utf-8")
-            (size,) = struct.unpack("<Q", _read_exact(fh, 8))
-            packed = np.frombuffer(_read_exact(fh, (size + 7) // 8), dtype=np.uint8)
+            name = reader.string()
+            (size,) = reader.unpack("<Q")
+            packed = np.frombuffer(reader.read((size + 7) // 8), dtype=np.uint8)
             bits[name] = np.unpackbits(packed, count=size, bitorder="little").astype(bool)
-        if fh.read(1):
-            raise FormatError("trailing bytes after mask payload")
+        reader.end()
     return DomainMask(domain_id, bits, PruneSpec(alpha, beta))

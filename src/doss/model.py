@@ -429,31 +429,52 @@ def save_checkpoint(store: ParamStore, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError("checkpoint file truncated")
-    return buf
+class FramedReader:
+    """Reads a binary artifact framed as magic, u16 version, then
+    little-endian fields. A short read, a wrong magic or version, and
+    trailing bytes are all FormatErrors naming the artifact kind."""
+
+    def __init__(self, fh, magic: bytes, version: int, what: str):
+        self.fh = fh
+        self.what = what
+        if self.read(len(magic)) != magic:
+            raise FormatError(f"bad {what} magic")
+        (got,) = self.unpack("<H")
+        if got != version:
+            raise FormatError(f"unsupported {what} version {got}")
+
+    def read(self, n: int) -> bytes:
+        buf = self.fh.read(n)
+        if len(buf) != n:
+            raise FormatError(f"{self.what} file truncated")
+        return buf
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        """A u16-length-prefixed UTF-8 string."""
+        (n,) = self.unpack("<H")
+        return self.read(n).decode("utf-8")
+
+    def end(self) -> None:
+        if self.fh.read(1):
+            raise FormatError(f"trailing bytes after {self.what} payload")
 
 
 def load_checkpoint(path) -> ParamStore:
     with open(path, "rb") as fh:
-        if _read_exact(fh, len(CKPT_MAGIC)) != CKPT_MAGIC:
-            raise FormatError("bad checkpoint magic")
-        version, count = struct.unpack("<HI", _read_exact(fh, 6))
-        if version != CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+        reader = FramedReader(fh, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+        (count,) = reader.unpack("<I")
         tensors: dict[str, Tensor] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
+            name = reader.string()
+            (rank,) = reader.unpack("<B")
+            shape = reader.unpack(f"<{rank}I")
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(reader.read(4 * n), dtype="<f4").reshape(shape)
             tensors[name] = Tensor(data.astype(np.float64), requires_grad=True, name=name)
-        if fh.read(1):
-            raise FormatError("trailing bytes after checkpoint payload")
+        reader.end()
     return ParamStore(tensors)
 
 

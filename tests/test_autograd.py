@@ -1,5 +1,6 @@
 """Tensor op contracts and gradient checks against central finite differences."""
 
+import gc
 import math
 
 import numpy as np
@@ -212,6 +213,20 @@ def test_backward_does_not_accumulate_across_calls():
         grads = ag.backward(ag.sum_all(x))
     assert np.array_equal(grads["x"], np.ones(3))
     assert np.array_equal(x.grad, np.ones(3))
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    w = ag.Tensor(np.ones((3, 2)), requires_grad=True, name="w")
+    gc.collect()
+    gc.disable()
+    try:
+        x = ag.Tensor(np.ones((4, 3)))
+        loss = ag.sum_all(ag.relu(ag.matmul(x, w)))
+        ag.backward(loss)
+        del loss
+        assert gc.collect() == 0  # nothing on the tape was cyclic garbage
+    finally:
+        gc.enable()
 
 
 def test_topo_order_visits_each_node_once():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doss.data import (Batch, DomainDataset, FilterSpec, SyntheticTask, Vocab,
-                       batch_iterator, build_vocab, concat_datasets, encode_pairs,
-                       epoch_batches, filter_corpus, gen_domain, load_dataset,
-                       load_parallel_text, save_dataset, vocab_from_pairs)
+                       batch_iterator, concat_datasets, encode_pairs, epoch_batches,
+                       filter_corpus, gen_domain, load_parallel_text, vocab_from_pairs)
 from doss.errors import ConfigError, FormatError
 from doss.model import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
@@ -98,14 +97,10 @@ def test_filter_corpus_idempotent(lengths):
 
 
 def test_vocab_roundtrip_and_reserved_ids():
-    vocab = build_vocab(6)
+    vocab = Vocab(tuple(f"w{i}" for i in range(6)))
     assert PAD_ID == 0 and vocab.size == 10
-    tokens = ["w0", "w3", "w5"]
-    ids = vocab.encode(tokens)
-    assert vocab.decode(ids) == tokens
+    assert vocab.encode(["w0", "w3", "w5"]) == [4, 7, 9]
     assert vocab.encode(["nope"]) == [UNK_ID]
-    with pytest.raises(ConfigError):
-        build_vocab(0)
 
 
 def test_vocab_from_pairs_frequency_ranked():
@@ -126,19 +121,6 @@ def test_parallel_text_ingestion(tmp_path):
     (tmp_path / "bad.txt").write_text("only one line\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_parallel_text(tmp_path / "s.txt", tmp_path / "bad.txt")
-
-
-def test_dataset_cache_roundtrip(tmp_path):
-    ds = gen_domain(SyntheticTask("shift", seed=8, shift=3), 25, domain_id="sh")
-    path = tmp_path / "d.bin"
-    save_dataset(ds, path)
-    loaded = load_dataset(path)
-    assert loaded.domain_id == "sh"
-    assert loaded.checksum_bytes() == ds.checksum_bytes()
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(FormatError):
-        load_dataset(bad)
 
 
 def test_batches_are_padded_teacher_forcing():

@@ -1,13 +1,15 @@
 """Manifest parsing, config hashing, pipeline caching, sweep correlations."""
 
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doss.cli import Pipeline, artifact_valid, sweep_correlation, write_meta
-from doss.errors import ConfigError
+from doss import masks
+from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
+from doss.errors import ConfigError, NumericsError
 from doss.manifest import load_manifest
 from doss.model import load_checkpoint
 
@@ -132,6 +134,60 @@ def test_manifest_errors(tmp_path):
                         "[extend]\ndomain = ghost\nsteps = 5\n")
     with pytest.raises(ConfigError):
         load_manifest(dangling)
+    # a train section takes the train keys only, not those of [masks]/[extend]/[sweep]
+    foreign = tmp_path / "f.ini"
+    foreign.write_text("[meta]\nseed = 1\n[domain a]\nkind = copy\n[pretrain]\nalpha = 0.5\n")
+    with pytest.raises(ConfigError):
+        load_manifest(foreign)
+    badgrid = tmp_path / "g.ini"
+    badgrid.write_text("[meta]\nseed = 1\n[domain a]\nkind = copy\n[sweep]\nalphas = 0.5 x\n")
+    with pytest.raises(ConfigError):
+        load_manifest(badgrid)
+
+
+def test_cli_seed_reaches_stage_seeds(tiny_manifest, tmp_path, monkeypatch):
+    other = tmp_path / "seed3.ini"
+    other.write_text(TINY.replace("seed = 7", "seed = 3", 1), encoding="utf-8")
+    seen = []
+    monkeypatch.setattr(Pipeline, "pretrain", lambda self: seen.append(self.man) or True)
+    rc = main(["pretrain", "--config", str(other), "--out", str(tmp_path / "o"),
+               "--seed", "7"])
+    assert rc == 0
+    want = load_manifest(tiny_manifest)
+    assert seen[0].train == want.train
+    for stage in ("pretrain", "make_masks", "train_doss", "finetune", "extend", "eval"):
+        assert seen[0].stage_key(stage) == want.stage_key(stage)
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"]])
+def test_cli_threads_overrides_blas_env(flag, tiny_manifest, tmp_path, monkeypatch):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "8")
+    monkeypatch.setattr(Pipeline, "pretrain", lambda self: True)
+    rc = main(["pretrain", "--config", str(tiny_manifest), "--out", str(tmp_path / "o"), *flag])
+    assert rc == 0
+    assert [os.environ[var] for var in _THREAD_VARS] == ["2"] * len(_THREAD_VARS)
+
+
+def test_parallel_extension_shares_base_vocabulary(tmp_path):
+    def files(name, lines):
+        for side in ("src", "tgt"):
+            (tmp_path / f"{name}.{side}").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return (f"kind = parallel\nsrc_file = {tmp_path / name}.src\n"
+                f"tgt_file = {tmp_path / name}.tgt\ntrain_pairs = 2\neval_pairs = 1\n")
+
+    base = files("base", ["the the cat", "the the the", "the cat the"])
+    ext = files("ext", ["cat dog", "cat cat", "dog cat"])
+    path = tmp_path / "p.ini"
+    path.write_text(f"[meta]\nseed = 1\n[domain base]\n{base}[extension new]\n{ext}")
+    pipe = Pipeline(load_manifest(path), tmp_path / "out")
+    base_src = pipe.train_sets()[0].pairs[0][0]     # the the cat
+    ext_src = pipe.ext_sets()[0].pairs[0][0]        # cat dog
+    assert ext_src[0] == base_src[2]
+    synthetic_base = tmp_path / "s.ini"
+    synthetic_base.write_text(f"[meta]\nseed = 1\n[domain a]\nkind = copy\n[extension new]\n{ext}")
+    with pytest.raises(ConfigError):
+        Pipeline(load_manifest(synthetic_base), tmp_path / "out2").ext_sets()
 
 
 def test_artifact_meta_roundtrip(tmp_path):
@@ -248,6 +304,26 @@ def test_sweep_single_point_and_sorted_rows(tiny_run):
     assert data[0].startswith("0.5,0.5,ok")
 
 
+def test_sweep_records_dosserrors_and_reraises_bugs(tiny_run, tmp_path, monkeypatch):
+    man_path, pipe = tiny_run
+    for name in ("base.ckpt", "base.reg"):
+        (tmp_path / name).write_bytes((pipe.out / name).read_bytes())
+    pipe2 = Pipeline(load_manifest(man_path), tmp_path)
+
+    def raising(exc):
+        def create_domain_mask(*args, **kwargs):
+            raise exc
+        return create_domain_mask
+
+    monkeypatch.setattr(masks, "create_domain_mask", raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        pipe2.sweep()
+    monkeypatch.setattr(masks, "create_domain_mask", raising(NumericsError("diverged")))
+    assert pipe2.sweep() is True
+    data = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    assert len(data) == 1 and data[0].startswith("0.5,0.5,failed")
+
+
 def test_sweep_rows_sorted_by_alpha_beta(tmp_path):
     text = TINY.replace("alphas = 0.5", "alphas = 0.6 0.4").replace(
         "betas = 0.5", "betas = 0.5").replace("steps = 10", "steps = 4")
@@ -278,8 +354,6 @@ def test_sweep_correlation_degenerate_is_nan():
 
 
 def test_cli_main_smoke(tiny_manifest, tmp_path):
-    from doss.cli import main
-
     rc = main(["pretrain", "--config", str(tiny_manifest),
                "--out", str(tmp_path / "o"), "--threads", "1"])
     assert rc == 0
