@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 Every operation builds a node that records its parent nodes and a backward
-rule; `backward` replays the tape in reverse topological order and returns a
-name -> gradient map for the named leaves. All training math runs in float64.
-Forward values are checked for NaN/Inf after every op; a non-finite value is
-an error state, not something to propagate.
+rule, which maps the node's gradient to one gradient per parent; `backward`
+replays the tape in reverse topological order, sums the gradients reaching
+each node, and returns a name -> gradient map for the named leaves. All
+training math runs in float64. Forward values are checked for NaN/Inf after
+every op; a non-finite value is an error state, not something to propagate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray, Tensor], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,15 +72,17 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
-          backward: Callable[[np.ndarray, "Tensor"], None] | None) -> Tensor:
-    """Wrap an op result; record parents/backward only when the tape is live."""
+          backward: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
+    """Wrap an op result; record parents/backward only when the tape is live.
+
+    `backward(g)` returns the gradient of each parent, in order. It must not
+    close over the node it belongs to: that would make every node a reference
+    cycle that only the cyclic garbage collector frees."""
     _ensure_finite(data, op)
     out = Tensor(data)
-    if _grad_enabled and backward is not None and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        # called as backward(g, out): a closure over `out` would make every
-        # node a reference cycle that only the cyclic garbage collector frees
         out._backward = backward
     return out
 
@@ -95,49 +98,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _accum(store: dict[int, np.ndarray], t: Tensor, g: np.ndarray) -> None:
-    key = id(t)
-    if key in store:
-        store[key] = store[key] + g
-    else:
-        store[key] = g
-
-
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
 
-_GRAD_STORE: dict[int, np.ndarray] | None = None
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; `b` may broadcast against `a` (bias add)."""
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, _unbroadcast(g, a.data.shape))
-        _accum(_GRAD_STORE, b, _unbroadcast(g, b.data.shape))
-    return _node(a.data + b.data, "add", (a, b), bw)
+    return _node(a.data + b.data, "add", (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def add_const(a: Tensor, c) -> Tensor:
     """Add a constant array/scalar (no gradient flows into the constant)."""
     c = np.asarray(c, dtype=np.float64)
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, _unbroadcast(g, a.data.shape))
-    return _node(a.data + c, "add_const", (a,), bw)
+    return _node(a.data + c, "add_const", (a,), lambda g: (_unbroadcast(g, a.data.shape),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(_GRAD_STORE, b, _unbroadcast(g * a.data, b.data.shape))
-    return _node(a.data * b.data, "mul", (a, b), bw)
+    return _node(a.data * b.data, "mul", (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                            _unbroadcast(g * a.data, b.data.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g * c)
-    return _node(a.data * c, "scale", (a,), bw)
+    return _node(a.data * c, "scale", (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -146,11 +131,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects (..., m, k) @ (k, n); got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g @ b.data.T)
-        k, n = b.data.shape
-        _accum(_GRAD_STORE, b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
-    return _node(a.data @ b.data, "matmul", (a, b), bw)
+    k, n = b.data.shape
+    return _node(a.data @ b.data, "matmul", (a, b),
+                 lambda g: (g @ b.data.T, a.data.reshape(-1, k).T @ g.reshape(-1, n)))
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -159,16 +142,12 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"batched_matmul leading dims differ: {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"batched_matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g @ b.data.swapaxes(-1, -2))
-        _accum(_GRAD_STORE, b, a.data.swapaxes(-1, -2) @ g)
-    return _node(a.data @ b.data, "batched_matmul", (a, b), bw)
+    return _node(a.data @ b.data, "batched_matmul", (a, b),
+                 lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
 
 
 def relu(a: Tensor) -> Tensor:
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g * (a.data > 0.0))
-    return _node(np.maximum(a.data, 0.0), "relu", (a,), bw)
+    return _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -178,10 +157,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    def bw(g, out):
-        inner = (g * out.data).sum(axis=axis, keepdims=True)
-        _accum(_GRAD_STORE, a, out.data * (g - inner))
-    return _node(y, "softmax", (a,), bw)
+    return _node(y, "softmax", (a,),
+                 lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -194,14 +171,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = xc * ivar
-    def bw(g, out):
+    def bw(g):
         dxhat = g * gain.data
         dvar = (dxhat * xc * -0.5 * ivar ** 3).sum(axis=-1, keepdims=True)
         dmu = (-dxhat * ivar).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(axis=-1, keepdims=True)
-        _accum(_GRAD_STORE, x, dxhat * ivar + dvar * 2.0 * xc / d + dmu / d)
         lead = tuple(range(g.ndim - 1))
-        _accum(_GRAD_STORE, gain, (g * xhat).sum(axis=lead))
-        _accum(_GRAD_STORE, bias, g.sum(axis=lead))
+        return (dxhat * ivar + dvar * 2.0 * xc / d + dmu / d, (g * xhat).sum(axis=lead),
+                g.sum(axis=lead))
     return _node(xhat * gain.data + bias.data, "layer_norm", (x, gain, bias), bw)
 
 
@@ -210,10 +186,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.data.shape[0]:
         raise ShapeError("embedding id out of range")
-    def bw(g, out):
+    def bw(g):
         dt = np.zeros_like(table.data)
         np.add.at(dt, ids.ravel(), g.reshape(-1, table.data.shape[1]))
-        _accum(_GRAD_STORE, table, dt)
+        return (dt,)
     return _node(table.data[ids], "embedding", (table,), bw)
 
 
@@ -224,28 +200,21 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g * keep)
-    return _node(a.data * keep, "dropout", (a,), bw)
+    return _node(a.data * keep, "dropout", (a,), lambda g: (g * keep,))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g.reshape(a.data.shape))
-    return _node(a.data.reshape(shape), "reshape", (a,), bw)
+    return _node(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = tuple(np.argsort(axes))
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, g.transpose(inv))
-    return _node(a.data.transpose(axes), "transpose", (a,), bw)
+    return _node(a.data.transpose(axes), "transpose", (a,), lambda g: (g.transpose(inv),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bw(g, out):
-        _accum(_GRAD_STORE, a, np.full_like(a.data, float(g)))
-    return _node(np.asarray(a.data.sum()), "sum_all", (a,), bw)
+    return _node(np.asarray(a.data.sum()), "sum_all", (a,),
+                 lambda g: (np.full_like(a.data, float(g)),))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
@@ -270,12 +239,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
     logp = logits.data - m - np.log(z)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     loss = -(picked * nonpad).sum() / n
-    def bw(g, out):
+    def bw(g):
         dlogits = (e / z)
         flat = dlogits.reshape(-1, vocab)
         flat[np.arange(flat.shape[0]), targets.ravel()] -= 1.0
-        dlogits = dlogits * nonpad[..., None] * (float(g) / n)
-        _accum(_GRAD_STORE, logits, dlogits)
+        return (dlogits * nonpad[..., None] * (float(g) / n),)
     return _node(np.asarray(loss), "cross_entropy", (logits,), bw)
 
 
@@ -305,29 +273,27 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
-    """Propagate from a scalar loss; returns {name: grad} for named leaves.
+    """Propagate from a scalar loss; returns {name: grad} for the named leaves
+    that require grad, in `topo_order`, and sets `.grad` on every leaf reached.
 
     Gradients on leaf tensors are overwritten, not accumulated across calls.
     """
-    global _GRAD_STORE
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = topo_order(loss)
     store: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    _GRAD_STORE = store
-    try:
-        for node in reversed(order):
-            g = store.get(id(node))
-            if g is None or node._backward is None:
-                continue
-            node._backward(g, node)
-    finally:
-        _GRAD_STORE = None
+    for node in reversed(order):
+        if node._backward is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(store.pop(id(node)))):
+            if parent.requires_grad:
+                key = id(parent)
+                store[key] = store[key] + g if key in store else g
     grads: dict[str, np.ndarray] = {}
     for node in order:
-        if node.requires_grad and id(node) in store:
+        if node._backward is None and node.requires_grad:
             node.grad = store[id(node)]
-            if node.name is not None and node._backward is None:
+            if node.name is not None:
                 grads[node.name] = node.grad
     return grads
 

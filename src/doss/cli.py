@@ -272,8 +272,9 @@ class Pipeline:
     def extend(self, mode: str | None = None, steps: int | None = None) -> bool:
         import dataclasses
 
-        from .evaluation import Variant, decode_dataset, eval_matrix, trim_eos
-        from .masks import overlay, save_mask
+        from .errors import ConfigError
+        from .evaluation import Variant, eval_matrix
+        from .masks import save_mask
         from .model import count_params, load_checkpoint, save_checkpoint
         from .training import MetricsLog, extend_domain
 
@@ -282,10 +283,11 @@ class Pipeline:
         cfg = man.train["extend"]
         if steps is not None:
             cfg = dataclasses.replace(cfg, max_steps=steps)
-        ext_train, ext_eval = self.ext_sets()
+        if man.extension is None:
+            raise ConfigError("manifest has no [extension <name>] section")
         edir = self.extend_dir(mode)
         edir.mkdir(parents=True, exist_ok=True)
-        new_mask_path = edir / f"mask_{ext_train.domain_id}.mask"
+        new_mask_path = edir / f"mask_{man.extension.name}.mask"
         ext_ckpt = edir / "extended.ckpt"
         metrics = edir / "extend_metrics.csv"
         diff_path = edir / "preservation_diff.txt"
@@ -293,6 +295,7 @@ class Pipeline:
         report_csv = edir / "report.csv"
 
         def compute(key):
+            ext_train, ext_eval = self.ext_sets()
             log.info("extend[%s]: adding domain %s", mode, ext_train.domain_id)
             lam0, registry = self.load_base()
             lam = load_checkpoint(self.doss_ckpt)
@@ -307,19 +310,6 @@ class Pipeline:
             save_checkpoint(lam2, ext_ckpt)
             mlog.write_csv(metrics)
 
-            # old-domain decodes before vs after extension, token for token
-            diffs = []
-            for ds in self.eval_sets():
-                dmask = maskset.get(ds.domain_id)
-                pre = decode_dataset(overlay(lam0, lam, dmask), man.model, ds,
-                                     man.eval_max_len, man.eval_batch)
-                post = decode_dataset(overlay(lam0, lam2, dmask), man.model, ds,
-                                      man.eval_max_len, man.eval_batch)
-                for i, (a, b) in enumerate(zip(pre, post)):
-                    if trim_eos(a) != trim_eos(b):
-                        diffs.append(f"{ds.domain_id}\t{i}\t{trim_eos(a)}\t{trim_eos(b)}")
-            diff_path.write_text("\n".join(diffs) + ("\n" if diffs else ""), encoding="utf-8")
-
             trained_count = (count_params(registry, maskset2.union_mask())["masked_ones"]
                              if mode == "all_masks_joint" else new_mask.popcount())
             ext_variant = Variant(f"extended[{mode}]", lam2, base=lam0, masks=maskset2,
@@ -328,6 +318,13 @@ class Pipeline:
             # scored on the old domains only
             rep_old = eval_matrix([Variant("doss", lam, base=lam0, masks=maskset), ext_variant],
                                   self.eval_sets(), man.model, man.eval_max_len, man.eval_batch)
+            # old-domain decodes before vs after extension, token for token
+            diffs = []
+            for d in rep_old.domain_ids:
+                pre, post = rep_old.cell("doss", d).hyps, rep_old.cell(ext_variant.name, d).hyps
+                diffs += [f"{d}\t{i}\t{a}\t{b}" for i, (a, b) in enumerate(zip(pre, post))
+                          if a != b]
+            diff_path.write_text("\n".join(diffs) + ("\n" if diffs else ""), encoding="utf-8")
             rep_new = eval_matrix([ext_variant], [ext_eval], man.model,
                                   man.eval_max_len, man.eval_batch)
             report_md.write_text(

@@ -144,6 +144,7 @@ class EvalCell:
     bleu: float
     exact_match: float
     n_sentences: int
+    hyps: list[list[int]]  # eos-trimmed decodes, in dataset order
 
 
 @dataclass
@@ -235,6 +236,7 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
                 bleu=corpus_bleu(hyps, refs),
                 exact_match=exact_match(hyps, refs),
                 n_sentences=ds.size,
+                hyps=hyps,
             )
         rows.append((v.name, cells, v.trainable))
     return EvalReport([ds.domain_id for ds in eval_sets], rows)

@@ -21,7 +21,7 @@ from .data import DomainDataset, FilterSpec, SyntheticTask, N_RESERVED, gen_doma
 from .errors import ConfigError
 from .masks import PruneSpec
 from .model import ModelConfig
-from .training import TrainConfig
+from .training import ExtensionMode, TrainConfig
 
 @dataclass
 class DomainSpec:
@@ -135,8 +135,12 @@ def _floats(raw: str) -> list[float]:
     return [float(x) for x in raw.split()]
 
 
-_TRAIN = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int,
-          "steps": int, "epochs": int, "grad_clip": float, "mixing": str}
+# every train section takes the optimizer keys; [masks] trains ft_epochs
+# epochs instead of steps, and only the masked stages mix domains
+_OPTIM = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int,
+          "grad_clip": float}
+_TRAIN = _OPTIM | {"steps": int}
+_MIXED = _TRAIN | {"mixing": str}
 _PRUNE = {"alpha": float, "beta": float, "ft_epochs": int}
 
 # section kind -> every key a section of that kind may hold -> its parser
@@ -150,14 +154,15 @@ _SCHEMA = {
                "tgt_file": str, "filter_max_len": int, "min_ratio": float,
                "max_ratio": float},
     "train": _TRAIN,
-    "masks": _TRAIN | _PRUNE | {"disjoint": _bool},
-    "extend": _TRAIN | _PRUNE | {"domain": str, "mode": str},
+    "doss": _MIXED,
+    "masks": _OPTIM | _PRUNE | {"disjoint": _bool},
+    "extend": _MIXED | _PRUNE | {"domain": str, "mode": lambda raw: ExtensionMode(raw).value},
     "sweep": {"alphas": _floats, "betas": _floats, "steps": int},
     "eval": {"max_decode_len": int, "batch_size": int},
 }
 
-# a negative steps or epochs, or a grad_clip <= 0, means unset
-_TRAIN_DEFAULTS = {"batch_tokens": 256, "epochs": -1, "grad_clip": 1.0, "mixing": "round_robin"}
+# a grad_clip <= 0 means no clipping
+_TRAIN_DEFAULTS = {"batch_tokens": 256, "grad_clip": 1.0, "mixing": "round_robin"}
 
 
 def _read(parser, section: str, kind: str, defaults: dict) -> dict:
@@ -182,9 +187,7 @@ def _read(parser, section: str, kind: str, defaults: dict) -> dict:
 def _train_config(t: dict, seed: int) -> TrainConfig:
     return TrainConfig(
         learning_rate=t["learning_rate"], warmup_steps=t["warmup"],
-        batch_tokens=t["batch_tokens"], dropout=t["dropout"],
-        max_steps=None if t["steps"] < 0 else t["steps"],
-        epochs=None if t["epochs"] < 0 else t["epochs"], seed=seed,
+        batch_tokens=t["batch_tokens"], dropout=t["dropout"], max_steps=t["steps"], seed=seed,
         grad_clip=None if t["grad_clip"] <= 0 else t["grad_clip"], mixing=t["mixing"],
     ).validate()
 
@@ -217,7 +220,11 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
     """Parse a manifest. `seed` replaces [meta] seed before any stage seed is
     derived from it."""
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"manifest {path} does not parse: {exc}") from exc
+    if not found:
         raise ConfigError(f"manifest not found: {path}")
     if "meta" not in parser:
         raise ConfigError("manifest needs a [meta] section with the global seed")
@@ -250,7 +257,7 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         "masks": _read(parser, "masks", "masks", _TRAIN_DEFAULTS | {
             "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3, "steps": 1,
             "alpha": 0.6, "beta": 0.6, "ft_epochs": 5, "disjoint": False}),
-        "doss": _read(parser, "doss", "train", _TRAIN_DEFAULTS | {
+        "doss": _read(parser, "doss", "doss", _TRAIN_DEFAULTS | {
             "learning_rate": 1e-3, "warmup": 50, "dropout": 0.1, "steps": 4500,
             "mixing": "proportional"}),
         "finetune": _read(parser, "finetune", "train", _TRAIN_DEFAULTS | {

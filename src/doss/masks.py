@@ -12,6 +12,7 @@ fraction by |value| is kept; same for the decoder with beta. Ties break by
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
 
@@ -192,7 +193,7 @@ def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg
     from . import training  # circular at module level: training drives the finetune
 
     spec.validate()
-    cfg = training.replace_schedule(train_cfg, epochs=spec.ft_epochs)
+    cfg = dataclasses.replace(train_cfg, max_steps=None, epochs=spec.ft_epochs)
     finetuned = training.train_full(base, domain_data, cfg, model_cfg, log=log)
     if disjoint_against is not None:
         return magnitude_prune_disjoint(finetuned, registry, spec, disjoint_against,

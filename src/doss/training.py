@@ -1,16 +1,15 @@
 """Training regimes: full finetuning/pretraining, structure-aware masked
 joint training, and the domain-extension protocols.
 
-Masked updates make two guarantees. Gradients are zeroed where the domain
-mask is 0 before they enter the Adam moments, and the final parameter write
-goes through np.where on the mask, so masked-out elements keep their exact
-bit pattern. Non-maskable tensors (biases, layer norms) are never touched by
-masked training.
+Masked updates make two guarantees. `_train_step` zeroes gradients where
+the domain mask is 0, before the clip and the Adam moments, and `adam_step`
+writes parameters through np.where on the mask, so masked-out elements keep
+their exact bit pattern. Non-maskable tensors (biases, layer norms) are never
+touched by masked training.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -58,12 +57,6 @@ class TrainConfig:
         if self.mixing not in ("round_robin", "proportional"):
             raise ConfigError(f"unknown mixing strategy {self.mixing!r}")
         return self
-
-
-def replace_schedule(cfg: TrainConfig, *, max_steps: int | None = None,
-                     epochs: int | None = None) -> TrainConfig:
-    """Copy a config with a different step/epoch budget."""
-    return dataclasses.replace(cfg, max_steps=max_steps, epochs=epochs)
 
 
 @dataclass
@@ -119,7 +112,9 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 def adam_step(params: ParamStore, grads: dict[str, np.ndarray], state: OptimizerState,
               lr: float, betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
               mask: DomainMask | None = None) -> tuple[ParamStore, OptimizerState]:
-    """One Adam update with bias correction; optionally restricted by a mask."""
+    """One Adam update with bias correction. Under a mask only the mask's
+    ones are written and non-maskable tensors are skipped; the caller zeroes
+    the gradients where the mask is 0."""
     b1, b2 = betas
     state.step += 1
     t = state.step
@@ -135,7 +130,6 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray], state: Optimizer
             if flat is None:
                 continue  # non-maskable: frozen at the shared values
             sel = flat.reshape(tensor.data.shape)
-            g = g * sel
         state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         m_hat = state.m[name] / (1.0 - b1 ** t)

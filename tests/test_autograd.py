@@ -240,6 +240,24 @@ def test_topo_order_visits_each_node_once():
     assert np.allclose(grads["x"], 4.0 * x.data)
 
 
+def test_backward_returns_named_leaves_in_topo_order():
+    # clip_by_global_norm sums the norms in this order, so it is part of the
+    # numerics of every training step
+    r = rng()
+    w = ag.Tensor(r.normal(size=(3, 2)), requires_grad=True, name="w")
+    b = ag.Tensor(r.normal(size=(2,)), requires_grad=True, name="b")
+    g = ag.Tensor(np.ones(2), requires_grad=True, name="g")
+    x = ag.Tensor(r.normal(size=(4, 3)), name="x")  # named, but no gradient
+    unnamed = ag.Tensor(np.ones(2), requires_grad=True)
+    h = ag.layer_norm(ag.add(ag.matmul(x, w), b), g, unnamed)
+    loss = ag.sum_all(ag.mul(ag.relu(h), h))
+    expect = [n.name for n in ag.topo_order(loss)
+              if n._backward is None and n.requires_grad and n.name is not None]
+    assert sorted(expect) == ["b", "g", "w"]
+    assert list(ag.backward(loss)) == expect
+    assert unnamed.grad is not None and x.grad is None
+
+
 def test_forward_backward_deterministic():
     r = rng()
     a = r.normal(size=(4, 3))

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doss import masks
+from doss import masks, training
 from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
 from doss.errors import ConfigError, NumericsError
+from doss.evaluation import decode_dataset, trim_eos
 from doss.manifest import load_manifest
 from doss.model import load_checkpoint
 
@@ -143,6 +144,29 @@ def test_manifest_errors(tmp_path):
     badgrid.write_text("[meta]\nseed = 1\n[domain a]\nkind = copy\n[sweep]\nalphas = 0.5 x\n")
     with pytest.raises(ConfigError):
         load_manifest(badgrid)
+    # configparser syntax errors and an unknown extension mode fail at load
+    dup = tmp_path / "dup.ini"
+    dup.write_text("[meta]\nseed = 1\nseed = 2\n[domain a]\nkind = copy\n")
+    noheader = tmp_path / "nh.ini"
+    noheader.write_text("seed = 1\n[meta]\n[domain a]\nkind = copy\n")
+    badmode = tmp_path / "bm.ini"
+    badmode.write_text(TINY.replace("mode = new_only_disjoint", "mode = bogus"))
+    for path in (dup, noheader, badmode):
+        with pytest.raises(ConfigError):
+            load_manifest(path)
+    assert main(["run", "--config", str(dup), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("section,key", [
+    ("pretrain", "epochs"), ("doss", "epochs"), ("finetune", "epochs"),
+    ("masks", "epochs"), ("extend", "epochs"), ("pretrain", "mixing"),
+    ("finetune", "mixing"), ("masks", "mixing"), ("masks", "steps")])
+def test_manifest_rejects_train_keys_no_stage_reads(tmp_path, section, key):
+    path = tmp_path / "k.ini"
+    value = "proportional" if key == "mixing" else "2"
+    path.write_text(f"[meta]\nseed = 1\n[domain a]\nkind = copy\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_manifest(path)
 
 
 def test_cli_seed_reaches_stage_seeds(tiny_manifest, tmp_path, monkeypatch):
@@ -278,6 +302,44 @@ def test_rerun_into_fresh_dir_is_bit_identical(tiny_run):
     assert files1 == files2
     for rel in files1:
         assert (pipe.out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_extend_cache_hit_reads_no_data(tiny_run, monkeypatch):
+    man_path, pipe = tiny_run
+
+    def ext_sets(self):
+        raise AssertionError("a cache hit must not load the extension data")
+
+    monkeypatch.setattr(Pipeline, "ext_sets", ext_sets)
+    assert Pipeline(load_manifest(man_path), pipe.out).extend() is False
+
+
+def test_ft_all_ones_preservation_diff_matches_fresh_decodes(tiny_run, tmp_path, monkeypatch):
+    man_path, pipe = tiny_run
+    for name in ("base.ckpt", "base.reg", "doss.ckpt", "mask_copy.mask", "mask_reverse.mask"):
+        (tmp_path / name).write_bytes((pipe.out / name).read_bytes())
+    pipe2 = Pipeline(load_manifest(man_path), tmp_path)
+    calls = []
+
+    def spy(lam, base, maskset, *args, **kwargs):
+        out = real(lam, base, maskset, *args, **kwargs)
+        calls.append((lam, base, maskset, out[0]))
+        return out
+
+    real = training.extend_domain
+    monkeypatch.setattr(training, "extend_domain", spy)
+    assert pipe2.extend(mode="ft_all_ones") is True
+    [(lam, base, maskset, lam2)] = calls
+    man = pipe2.man
+    expect = []
+    for ds in pipe2.eval_sets():
+        mask = maskset.get(ds.domain_id)
+        pre, post = (decode_dataset(masks.overlay(base, p, mask), man.model, ds,
+                                    man.eval_max_len, man.eval_batch) for p in (lam, lam2))
+        expect += [f"{ds.domain_id}\t{i}\t{trim_eos(a)}\t{trim_eos(b)}"
+                   for i, (a, b) in enumerate(zip(pre, post)) if trim_eos(a) != trim_eos(b)]
+    lines = (pipe2.extend_dir("ft_all_ones") / "preservation_diff.txt").read_text().splitlines()
+    assert lines and lines == expect
 
 
 def test_disjoint_mask_stage_emits_zero_overlaps(tiny_run):

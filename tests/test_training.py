@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doss.autograd import Tensor
-from doss.data import SyntheticTask, gen_domain
+from doss.data import SyntheticTask, batch_iterator, gen_domain
 from doss.errors import ConfigError, NumericsError
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, overlay
 from doss.model import ModelConfig, ParamStore, build_model
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
-                           adam_step, clip_by_global_norm, extend_domain,
+                           _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
 
 
@@ -215,6 +215,28 @@ def test_train_doss_freezes_never_masked_elements():
             assert lam.array(name)[never].tobytes() == t.data[never].tobytes()
         else:
             assert np.array_equal(lam.array(name), t.data)
+
+
+def test_masked_train_step_leaves_moments_zero_outside_the_mask():
+    # the only gradient masking is in _train_step: Adam never sees a gradient
+    # where the mask is 0, nor on a non-maskable tensor
+    cfg, lam0, registry, mk = _tiny_setup()
+    ds = mk("copy", 1)
+    r = np.random.default_rng(7)
+    mask = DomainMask("copy", {i.name: r.random(i.size) < 0.5
+                               for i in registry.maskable_infos()}, PruneSpec(0.5, 0.5))
+    params, state = lam0.copy(), OptimizerState.zeros(lam0)
+    tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=1, seed=3)
+    batch = next(batch_iterator([ds], "round_robin", 64, 3))
+    loss = _train_step(params, cfg, batch, 1, tcfg, state, mask, None)
+    assert np.isfinite(loss)
+    moved = 0
+    for name, t in lam0.items():
+        flat = mask.bits.get(name)
+        off = np.ones(t.data.shape, bool) if flat is None else ~flat.reshape(t.data.shape)
+        assert np.all(state.m[name][off] == 0.0) and np.all(state.v[name][off] == 0.0), name
+        moved += int(np.count_nonzero(state.m[name][~off]))
+    assert moved > 0
 
 
 def test_train_doss_bit_reproducible():
