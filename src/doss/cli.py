@@ -12,11 +12,14 @@ thread pools (it must be handled before numpy is first imported).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import logging
 import os
 from pathlib import Path
+
+from .errors import ConfigError, DossError
 
 log = logging.getLogger("doss")
 
@@ -108,7 +111,6 @@ class Pipeline:
         id in every domain."""
         from .data import (N_RESERVED, DomainDataset, encode_pairs, filter_corpus,
                            load_parallel_text, vocab_from_pairs)
-        from .errors import ConfigError
 
         man = self.man
         specs = man.domains + ([man.extension] if man.extension else [])
@@ -141,8 +143,6 @@ class Pipeline:
         return [evals for _, evals in self.splits[:len(self.man.domains)]]
 
     def ext_sets(self):
-        from .errors import ConfigError
-
         if self.man.extension is None:
             raise ConfigError("manifest has no [extension <name>] section")
         return self.splits[-1]
@@ -270,9 +270,6 @@ class Pipeline:
         return self._cached("finetune", arts, compute, self._upstream("base"))
 
     def extend(self, mode: str | None = None, steps: int | None = None) -> bool:
-        import dataclasses
-
-        from .errors import ConfigError
         from .evaluation import Variant, eval_matrix
         from .masks import save_mask
         from .model import count_params, load_checkpoint, save_checkpoint
@@ -308,6 +305,7 @@ class Pipeline:
             new_mask = maskset2.get(ext_train.domain_id)
             save_mask(new_mask, new_mask_path)
             save_checkpoint(lam2, ext_ckpt)
+            lam2 = load_checkpoint(ext_ckpt)  # score the float32 model on disk
             mlog.write_csv(metrics)
 
             trained_count = (count_params(registry, maskset2.union_mask())["masked_ones"]
@@ -371,9 +369,6 @@ class Pipeline:
             **self._upstream("base", "doss", "fts", "masks")})
 
     def sweep(self) -> bool:
-        import dataclasses
-
-        from .errors import ConfigError, DossError
         from .evaluation import Variant, eval_matrix
         from .masks import MaskSet, PruneSpec, create_domain_mask
         from .training import train_doss
@@ -444,7 +439,6 @@ def sweep_correlation(points) -> float:
     Degenerate series (fewer than two successful grid points, or a constant
     fraction axis) yield nan rather than failing the sweep.
     """
-    from .errors import DossError
     from .evaluation import pearson
 
     try:
@@ -509,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, os.environ.get("DOSS_LOG", "INFO").upper(), logging.INFO),
         format="%(levelname)s %(name)s: %(message)s")
 
-    from .errors import DossError
     from .manifest import load_manifest
 
     try:

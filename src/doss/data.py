@@ -9,6 +9,7 @@ sub-networks stay learnable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -43,14 +44,6 @@ class DomainDataset:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def checksum_bytes(self) -> bytes:
-        chunks = [self.domain_id.encode()]
-        for src, tgt in self.pairs:
-            chunks.append(np.asarray(src, dtype="<u4").tobytes())
-            chunks.append(b"|")
-            chunks.append(np.asarray(tgt, dtype="<u4").tobytes())
-        return b"".join(chunks)
 
     def max_pair_tokens(self) -> int:
         # +1 on the target side accounts for bos/eos framing in batches
@@ -288,10 +281,17 @@ def epoch_batches(ds: DomainDataset, batch_tokens: int, seed: int,
             for group in _pack_indices(ds, order, batch_tokens)]
 
 
+def _endless_batches(ds: DomainDataset, batch_tokens: int, seed: int) -> Iterator[Batch]:
+    """Epoch 0, 1, 2, ... of one dataset, each built when the previous runs out."""
+    for epoch in itertools.count():
+        yield from epoch_batches(ds, batch_tokens, seed, epoch)
+
+
 def batch_iterator(datasets: Sequence[DomainDataset], strategy: str,
                    batch_tokens: int, seed: int) -> Iterator[Batch]:
     """Endless deterministic stream of single-domain batches.
 
+    Each domain's batches run through its epochs 0, 1, 2, ... in turn.
     round_robin cycles domains in the given order; proportional samples each
     next domain with probability proportional to dataset size.
     """
@@ -301,26 +301,13 @@ def batch_iterator(datasets: Sequence[DomainDataset], strategy: str,
         raise ConfigError(f"unknown batching strategy {strategy!r}")
     _check_budget(datasets, batch_tokens)
 
-    queues: dict[str, list[Batch]] = {ds.domain_id: [] for ds in datasets}
-    epochs = {ds.domain_id: 0 for ds in datasets}
-    by_id = {ds.domain_id: ds for ds in datasets}
-
-    def next_batch(domain_id: str) -> Batch:
-        if not queues[domain_id]:
-            queues[domain_id] = epoch_batches(by_id[domain_id], batch_tokens,
-                                              seed, epochs[domain_id])[::-1]
-            epochs[domain_id] += 1
-        return queues[domain_id].pop()
-
-    ids = [ds.domain_id for ds in datasets]
+    streams = [_endless_batches(ds, batch_tokens, seed) for ds in datasets]
     if strategy == "round_robin":
-        i = 0
-        while True:
-            yield next_batch(ids[i % len(ids)])
-            i += 1
+        picks = itertools.cycle(streams)
     else:
         sizes = np.array([ds.size for ds in datasets], dtype=np.float64)
         probs = sizes / sizes.sum()
         rng = np.random.Generator(np.random.PCG64(derive_seed("mix", seed)))
-        while True:
-            yield next_batch(ids[int(rng.choice(len(ids), p=probs))])
+        picks = (streams[int(rng.choice(len(streams), p=probs))] for _ in itertools.count())
+    for stream in picks:
+        yield next(stream)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import autograd as ag
-from .data import DomainDataset
+from .data import DomainDataset, make_batch
 from .errors import ConfigError, DossError
 from .masks import MaskSet, overlay
 from .model import BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, encode
@@ -43,24 +43,20 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
     src = np.asarray(src)
     with ag.no_grad():
         memory, pad_mask = encode(effective, model_cfg, src)
-        n = src.shape[0]
-        out = np.full((n, 1), BOS_ID, dtype=np.int64)
-        done = np.zeros(n, dtype=bool)
-        seqs: list[list[int]] = [[] for _ in range(n)]
-        for _ in range(max_len):
+        out = np.full((src.shape[0], 1), BOS_ID, dtype=np.int64)
+        done = np.zeros(src.shape[0], dtype=bool)
+        # the prefix fed to the decoder may not outgrow the model's max_len
+        for _ in range(min(max_len, max(model_cfg.max_len - 1, 1))):
             logits = decode_logits(effective, model_cfg, memory, pad_mask, out)
             nxt = logits.data[:, -1, :].argmax(axis=1)
-            for i in range(n):
-                if not done[i]:
-                    seqs[i].append(int(nxt[i]))
-                    if nxt[i] == EOS_ID:
-                        done[i] = True
+            out = np.concatenate([out, nxt[:, None]], axis=1)
+            done |= nxt == EOS_ID
             if done.all():
                 break
-            out = np.concatenate([out, nxt[:, None]], axis=1)
-            if out.shape[1] >= model_cfg.max_len:
-                break
-    return seqs
+    tokens = out[:, 1:]
+    is_eos = tokens == EOS_ID
+    ends = np.where(done, is_eos.argmax(axis=1) + 1, tokens.shape[1])
+    return [row[:end].tolist() for row, end in zip(tokens, ends)]
 
 
 def _ngrams(seq, n: int) -> Counter:
@@ -198,11 +194,7 @@ def decode_dataset(effective: ParamStore, model_cfg: ModelConfig, ds: DomainData
     """Greedy-decode every source in dataset order with a fixed batch split."""
     hyps: list[list[int]] = []
     for ofs in range(0, ds.size, batch_size):
-        chunk = ds.pairs[ofs:ofs + batch_size]
-        width = max(len(s) for s, _ in chunk)
-        src = np.zeros((len(chunk), width), dtype=np.int64)
-        for i, (s, _) in enumerate(chunk):
-            src[i, :len(s)] = s
+        src = make_batch(ds.domain_id, ds.pairs[ofs:ofs + batch_size]).src
         hyps.extend(greedy_decode(effective, model_cfg, src, max_len))
     return hyps
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .autograd import derive_seed
@@ -46,9 +46,7 @@ class DomainSpec:
     def eval_set(self) -> DomainDataset:
         if not self.synthetic:
             raise ConfigError(f"domain {self.name!r} is file-based; load it via the cli")
-        held_out = SyntheticTask(self.task.kind, self.task.content_lo, self.task.content_hi,
-                                 self.task.min_len, self.task.max_len, self.task.shift,
-                                 seed=derive_seed("eval-split", self.task.seed))
+        held_out = replace(self.task, seed=derive_seed("eval-split", self.task.seed))
         return gen_domain(held_out, self.eval_pairs, domain_id=self.name)
 
 

@@ -50,9 +50,6 @@ class DomainMask:
     def popcount(self) -> int:
         return int(sum(b.sum() for b in self.bits.values()))
 
-    def region_ones(self, registry: ParameterRegistry, region: str) -> int:
-        return int(sum(self.bits[i.name].sum() for i in registry.maskable_infos(region)))
-
     def require_matches(self, registry: ParameterRegistry) -> None:
         expected = {i.name: i.size for i in registry.maskable_infos()}
         got = {n: b.size for n, b in self.bits.items()}
@@ -113,14 +110,6 @@ class MaskSet:
             raise RegistryMismatchError("union of an empty mask set")
         spec = self.masks[0].spec
         return DomainMask(domain_id, self.union_bits(), spec)
-
-    def is_pairwise_disjoint(self) -> bool:
-        for i in range(len(self.masks)):
-            for j in range(i + 1, len(self.masks)):
-                a, b = self.masks[i], self.masks[j]
-                if any(np.any(a.bits[n] & b.bits[n]) for n in a.bits):
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -64,18 +64,6 @@ class ModelConfig:
         return self
 
 
-def mini_config(vocab_size: int = 32) -> ModelConfig:
-    """Small preset used in unit tests (tens of thousands of parameters)."""
-    return ModelConfig(vocab_size=vocab_size, d_model=32, ffn_dim=64,
-                       n_enc_layers=2, n_dec_layers=2, n_heads=2, max_len=32)
-
-
-def full_scale_config() -> ModelConfig:
-    """Full-scale preset, ~406M parameters (used for counting only in tests)."""
-    return ModelConfig(vocab_size=42000, d_model=1024, ffn_dim=8192,
-                       n_enc_layers=6, n_dec_layers=6, n_heads=16, max_len=256)
-
-
 @dataclass(frozen=True)
 class ParamInfo:
     name: str
@@ -106,9 +94,6 @@ class ParameterRegistry:
     def maskable_infos(self, region: str | None = None) -> list[ParamInfo]:
         return [i for i in self.infos
                 if i.maskable and (region is None or i.region == region)]
-
-    def pool_size(self, region: str) -> int:
-        return sum(i.size for i in self.maskable_infos(region))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParameterRegistry) and self.infos == other.infos
@@ -399,13 +384,13 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
 
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,
-            train: bool = False, drop: DropCtx | None = None) -> Tensor:
-    """Full encoder-decoder pass; returns logits (batch, tgt_len, vocab)."""
+            drop: DropCtx | None = None) -> Tensor:
+    """Full encoder-decoder pass; returns logits (batch, tgt_len, vocab).
+    Dropout applies only under a DropCtx."""
     if src.shape[0] != np.asarray(tgt_in).shape[0]:
         raise ShapeError("src and tgt_in batch sizes differ")
-    ctx = drop if train else None
-    memory, pad_mask = encode(params, cfg, src, ctx)
-    return decode_logits(params, cfg, memory, pad_mask, tgt_in, ctx)
+    memory, pad_mask = encode(params, cfg, src, drop)
+    return decode_logits(params, cfg, memory, pad_mask, tgt_in, drop)
 
 
 # ---------------------------------------------------------------------------

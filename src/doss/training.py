@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -151,7 +152,7 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
                 cfg: TrainConfig, state: OptimizerState,
                 mask: DomainMask | None, log: MetricsLog | None) -> float:
     drop = DropCtx(cfg.seed, step, cfg.dropout)
-    logits = forward(params, model_cfg, batch.src, batch.tgt_in, train=True, drop=drop)
+    logits = forward(params, model_cfg, batch.src, batch.tgt_in, drop=drop)
     loss = ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
     grads = ag.backward(loss)
     if mask is not None:
@@ -169,6 +170,18 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
     return value
 
 
+def _train(start: ParamStore, batches, cfg: TrainConfig, model_cfg: ModelConfig,
+           maskset: MaskSet | None, log: MetricsLog | None) -> ParamStore:
+    """One train step per batch on a copy of `start`, with fresh Adam moments;
+    under a mask set each batch updates only its domain's mask."""
+    params = start.copy()
+    state = OptimizerState.zeros(params)
+    for step, batch in enumerate(batches, 1):
+        mask = None if maskset is None else maskset.get(batch.domain_id)
+        _train_step(params, model_cfg, batch, step, cfg, state, mask, log)
+    return params
+
+
 def train_full(start: ParamStore, data, cfg: TrainConfig, model_cfg: ModelConfig,
                log: MetricsLog | None = None) -> ParamStore:
     """Finetune every parameter on one dataset (or a concatenation of several)."""
@@ -176,19 +189,13 @@ def train_full(start: ParamStore, data, cfg: TrainConfig, model_cfg: ModelConfig
     ds = concat_datasets(list(data)) if isinstance(data, (list, tuple)) else data
     if ds.size == 0:
         raise ConfigError("training data is empty")
-    params = start.copy()
-    state = OptimizerState.zeros(params)
-    step = 0
     if cfg.epochs is not None:
-        for epoch in range(cfg.epochs):
-            for batch in epoch_batches(ds, cfg.batch_tokens, cfg.seed, epoch):
-                step += 1
-                _train_step(params, model_cfg, batch, step, cfg, state, None, log)
+        batches = (batch for epoch in range(cfg.epochs)
+                   for batch in epoch_batches(ds, cfg.batch_tokens, cfg.seed, epoch))
     else:
-        stream = batch_iterator([ds], "round_robin", cfg.batch_tokens, cfg.seed)
-        for step in range(1, cfg.max_steps + 1):
-            _train_step(params, model_cfg, next(stream), step, cfg, state, None, log)
-    return params
+        batches = islice(batch_iterator([ds], "round_robin", cfg.batch_tokens, cfg.seed),
+                         cfg.max_steps)
+    return _train(start, batches, cfg, model_cfg, None, log)
 
 
 def train_doss(base: ParamStore, maskset: MaskSet, datasets: Sequence[DomainDataset],
@@ -203,14 +210,9 @@ def train_doss(base: ParamStore, maskset: MaskSet, datasets: Sequence[DomainData
     if ids != sorted(ds.domain_id for ds in datasets):
         raise ConfigError(f"mask set {ids} does not match datasets "
                           f"{sorted(ds.domain_id for ds in datasets)}")
-    params = base.copy()
-    state = OptimizerState.zeros(params)
-    stream = batch_iterator(datasets, cfg.mixing, cfg.batch_tokens, cfg.seed)
-    for step in range(1, cfg.max_steps + 1):
-        batch = next(stream)
-        _train_step(params, model_cfg, batch, step, cfg, state,
-                    maskset.get(batch.domain_id), log)
-    return params
+    batches = islice(batch_iterator(datasets, cfg.mixing, cfg.batch_tokens, cfg.seed),
+                     cfg.max_steps)
+    return _train(base, batches, cfg, model_cfg, maskset, log)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from doss.masks import MaskSet, PruneSpec, capacity, create_domain_mask, load_ma
 from doss.model import (ModelConfig, PAD_ID, build_model, count_params, forward,
                         load_checkpoint)
 from doss.training import TrainConfig
+from support import is_pairwise_disjoint, pool_size, region_ones
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFEST = REPO / "configs" / "desk.ini"
@@ -139,8 +140,8 @@ def test_criterion_2_mask_density_grid():
         for beta in grid:
             mask = magnitude_prune(store, registry, PruneSpec(alpha, beta), "d")
             for region, frac in (("encoder", alpha), ("decoder", beta)):
-                pool = registry.pool_size(region)
-                ones = mask.region_ones(registry, region)
+                pool = pool_size(registry, region)
+                ones = region_ones(mask, registry, region)
                 assert abs(ones - round((1 - frac) * pool)) <= 1
                 got = {(i.name, int(j)) for i in registry.maskable_infos(region)
                        for j in np.flatnonzero(mask.bits[i.name])}
@@ -163,7 +164,7 @@ def test_criterion_3_disjointness(trained):
         mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], registry,
                                   man.model, disjoint_against=built)
         built = built.plus(mask)
-    assert built.is_pairwise_disjoint()
+    assert is_pairwise_disjoint(built)
     inter = [int((a.bits[n] & b.bits[n]).sum())
              for i, a in enumerate(built) for b in list(built)[i + 1:] for n in a.bits]
     assert max(inter) == 0

@@ -10,6 +10,7 @@ from doss.data import (Batch, DomainDataset, FilterSpec, SyntheticTask, Vocab,
                        filter_corpus, gen_domain, load_parallel_text, vocab_from_pairs)
 from doss.errors import ConfigError, FormatError
 from doss.model import BOS_ID, EOS_ID, PAD_ID, UNK_ID
+from support import checksum_bytes
 
 
 def test_task_functions_hand_examples():
@@ -46,8 +47,8 @@ def test_gen_domain_deterministic_and_seed_sensitive():
     a = gen_domain(t, 50)
     b = gen_domain(t, 50)
     c = gen_domain(SyntheticTask("reverse", seed=6), 50)
-    assert a.checksum_bytes() == b.checksum_bytes()
-    assert a.checksum_bytes() != c.checksum_bytes()
+    assert checksum_bytes(a) == checksum_bytes(b)
+    assert checksum_bytes(a) != checksum_bytes(c)
     for src, tgt in a.pairs:
         assert tgt.tolist() == src[::-1].tolist()
         assert t.min_len <= len(src) <= t.max_len
@@ -153,6 +154,20 @@ def test_round_robin_alternates_domains():
     stream = batch_iterator([a, b], "round_robin", 128, seed=0)
     ids = [next(stream).domain_id for _ in range(8)]
     assert ids == ["A", "B", "A", "B", "A", "B", "A", "B"]
+
+
+def test_batch_iterator_runs_each_domain_through_its_epochs():
+    a = gen_domain(SyntheticTask("copy", seed=1), 30, domain_id="A")
+    b = gen_domain(SyntheticTask("reverse", seed=2), 70, domain_id="B")
+    per_domain = {ds.domain_id: [bt for e in range(4) for bt in epoch_batches(ds, 128, 5, e)]
+                  for ds in (a, b)}
+    stream = batch_iterator([a, b], "round_robin", 128, seed=5)
+    n = 2 * len(per_domain["A"])  # A: 4 epochs of 3 batches; B: 7 batches, then 5 more
+    got = [next(stream) for _ in range(n)]
+    for domain_id, offset in (("A", 0), ("B", 1)):
+        expect = per_domain[domain_id][:n // 2]
+        assert [(bt.src.tobytes(), bt.tgt_out.tobytes()) for bt in got[offset::2]] == \
+            [(bt.src.tobytes(), bt.tgt_out.tobytes()) for bt in expect]
 
 
 def test_single_domain_stream():

@@ -140,6 +140,19 @@ def test_greedy_decode_argmax_tie_breaks_low():
     assert out == [[0, 0, 0]]
 
 
+def test_greedy_decode_length_bound():
+    # without an eos, a row gets min(max_len, model max_len - 1) tokens, and
+    # at least one: the decoder input may not outgrow the model's max_len
+    for model_len, max_len, expect in ((1, 5, 1), (2, 5, 1), (4, 2, 2), (4, 9, 3)):
+        cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                          n_dec_layers=1, n_heads=2, max_len=model_len)
+        store, _ = build_model(cfg, seed=1)
+        zeroed = ParamStore({n: Tensor(np.zeros_like(t.data), name=n)
+                             for n, t in store.items()})
+        out = greedy_decode(zeroed, cfg, np.array([[5], [6]]), max_len=max_len)
+        assert out == [[0] * expect] * 2
+
+
 def test_greedy_decode_batch_independence():
     cfg, store, _ = _mini()
     src = np.array([[5, 6, 7], [8, 9, 4], [4, 4, 4]])
@@ -175,6 +188,16 @@ def test_trained_copy_model_decodes_with_eos(trained_copy):
     src = np.array([[5, 7, 9]])
     out = greedy_decode(lam, cfg, src, max_len=6)[0]
     assert out == [5, 7, 9, EOS_ID]
+
+
+def test_greedy_decode_cuts_each_row_after_its_first_eos(trained_copy):
+    cfg, _, _, lam, _ = trained_copy
+    src = np.array([[5, 7, 0, 0], [5, 7, 9, 0], [5, 7, 9, 11]])
+    out = greedy_decode(lam, cfg, src, max_len=8)
+    # rows stop at different steps; each keeps its eos and nothing after it
+    assert len({len(row) for row in out}) > 1
+    assert all(row.count(EOS_ID) == 1 and row[-1] == EOS_ID for row in out)
+    assert out == [greedy_decode(lam, cfg, src[i:i + 1], max_len=8)[0] for i in range(3)]
 
 
 def test_eval_matrix_single_cell_and_averages(trained_copy):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doss import masks, training
+from doss import evaluation, masks, training
 from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
 from doss.errors import ConfigError, NumericsError
 from doss.evaluation import decode_dataset, trim_eos
@@ -340,6 +340,25 @@ def test_ft_all_ones_preservation_diff_matches_fresh_decodes(tiny_run, tmp_path,
                    for i, (a, b) in enumerate(zip(pre, post)) if trim_eos(a) != trim_eos(b)]
     lines = (pipe2.extend_dir("ft_all_ones") / "preservation_diff.txt").read_text().splitlines()
     assert lines and lines == expect
+
+
+def test_extend_report_scores_the_checkpoint_on_disk(tiny_run, tmp_path, monkeypatch):
+    man_path, pipe = tiny_run
+    for name in ("base.ckpt", "base.reg", "doss.ckpt", "mask_copy.mask", "mask_reverse.mask"):
+        (tmp_path / name).write_bytes((pipe.out / name).read_bytes())
+    pipe2 = Pipeline(load_manifest(man_path), tmp_path)
+    scored = []
+
+    def spy(variants, *args, **kwargs):
+        scored.extend(v for v in variants if v.name.startswith("extended["))
+        return real(variants, *args, **kwargs)
+
+    real = evaluation.eval_matrix
+    monkeypatch.setattr(evaluation, "eval_matrix", spy)
+    assert pipe2.extend(mode="ft_all_ones") is True
+    on_disk = load_checkpoint(pipe2.extend_dir("ft_all_ones") / "extended.ckpt").checksum()
+    assert len(scored) == 2  # old domains, then the new one
+    assert all(v.params.checksum() == on_disk for v in scored)
 
 
 def test_disjoint_mask_stage_emits_zero_overlaps(tiny_run):

@@ -13,6 +13,7 @@ from doss.masks import (DomainMask, MaskSet, PruneSpec, capacity, full_mask,
                         load_mask, magnitude_prune, magnitude_prune_disjoint,
                         overlap_stats, overlay, save_mask)
 from doss.model import ParamInfo, ParameterRegistry, ParamStore
+from support import is_pairwise_disjoint, pool_size, region_ones
 
 
 def make_store(tensors: dict[str, tuple[np.ndarray, str]]):
@@ -86,8 +87,8 @@ def test_density_on_standard_grid(alpha, beta):
     })
     mask = magnitude_prune(store, reg, PruneSpec(alpha, beta), "d")
     for region, frac in (("encoder", alpha), ("decoder", beta)):
-        pool = reg.pool_size(region)
-        ones = mask.region_ones(reg, region)
+        pool = pool_size(reg, region)
+        ones = region_ones(mask, reg, region)
         assert abs(ones - round((1 - frac) * pool)) <= 1
         assert mask_ones_set(mask, reg, region) == sort_oracle_keep(store, reg, region, frac)
 
@@ -104,8 +105,8 @@ def test_density_invariant_any_fraction(alpha, beta, seed):
     })
     mask = magnitude_prune(store, reg, PruneSpec(alpha, beta), "d")
     for region, frac in (("encoder", alpha), ("decoder", beta)):
-        pool = reg.pool_size(region)
-        assert abs(mask.region_ones(reg, region) - round((1 - frac) * pool)) <= 1
+        pool = pool_size(reg, region)
+        assert abs(region_ones(mask, reg, region) - round((1 - frac) * pool)) <= 1
 
 
 def test_tie_break_by_name_then_index():
@@ -286,7 +287,7 @@ def test_maskset_unique_ids_and_union():
     a = DomainMask("a", {"w": np.array([1, 0], dtype=bool)}, spec)
     b = DomainMask("b", {"w": np.array([0, 1], dtype=bool)}, spec)
     ms = MaskSet([a, b])
-    assert ms.is_pairwise_disjoint()
+    assert is_pairwise_disjoint(ms)
     assert ms.union_bits()["w"].tolist() == [True, True]
     assert ms.union_mask().popcount() == 2
     with pytest.raises(RegistryMismatchError):

@@ -7,8 +7,8 @@ from doss import autograd as ag
 from doss.errors import ConfigError, FormatError, RegistryMismatchError, ShapeError
 from doss.model import (BOS_ID, DECODER, ENCODER, DropCtx, ModelConfig, ParamStore,
                         build_model, count_params, forward, load_checkpoint,
-                        load_registry, mini_config, full_scale_config, param_shapes,
-                        save_checkpoint, save_registry)
+                        load_registry, param_shapes, save_checkpoint, save_registry)
+from support import full_scale_config, mini_config, pool_size, region_ones
 
 
 def analytic_count(cfg: ModelConfig) -> dict[str, int]:
@@ -140,9 +140,9 @@ def test_dropout_ctx_determinism():
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src, tgt_in = _toy_batch()
-    a = forward(store, cfg, src, tgt_in, train=True, drop=DropCtx(9, 3, 0.2)).data
-    b = forward(store, cfg, src, tgt_in, train=True, drop=DropCtx(9, 3, 0.2)).data
-    c = forward(store, cfg, src, tgt_in, train=True, drop=DropCtx(9, 4, 0.2)).data
+    a = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 3, 0.2)).data
+    b = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 3, 0.2)).data
+    c = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 4, 0.2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -175,8 +175,8 @@ def test_count_params_masked_ones_at_point_six():
     counts = count_params(registry, mask)
     expect = 0
     for region in (ENCODER, DECODER):
-        pool = registry.pool_size(region)
-        ones = mask.region_ones(registry, region)
+        pool = pool_size(registry, region)
+        ones = region_ones(mask, registry, region)
         assert abs(ones - round(0.4 * pool)) <= 1
         expect += ones
     assert counts["masked_ones"] == expect
