@@ -5,6 +5,8 @@ Every stage writes its artifacts plus a `<artifact>.meta` sidecar holding the
 producing config hash, the stage seed, and the artifact's sha256. A stage is
 skipped when all of its artifacts exist with matching sidecars, so `run` is
 idempotent and a corrupted artifact makes exactly its producing stage rerun.
+The key (config hash) covers what the stage reads: the package source, the seed,
+the model, the base domains, the configs its body reads and its upstream files.
 Set DOSS_LOG=DEBUG|INFO|WARNING for verbosity; --threads caps the BLAS
 thread pools (it must be handled before numpy is first imported).
 """
@@ -15,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import json
 import logging
 import os
 from pathlib import Path
@@ -35,6 +38,23 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@functools.cache
+def _code_fingerprint() -> str:
+    """sha256 over the names and bytes of the package's modules."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _domain_input(spec):
+    """A domain spec as a stage-key input, with the sha256 of its text files."""
+    if spec.synthetic:
+        return spec
+    return dataclasses.asdict(spec) | {
+        "sha256": [_sha256_file(Path(f)) for f in (spec.src_file, spec.tgt_file)]}
 
 
 def _meta_path(artifact: Path) -> Path:
@@ -164,27 +184,30 @@ class Pipeline:
     # -- caching -----------------------------------------------------------
 
     def _upstream(self, *roles: str) -> dict:
-        """sha256 of upstream artifacts by role, for a stage key."""
-        files = {"base": self.base_ckpt, "doss": self.doss_ckpt,
+        """sha256 of upstream artifacts by role."""
+        files = {"base": [self.base_ckpt], "doss": [self.doss_ckpt],
                  "masks": [self.mask_path(d.name) for d in self.man.domains],
                  "fts": [self.ft_ckpt(n) for n in self.ft_names]}
-        return {r: [_sha256_file(f) for f in files[r]] if isinstance(files[r], list)
-                else _sha256_file(files[r]) for r in roles}
+        return {r: [_sha256_file(f) for f in files[r]] for r in roles}
 
-    def _cached(self, stage: str, artifacts: list[Path], compute,
-                extra: dict | None = None) -> bool:
+    def _cached(self, stage: str, artifacts: list[Path], compute, **inputs) -> bool:
         """Run `compute(key)` unless every artifact is valid for the stage
-        key, then stamp each artifact's sidecar. True when it ran."""
+        key, then stamp each artifact's sidecar. True when it ran. `inputs`
+        are the configs and upstream artifact hashes the stage body reads;
+        the sidecar seed is that of the `train` config, else the global one."""
         man = self.man
-        key = man.stage_key(stage, extra)
+        payload = {"stage": stage, "code": _code_fingerprint(), "seed": man.seed,
+                   "model": man.model, "domains": [_domain_input(d) for d in man.domains],
+                   **inputs}
+        text = json.dumps(payload, sort_keys=True, default=dataclasses.asdict)
+        key = hashlib.sha256(text.encode()).hexdigest()[:16]
         if all(artifact_valid(a, key) for a in artifacts):
             log.info("%s: cache hit (key %s), skipping", stage, key)
             return False
         log.info("%s: running (key %s)", stage, key)
         compute(key)
-        cfg = man.stage_train(stage)
         for a in artifacts:
-            write_meta(a, key, stage, man.seed if cfg is None else cfg.seed)
+            write_meta(a, key, stage, inputs.get("train", man).seed)
         return True
 
     # -- stages ------------------------------------------------------------
@@ -205,7 +228,8 @@ class Pipeline:
             save_registry(registry, self.base_reg)
             mlog.write_csv(metrics)
 
-        return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute)
+        return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute,
+                            train=man.train["pretrain"])
 
     def make_masks(self, disjoint: bool | None = None) -> bool:
         from .masks import MaskSet, create_domain_mask, overlap_stats, save_mask
@@ -228,8 +252,8 @@ class Pipeline:
                                   encoding="utf-8")
 
         arts = [self.mask_path(d.name) for d in man.domains] + [stats_path]
-        return self._cached("make_masks", arts, compute,
-                            {"disjoint": disjoint, **self._upstream("base")})
+        return self._cached("make_masks", arts, compute, train=man.train["masks"],
+                            prune=man.prune, disjoint=disjoint, **self._upstream("base"))
 
     def train_doss(self) -> bool:
         from .model import save_checkpoint
@@ -247,7 +271,7 @@ class Pipeline:
             mlog.write_csv(metrics)
 
         return self._cached("train_doss", [self.doss_ckpt, metrics], compute,
-                            self._upstream("base", "masks"))
+                            train=man.train["doss"], **self._upstream("base", "masks"))
 
     def finetune(self) -> bool:
         from .model import save_checkpoint
@@ -267,7 +291,8 @@ class Pipeline:
 
         arts = [self.ft_ckpt(name) for name in self.ft_names]
         arts += [self.out / f"ft_{name}_metrics.csv" for name in self.ft_names]
-        return self._cached("finetune", arts, compute, self._upstream("base"))
+        return self._cached("finetune", arts, compute, train=man.train["finetune"],
+                            **self._upstream("base"))
 
     def extend(self, mode: str | None = None, steps: int | None = None) -> bool:
         from .evaluation import Variant, eval_matrix
@@ -335,8 +360,10 @@ class Pipeline:
                                   + "\n".join(new_csv_rows) + "\n", encoding="utf-8")
 
         arts = [new_mask_path, ext_ckpt, metrics, diff_path, report_md, report_csv]
-        return self._cached("extend", arts, compute, {
-            "mode": mode, "steps": cfg.max_steps, **self._upstream("base", "doss", "masks")})
+        return self._cached(
+            "extend", arts, compute, train=cfg, mode=mode, prune=man.extend_prune,
+            mask_cfg=man.train["masks"], extension=_domain_input(man.extension),
+            eval=(man.eval_max_len, man.eval_batch), **self._upstream("base", "doss", "masks"))
 
     def evaluate(self) -> bool:
         from .evaluation import Variant, eval_matrix
@@ -364,9 +391,9 @@ class Pipeline:
                                  encoding="utf-8")
             report_csv.write_text(f"# config_hash={key}\n" + report.to_csv(), encoding="utf-8")
 
-        return self._cached("eval", [report_md, report_csv], compute, {
-            "max_len": man.eval_max_len, "batch": man.eval_batch,
-            **self._upstream("base", "doss", "fts", "masks")})
+        return self._cached("eval", [report_md, report_csv], compute,
+                            eval=(man.eval_max_len, man.eval_batch),
+                            **self._upstream("base", "doss", "fts", "masks"))
 
     def sweep(self) -> bool:
         from .evaluation import Variant, eval_matrix
@@ -377,12 +404,12 @@ class Pipeline:
         if not man.sweep_alphas or not man.sweep_betas:
             raise ConfigError("sweep needs non-empty alphas/betas grids in [sweep]")
         grid = sorted({(a, b) for a in man.sweep_alphas for b in man.sweep_betas})
+        doss_cfg = dataclasses.replace(man.train["doss"], max_steps=man.sweep_steps)
         sweep_csv = self.out / "sweep.csv"
         corr_csv = self.out / "correlations.csv"
 
         def compute(key):
             lam0, registry = self.load_base()
-            doss_cfg = dataclasses.replace(man.train["doss"], max_steps=man.sweep_steps)
             domain_ids = [d.name for d in man.domains]
             rows = []
             for alpha, beta in grid:
@@ -420,8 +447,10 @@ class Pipeline:
             corr_lines.append(f"rho_beta,{sweep_correlation([(r[1], r[5]) for r in ok_rows])!r}")
             corr_csv.write_text("\n".join(corr_lines) + "\n", encoding="utf-8")
 
-        return self._cached("sweep", [sweep_csv, corr_csv], compute, {
-            "sweep": grid, "steps": man.sweep_steps, **self._upstream("base")})
+        return self._cached(
+            "sweep", [sweep_csv, corr_csv], compute, grid=grid, doss_cfg=doss_cfg,
+            mask_cfg=man.train["masks"], ft_epochs=man.prune.ft_epochs,
+            eval=(man.eval_max_len, man.eval_batch), **self._upstream("base"))
 
     def run(self, stages: list[str] | None = None) -> None:
         order = stages or ["pretrain", "make_masks", "train_doss", "finetune",

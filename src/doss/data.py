@@ -9,6 +9,7 @@ sub-networks stay learnable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -174,13 +175,14 @@ class Vocab:
     def size(self) -> int:
         return N_RESERVED + len(self.content)
 
+    @functools.cached_property
     def token_to_id(self) -> dict[str, int]:
         table = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
         table.update({tok: N_RESERVED + i for i, tok in enumerate(self.content)})
         return table
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        table = self.token_to_id()
+        table = self.token_to_id
         return [table.get(tok, UNK_ID) for tok in tokens]
 
 

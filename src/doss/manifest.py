@@ -4,15 +4,12 @@ A manifest holds the model preset, the domain definitions (synthetic task
 specs or parallel-text paths), per-stage training configs, the prune spec,
 the extension plan, and the sweep grid. One global seed expands into
 per-stage seeds via derive_seed(global_seed, stage_name), so every stage is
-independently reproducible. Stage keys (config hashes) come from the JSON
-canonicalization of everything the stage depends on.
+independently reproducible.
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -71,49 +68,10 @@ class Manifest:
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.seed, stage) % (2 ** 31)
 
-    def stage_train(self, stage: str) -> TrainConfig | None:
-        """The training config a pipeline stage runs with, if it trains."""
-        return self.train.get(_STAGE_TRAIN.get(stage, ""))
 
-    def _fingerprint(self) -> dict:
-        return {
-            "seed": self.seed,
-            "model": vars(self.model) | {},
-            "domains": [_domain_dict(d) for d in self.domains],
-            "extension": _domain_dict(self.extension) if self.extension else None,
-        }
-
-    def stage_key(self, stage: str, extra: dict | None = None) -> str:
-        cfg = self.stage_train(stage)
-        payload = {
-            "stage": stage,
-            "common": self._fingerprint(),
-            "train": None if cfg is None else vars(cfg),
-            "extra": extra or {},
-        }
-        if stage == "make_masks":
-            payload["prune"] = vars(self.prune) | {"disjoint": self.masks_disjoint}
-        if stage == "extend":
-            payload["prune"] = vars(self.extend_prune) | {"mode": self.extend_mode}
-        text = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-# pipeline stage -> its [section] and key in Manifest.train
+# pipeline stage -> its [section] and key in Manifest.train, seeded by the stage
 _STAGE_TRAIN = {"pretrain": "pretrain", "make_masks": "masks", "train_doss": "doss",
                 "finetune": "finetune", "extend": "extend"}
-
-
-def _domain_dict(d: DomainSpec | None) -> dict | None:
-    if d is None:
-        return None
-    out = {"name": d.name, "train_pairs": d.train_pairs, "eval_pairs": d.eval_pairs}
-    if d.task is not None:
-        out["task"] = vars(d.task) | {}
-    else:
-        out["src_file"] = d.src_file
-        out["tgt_file"] = d.tgt_file
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +103,7 @@ _PRUNE = {"alpha": float, "beta": float, "ft_epochs": int}
 _SCHEMA = {
     "meta": {"seed": int, "out": str},
     "model": {"vocab_content": int, "d_model": int, "ffn_dim": int, "enc_layers": int,
-              "dec_layers": int, "heads": int, "dropout": float, "max_len": int,
-              "tie_embeddings": _bool},
+              "dec_layers": int, "heads": int, "dropout": float, "max_len": int},
     "domain": {"kind": str, "shift": int, "min_len": int, "max_len": int,
                "train_pairs": int, "eval_pairs": int, "seed": int, "src_file": str,
                "tgt_file": str, "filter_max_len": int, "min_ratio": float,
@@ -158,6 +115,9 @@ _SCHEMA = {
     "sweep": {"alphas": _floats, "betas": _floats, "steps": int},
     "eval": {"max_decode_len": int, "batch_size": int},
 }
+
+# the sections a manifest may hold besides [domain <name>] and [extension <name>]
+_SECTIONS = {"meta", "model", "sweep", "eval", *_STAGE_TRAIN.values()}
 
 # a grad_clip <= 0 means no clipping
 _TRAIN_DEFAULTS = {"batch_tokens": 256, "grad_clip": 1.0, "mixing": "round_robin"}
@@ -230,22 +190,26 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
 
     m = _read(parser, "model", "model", {
         "vocab_content": 16, "d_model": 64, "ffn_dim": 128, "enc_layers": 2,
-        "dec_layers": 2, "heads": 4, "dropout": 0.1, "max_len": 24, "tie_embeddings": False})
+        "dec_layers": 2, "heads": 4, "dropout": 0.1, "max_len": 24})
     content = m["vocab_content"]
     model = ModelConfig(
         vocab_size=N_RESERVED + content, d_model=m["d_model"], ffn_dim=m["ffn_dim"],
         n_enc_layers=m["enc_layers"], n_dec_layers=m["dec_layers"], n_heads=m["heads"],
-        dropout=m["dropout"], max_len=m["max_len"], tie_embeddings=m["tie_embeddings"],
-    ).validate()
+        dropout=m["dropout"], max_len=m["max_len"]).validate()
 
-    domain_secs = [s for s in parser.sections() if s.startswith("domain ")]
-    domains = [_parse_domain(parser, s, 10 + i, content) for i, s in enumerate(domain_secs)]
+    named = {kind: [s for s in parser.sections() if s.startswith(kind + " ")]
+             for kind in ("domain", "extension")}
+    unknown = set(parser.sections()) - _SECTIONS - set(named["domain"] + named["extension"])
+    if unknown:
+        raise ConfigError(f"unknown sections: {sorted(unknown)}")
+    domains = [_parse_domain(parser, s, 10 + i, content) for i, s in enumerate(named["domain"])]
     if not domains:
         raise ConfigError("manifest defines no [domain <name>] sections")
-    extension = None
-    for sec in parser.sections():
-        if sec.startswith("extension "):
-            extension = _parse_domain(parser, sec, 90, content)
+    exts = [_parse_domain(parser, s, 90, content) for s in named["extension"]]
+    if len(exts) > 1 or any(e.name == d.name for e in exts for d in domains):
+        raise ConfigError(f"a manifest takes at most one [extension <name>] section, named "
+                          f"unlike every [domain <name>]: {named['extension']}")
+    extension = exts[0] if exts else None
 
     # desk-scale defaults per training regime (dropout per regime; rates
     # scaled for the model size, see README)

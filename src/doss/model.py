@@ -50,7 +50,6 @@ class ModelConfig:
     n_heads: int
     dropout: float = 0.1
     max_len: int = 64
-    tie_embeddings: bool = False
 
     def validate(self) -> "ModelConfig":
         extents = (self.vocab_size, self.d_model, self.ffn_dim,
@@ -141,8 +140,7 @@ def param_shapes(cfg: ModelConfig) -> list[ParamInfo]:
         norm(f"dec.L{i}.ffn_norm", DECODER)
         ffn(f"dec.L{i}.ffn", DECODER)
     norm("dec.final_norm", DECODER)
-    if not cfg.tie_embeddings:
-        w("dec.out_proj", (d, v), DECODER)
+    w("dec.out_proj", (d, v), DECODER)
     return infos
 
 
@@ -373,14 +371,7 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
         ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), f"{p}.ffn", drop)
         x = ag.add(x, _drop(ff, f"{p}.ffn.drop", drop))
     x = _norm(params, "dec.final_norm", x)
-    if "dec.out_proj" in params:
-        return ag.matmul(x, params["dec.out_proj"])
-    # tied: logits through the transposed decoder embedding
-    embed = params["dec.embed"]
-    b, t2, d = x.shape
-    flat = ag.reshape(x, (b * t2, d))
-    logits = ag.transpose(ag.matmul(embed, ag.transpose(flat, (1, 0))), (1, 0))
-    return ag.reshape(logits, (b, t2, cfg.vocab_size))
+    return ag.matmul(x, params["dec.out_proj"])
 
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,

@@ -2,12 +2,13 @@
 
 import csv
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doss import evaluation, masks, training
+from doss import cli, evaluation, masks, training
 from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
 from doss.errors import ConfigError, NumericsError
 from doss.evaluation import decode_dataset, trim_eos
@@ -111,12 +112,12 @@ def test_manifest_stage_seeds_stable(tiny_manifest):
 
 
 def test_manifest_stage_keys_depend_on_seed(tiny_manifest, tmp_path):
-    a = load_manifest(tiny_manifest)
     other = tmp_path / "other.ini"
     other.write_text(TINY.replace("seed = 7", "seed = 8", 1), encoding="utf-8")
-    b = load_manifest(other)
-    assert a.stage_key("pretrain") != b.stage_key("pretrain")
-    assert a.stage_key("pretrain") == load_manifest(tiny_manifest).stage_key("pretrain")
+    out = tmp_path / "out"
+    assert Pipeline(load_manifest(tiny_manifest), out).pretrain() is True
+    assert Pipeline(load_manifest(other), out).pretrain() is True
+    assert Pipeline(load_manifest(other), out).pretrain() is False
 
 
 def test_manifest_errors(tmp_path):
@@ -157,6 +158,23 @@ def test_manifest_errors(tmp_path):
     assert main(["run", "--config", str(dup), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("edits", [
+    pytest.param([("[pretrain]", "[pretrian]")], id="unknown"),
+    pytest.param([("[extension sort]", "[extension rev]\nkind = reverse\n[extension sort]")],
+                 id="two_extensions"),
+    pytest.param([("[extension sort]", "[extension copy]"), ("domain = sort", "domain = copy")],
+                 id="extension_named_as_domain"),
+])
+def test_manifest_rejects_bad_sections(tmp_path, edits):
+    text = TINY
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / "s.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_manifest(path)
+
+
 @pytest.mark.parametrize("section,key", [
     ("pretrain", "epochs"), ("doss", "epochs"), ("finetune", "epochs"),
     ("masks", "epochs"), ("extend", "epochs"), ("pretrain", "mixing"),
@@ -177,10 +195,7 @@ def test_cli_seed_reaches_stage_seeds(tiny_manifest, tmp_path, monkeypatch):
     rc = main(["pretrain", "--config", str(other), "--out", str(tmp_path / "o"),
                "--seed", "7"])
     assert rc == 0
-    want = load_manifest(tiny_manifest)
-    assert seen[0].train == want.train
-    for stage in ("pretrain", "make_masks", "train_doss", "finetune", "extend", "eval"):
-        assert seen[0].stage_key(stage) == want.stage_key(stage)
+    assert seen[0] == load_manifest(tiny_manifest)
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"]])
@@ -302,6 +317,54 @@ def test_rerun_into_fresh_dir_is_bit_identical(tiny_run):
     assert files1 == files2
     for rel in files1:
         assert (pipe.out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("edit,stage", [
+    (("[doss]", "[doss]\nlearning_rate = 5e-3"), "sweep"),
+    (("[masks]", "[masks]\nlearning_rate = 5e-3"), "sweep"),
+    (("max_decode_len = 7", "max_decode_len = 3"), "extend"),
+    (("max_decode_len = 7", "max_decode_len = 3"), "sweep"),
+])
+def test_config_a_stage_reads_reruns_it(tiny_run, tmp_path, edit, stage):
+    man_path, pipe = tiny_run
+    out = shutil.copytree(pipe.out, tmp_path / "run")
+    getattr(Pipeline(load_manifest(man_path), out), stage)()
+    assert getattr(Pipeline(load_manifest(man_path), out), stage)() is False
+    edited = tmp_path / "edited.ini"
+    edited.write_text(TINY.replace(*edit), encoding="utf-8")
+    assert getattr(Pipeline(load_manifest(edited), out), stage)() is True
+
+
+def test_code_change_reruns_a_warm_stage(tiny_run, tmp_path, monkeypatch):
+    man_path, pipe = tiny_run
+    out = shutil.copytree(pipe.out, tmp_path / "run")
+    assert Pipeline(load_manifest(man_path), out).pretrain() is False
+    monkeypatch.setattr(cli, "_code_fingerprint", lambda: "other code")
+    assert Pipeline(load_manifest(man_path), out).pretrain() is True
+    assert (out / "base.ckpt").read_bytes() == pipe.base_ckpt.read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["min_ratio", "source file"])
+def test_parallel_domain_filter_and_text_rerun_pretrain(tmp_path, edit):
+    lines = [f"w{i % 5} w{i % 3} w{i % 4}" for i in range(12)]
+    for side in ("src", "tgt"):
+        (tmp_path / f"text.{side}").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = (f"[meta]\nseed = 1\n[model]\nvocab_content = 8\nd_model = 16\nffn_dim = 16\n"
+            f"enc_layers = 1\ndec_layers = 1\nheads = 2\n[domain text]\nkind = parallel\n"
+            f"src_file = {tmp_path / 'text.src'}\ntgt_file = {tmp_path / 'text.tgt'}\n"
+            f"train_pairs = 8\neval_pairs = 2\n[pretrain]\nsteps = 2\n")
+    path = tmp_path / "p.ini"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert Pipeline(load_manifest(path), out).pretrain() is True
+    assert Pipeline(load_manifest(path), out).pretrain() is False
+    if edit == "min_ratio":
+        path.write_text(text.replace("[pretrain]", "min_ratio = 0.9\n[pretrain]"),
+                        encoding="utf-8")
+    else:
+        lines[0] = "w4 w4 w4"
+        (tmp_path / "text.src").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert Pipeline(load_manifest(path), out).pretrain() is True
 
 
 def test_extend_cache_hit_reads_no_data(tiny_run, monkeypatch):

