@@ -40,12 +40,11 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """A dense float64 value, optionally recorded on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
@@ -53,13 +52,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -212,11 +204,6 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _node(a.data.transpose(axes), "transpose", (a,), lambda g: (g.transpose(inv),))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    return _node(np.asarray(a.data.sum()), "sum_all", (a,),
-                 lambda g: (np.full_like(a.data, float(g)),))
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
     """Mean negative log-softmax over non-pad target positions.
 
@@ -274,10 +261,8 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
     """Propagate from a scalar loss; returns {name: grad} for the named leaves
-    that require grad, in `topo_order`, and sets `.grad` on every leaf reached.
-
-    Gradients on leaf tensors are overwritten, not accumulated across calls.
-    """
+    that require grad, in `topo_order`. This dict is the only record of the
+    gradients: each call starts from zero, and unnamed leaves get none."""
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = topo_order(loss)
@@ -289,13 +274,8 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
             if parent.requires_grad:
                 key = id(parent)
                 store[key] = store[key] + g if key in store else g
-    grads: dict[str, np.ndarray] = {}
-    for node in order:
-        if node._backward is None and node.requires_grad:
-            node.grad = store[id(node)]
-            if node.name is not None:
-                grads[node.name] = node.grad
-    return grads
+    return {node.name: store[id(node)] for node in order
+            if node._backward is None and node.requires_grad and node.name is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -91,31 +91,18 @@ class Pipeline:
         self.man = man
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
+        self.base_ckpt, self.base_reg, self.doss_ckpt = (
+            self.out / name for name in ("base.ckpt", "base.reg", "doss.ckpt"))
+        # one finetune baseline per domain, plus one on all domains
+        self.ft_names = [d.name for d in man.domains] + ["all"]
 
     # -- artifact paths ----------------------------------------------------
-
-    @property
-    def base_ckpt(self) -> Path:
-        return self.out / "base.ckpt"
-
-    @property
-    def base_reg(self) -> Path:
-        return self.out / "base.reg"
-
-    @property
-    def doss_ckpt(self) -> Path:
-        return self.out / "doss.ckpt"
 
     def mask_path(self, domain: str) -> Path:
         return self.out / f"mask_{domain}.mask"
 
     def ft_ckpt(self, name: str) -> Path:
         return self.out / f"ft_{name}.ckpt"
-
-    @property
-    def ft_names(self) -> list[str]:
-        """One finetune baseline per domain, plus one on all domains."""
-        return [d.name for d in self.man.domains] + ["all"]
 
     def extend_dir(self, mode: str) -> Path:
         return self.out / f"extend_{mode}"
@@ -397,7 +384,7 @@ class Pipeline:
 
     def sweep(self) -> bool:
         from .evaluation import Variant, eval_matrix
-        from .masks import MaskSet, PruneSpec, create_domain_mask
+        from .masks import MaskSet, PruneSpec, magnitude_prune, mask_finetune
         from .training import train_doss
 
         man = self.man
@@ -411,13 +398,18 @@ class Pipeline:
         def compute(key):
             lam0, registry = self.load_base()
             domain_ids = [d.name for d in man.domains]
+            finetuned = {}  # domain -> its mask finetune, shared by every grid point
             rows = []
             for alpha, beta in grid:
                 log.info("sweep: alpha=%s beta=%s", alpha, beta)
                 try:
                     spec = PruneSpec(alpha, beta, man.prune.ft_epochs)
-                    masks = MaskSet([create_domain_mask(lam0, ds, spec, man.train["masks"],
-                                                        registry, man.model)
+                    for ds in self.train_sets():
+                        if ds.domain_id not in finetuned:
+                            finetuned[ds.domain_id] = mask_finetune(
+                                lam0, ds, spec, man.train["masks"], man.model)
+                    masks = MaskSet([magnitude_prune(finetuned[ds.domain_id], registry, spec,
+                                                     ds.domain_id)
                                      for ds in self.train_sets()])
                     lam = train_doss(lam0, masks, self.train_sets(), doss_cfg, man.model)
                     rep = eval_matrix([Variant("doss", lam, base=lam0, masks=masks)],

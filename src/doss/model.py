@@ -3,8 +3,9 @@
 Every parameter lives in a ParamStore keyed by a dotted name and is tagged in
 a ParameterRegistry with its region (encoder/decoder) and whether it is
 maskable. Weight matrices and embeddings are maskable; biases and layer-norm
-parameters are not (they stay shared across domains). Positional encodings
-are sinusoidal and parameter-free.
+parameters are not (they stay shared across domains). A ParamStore's tensors
+are views, in insertion order, of one float64 vector, so optimizer updates and
+overlays are vector ops. Positional encodings are sinusoidal and parameter-free.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class ParameterRegistry:
             if info.region not in (ENCODER, DECODER):
                 raise RegistryMismatchError(f"bad region for {info.name}: {info.region}")
 
-    def names(self) -> list[str]:
-        return [i.name for i in self.infos]
-
     def maskable_infos(self, region: str | None = None) -> list[ParamInfo]:
         return [i for i in self.infos
                 if i.maskable and (region is None or i.region == region)]
@@ -149,11 +147,27 @@ def param_shapes(cfg: ModelConfig) -> list[ParamInfo]:
 # ---------------------------------------------------------------------------
 
 
+def layout_views(vector: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Name -> view of `vector` for (name, shape or size) pairs laid back to
+    back from offset 0."""
+    views, ofs = {}, 0
+    for name, shape in layout:
+        size = shape if isinstance(shape, int) else math.prod(shape)
+        views[name] = vector[ofs:ofs + size].reshape(shape)
+        ofs += size
+    return views
+
+
 class ParamStore:
-    """Ordered map of named parameter tensors (float64)."""
+    """Ordered map of named parameter tensors, all views of one float64
+    vector. `ParamStore(tensors)` copies the tensors into a new vector, each
+    a trainable leaf named by its key; updates write into the vector."""
 
     def __init__(self, tensors: dict[str, Tensor]):
-        self._tensors = dict(tensors)
+        self.layout = tuple((n, t.data.shape) for n, t in tensors.items())
+        self.vector = np.concatenate([t.data.ravel() for t in tensors.values()] or [[]])
+        self._tensors = {n: Tensor(v, requires_grad=True, name=n)
+                         for n, v in layout_views(self.vector, self.layout).items()}
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -174,29 +188,23 @@ class ParamStore:
         return self._tensors[name].data
 
     def copy(self) -> "ParamStore":
-        return ParamStore({n: t.copy() for n, t in self._tensors.items()})
+        return ParamStore(self._tensors)
 
     def checksum(self) -> str:
         h = hashlib.sha256()
         for name, t in self._tensors.items():
             h.update(name.encode())
             h.update(str(t.data.shape).encode())
-            h.update(np.ascontiguousarray(t.data).tobytes())
+            h.update(t.data.tobytes())
         return h.hexdigest()
 
     def require_same_structure(self, other: "ParamStore") -> None:
-        if self.names() != other.names():
-            raise RegistryMismatchError("parameter stores have different tensor names")
-        for name, t in self._tensors.items():
-            if t.data.shape != other[name].data.shape:
-                raise RegistryMismatchError(f"shape mismatch for {name}")
+        if self.layout != other.layout:
+            raise RegistryMismatchError("parameter stores have different layouts")
 
     def require_matches(self, registry: ParameterRegistry) -> None:
-        if self.names() != registry.names():
-            raise RegistryMismatchError("store does not match registry names")
-        for info in registry.infos:
-            if tuple(self._tensors[info.name].data.shape) != tuple(info.shape):
-                raise RegistryMismatchError(f"shape mismatch for {info.name}")
+        if self.layout != tuple((i.name, tuple(i.shape)) for i in registry.infos):
+            raise RegistryMismatchError("store does not match the registry's names and shapes")
 
 
 def _init_array(info: ParamInfo, d_model: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Training regimes: full finetuning/pretraining, structure-aware masked
 joint training, and the domain-extension protocols.
 
-Masked updates make two guarantees. `_train_step` zeroes gradients where
-the domain mask is 0, before the clip and the Adam moments, and `adam_step`
-writes parameters through np.where on the mask, so masked-out elements keep
-their exact bit pattern. Non-maskable tensors (biases, layer norms) are never
-touched by masked training.
+Parameters, gradients and Adam moments share the trained store's vector
+layout; `_train` maps each domain's mask onto it once. Masked updates make two
+guarantees. `_train_step` zeroes the gradient vector where the mask is 0, in
+one op before the clip and the Adam moments (tensors the mask does not name,
+biases and layer norms, keep their gradients in the clip norm), and
+`adam_step` writes only the mask's ones and keeps the other tensors' moments,
+so masked-out elements keep their exact bit pattern and non-maskable tensors
+are never touched by masked training.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import numpy as np
 from . import autograd as ag
 from .data import Batch, DomainDataset, batch_iterator, concat_datasets, epoch_batches
 from .errors import ConfigError, NumericsError
-from .masks import DomainMask, MaskSet, create_domain_mask, full_mask
-from .model import DropCtx, ModelConfig, PAD_ID, ParameterRegistry, ParamStore, forward
+from .masks import MaskSet, StoreMask, create_domain_mask, full_mask, on_store
+from .model import (DropCtx, ModelConfig, PAD_ID, ParameterRegistry, ParamStore, forward,
+                    layout_views)
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +66,17 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam moments laid out like the store's vector, and two scratch vectors
+    so that an update allocates no temporaries."""
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
 
     @classmethod
     def zeros(cls, params: ParamStore) -> "OptimizerState":
-        return cls(m={n: np.zeros_like(t.data) for n, t in params.items()},
-                   v={n: np.zeros_like(t.data) for n, t in params.items()})
+        n = params.vector.size
+        return cls(np.zeros(n), np.zeros(n), (np.empty(n), np.empty(n)))
 
 
 class MetricsLog:
@@ -101,45 +108,45 @@ def lr_schedule(step: int, warmup: int, base_lr: float) -> float:
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place if their global L2 norm exceeds max_norm."""
+    """Scale all gradients in place if their global L2 norm exceeds max_norm.
+    The norm sums per-tensor squares in the dict's order."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm and total > 0:
         factor = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * factor
+        for g in grads.values():
+            g *= factor
     return total
 
 
-def adam_step(params: ParamStore, grads: dict[str, np.ndarray], state: OptimizerState,
+def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
               lr: float, betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              mask: DomainMask | None = None) -> tuple[ParamStore, OptimizerState]:
-    """One Adam update with bias correction. Under a mask only the mask's
-    ones are written and non-maskable tensors are skipped; the caller zeroes
-    the gradients where the mask is 0."""
+              mask: StoreMask | None = None) -> tuple[ParamStore, OptimizerState]:
+    """One Adam update with bias correction, in place over `params.vector`;
+    `grad` and the moments share its layout. Under a mask the moments of
+    tensors it does not name keep their values and only its ones are
+    written; the caller zeroes the gradient where the mask is 0."""
     b1, b2 = betas
     state.step += 1
     t = state.step
-    for name, tensor in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.data)
-        elif not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for {name!r} at optimizer step {t}")
-        sel = None
-        if mask is not None:
-            flat = mask.bits.get(name)
-            if flat is None:
-                continue  # non-maskable: frozen at the shared values
-            sel = flat.reshape(tensor.data.shape)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
-        delta = lr * m_hat / (np.sqrt(v_hat) + eps)
-        if sel is not None:
-            tensor.data = np.where(sel, tensor.data - delta, tensor.data)
-        else:
-            tensor.data = tensor.data - delta
+    finite = np.isfinite(grad)
+    if not finite.all():
+        name = next(n for n, ok in layout_views(finite, params.layout).items() if not ok.all())
+        raise NumericsError(f"non-finite gradient for {name!r} at optimizer step {t}")
+    m, v, (s1, s2) = state.m, state.v, state.scratch
+    kept = None if mask is None else (m[mask.frozen], v[mask.frozen])
+    # in place, with the same elementwise ops in the same order as
+    # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); delta = lr*m_hat / (sqrt(v_hat) + eps)
+    np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, grad, out=s1), out=m)
+    np.add(np.multiply(b2, v, out=v),
+           np.multiply(1.0 - b2, np.multiply(grad, grad, out=s1), out=s1), out=v)
+    delta = np.divide(np.multiply(lr, np.divide(m, 1.0 - b1 ** t, out=s1), out=s1),
+                      np.add(np.sqrt(np.divide(v, 1.0 - b2 ** t, out=s2), out=s2), eps, out=s2),
+                      out=s1)
+    if mask is None:
+        params.vector -= delta
+    else:
+        m[mask.frozen], v[mask.frozen] = kept
+        params.vector[mask.ones] -= delta[mask.ones]
     return params, state
 
 
@@ -150,20 +157,21 @@ def adam_step(params: ParamStore, grads: dict[str, np.ndarray], state: Optimizer
 
 def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: int,
                 cfg: TrainConfig, state: OptimizerState,
-                mask: DomainMask | None, log: MetricsLog | None) -> float:
+                mask: StoreMask | None, log: MetricsLog | None) -> float:
     drop = DropCtx(cfg.seed, step, cfg.dropout)
     logits = forward(params, model_cfg, batch.src, batch.tgt_in, drop=drop)
     loss = ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
     grads = ag.backward(loss)
+    grad = np.concatenate([grads[name].ravel() if name in grads else np.zeros(t.data.size)
+                           for name, t in params.items()])
+    views = layout_views(grad, params.layout)
     if mask is not None:
-        for name in list(grads):
-            flat = mask.bits.get(name)
-            if flat is not None:
-                grads[name] = grads[name] * flat.reshape(grads[name].shape)
+        grad *= mask.keep
     if cfg.grad_clip is not None:
-        clip_by_global_norm(grads, cfg.grad_clip)
+        # backward's order: another summation order changes the norm's last bits
+        clip_by_global_norm({name: views[name] for name in grads}, cfg.grad_clip)
     lr = lr_schedule(step, cfg.warmup_steps, cfg.learning_rate)
-    adam_step(params, grads, state, lr, mask=mask)
+    adam_step(params, grad, state, lr, mask=mask)
     value = float(loss.data)
     if log is not None:
         log.add(step, batch.domain_id, value, lr)
@@ -176,8 +184,9 @@ def _train(start: ParamStore, batches, cfg: TrainConfig, model_cfg: ModelConfig,
     under a mask set each batch updates only its domain's mask."""
     params = start.copy()
     state = OptimizerState.zeros(params)
+    on_params = {m.domain_id: on_store(m, params) for m in maskset or ()}
     for step, batch in enumerate(batches, 1):
-        mask = None if maskset is None else maskset.get(batch.domain_id)
+        mask = None if maskset is None else on_params[batch.domain_id]
         _train_step(params, model_cfg, batch, step, cfg, state, mask, log)
     return params
 

@@ -1,4 +1,5 @@
-"""Model presets and dataset and mask measurements that only the tests use.
+"""Model presets, a sum op, and dataset and mask measurements that only the
+tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
@@ -6,9 +7,16 @@ the tests directory on sys.path because it has no __init__.py.
 
 import numpy as np
 
+from doss import autograd as ag
 from doss.data import DomainDataset
-from doss.masks import DomainMask, MaskSet
-from doss.model import ModelConfig, ParameterRegistry
+from doss.masks import DomainMask, MaskSet, PruneSpec, pool_layout
+from doss.model import ModelConfig, ParameterRegistry, layout_views
+
+
+def sum_all(a: ag.Tensor) -> ag.Tensor:
+    """Sum of every element, as a scalar tape node."""
+    return ag._node(np.asarray(a.data.sum()), "sum_all", (a,),
+                    lambda g: (np.full_like(a.data, float(g)),))
 
 
 def mini_config(vocab_size: int = 32) -> ModelConfig:
@@ -41,6 +49,16 @@ def pool_size(registry: ParameterRegistry, region: str) -> int:
 def region_ones(mask: DomainMask, registry: ParameterRegistry, region: str) -> int:
     """Ones of a mask inside one region's maskable pool."""
     return int(sum(mask.bits[i.name].sum() for i in registry.maskable_infos(region)))
+
+
+def random_mask(registry: ParameterRegistry, domain_id: str, rng: np.random.Generator,
+                density: float) -> DomainMask:
+    """A mask in the registry's pool layout with each element 1 with
+    probability `density`."""
+    layout = pool_layout(registry)
+    vector = rng.random(sum(n for _, n in layout)) < density
+    return DomainMask(domain_id, layout_views(vector, layout),
+                      PruneSpec(1 - density, 1 - density))
 
 
 def is_pairwise_disjoint(masks: MaskSet) -> bool:

@@ -455,17 +455,39 @@ def test_sweep_records_dosserrors_and_reraises_bugs(tiny_run, tmp_path, monkeypa
     pipe2 = Pipeline(load_manifest(man_path), tmp_path)
 
     def raising(exc):
-        def create_domain_mask(*args, **kwargs):
+        def mask_finetune(*args, **kwargs):
             raise exc
-        return create_domain_mask
+        return mask_finetune
 
-    monkeypatch.setattr(masks, "create_domain_mask", raising(TypeError("bug")))
+    monkeypatch.setattr(masks, "mask_finetune", raising(TypeError("bug")))
     with pytest.raises(TypeError):
         pipe2.sweep()
-    monkeypatch.setattr(masks, "create_domain_mask", raising(NumericsError("diverged")))
+    monkeypatch.setattr(masks, "mask_finetune", raising(NumericsError("diverged")))
     assert pipe2.sweep() is True
     data = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
     assert len(data) == 1 and data[0].startswith("0.5,0.5,failed")
+
+
+def test_sweep_finetunes_each_domain_once(tmp_path, monkeypatch):
+    # the mask finetune does not depend on (alpha, beta): one per domain
+    # serves the whole grid
+    text = TINY.replace("alphas = 0.5", "alphas = 0.5 0.6").replace("steps = 10", "steps = 4")
+    man_path = tmp_path / "m.ini"
+    man_path.write_text(text, encoding="utf-8")
+    pipe = Pipeline(load_manifest(man_path), tmp_path / "out")
+    pipe.pretrain()
+    calls = []
+    train_full = training.train_full
+
+    def counting(start, data, *args, **kwargs):
+        calls.append(data.domain_id)
+        return train_full(start, data, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_full", counting)
+    assert pipe.sweep() is True
+    assert sorted(calls) == ["copy", "reverse"]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[2] for r in rows] == ["ok", "ok"]
 
 
 def test_sweep_rows_sorted_by_alpha_beta(tmp_path):

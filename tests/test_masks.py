@@ -254,6 +254,42 @@ def test_mask_file_roundtrip(tmp_path):
     assert loaded.spec.alpha == 0.35 and loaded.spec.beta == 0.6
 
 
+def test_mask_file_rewrite_is_byte_identical(tmp_path):
+    from doss.model import ModelConfig, build_model
+
+    cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=16)
+    store, registry = build_model(cfg, seed=4)
+    for mask in (magnitude_prune(store, registry, PruneSpec(0.6, 0.4), "pruned"),
+                 full_mask(registry, "full")):
+        first, second = tmp_path / "a.mask", tmp_path / "b.mask"
+        save_mask(mask, first)
+        loaded = load_mask(first)
+        assert loaded == mask and loaded.layout == mask.layout
+        save_mask(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+    # equality ignores layout order, the file keeps it
+    reordered = DomainMask("full", dict(reversed(full_mask(registry, "full").bits.items())),
+                           PruneSpec(0.0, 0.0))
+    assert reordered == full_mask(registry, "full")
+    assert reordered.layout != full_mask(registry, "full").layout
+
+
+def test_masks_with_different_layouts_do_not_combine():
+    spec = PruneSpec(0.5, 0.5)
+    a = DomainMask("a", {"enc.w": np.array([1, 0], dtype=bool),
+                         "dec.w": np.array([0, 1, 1], dtype=bool)}, spec)
+    swapped = DomainMask("b", {"dec.w": np.array([1, 0, 0], dtype=bool),
+                               "enc.w": np.array([0, 1], dtype=bool)}, spec)
+    shorter = DomainMask("c", {"enc.w": np.array([1, 0], dtype=bool),
+                               "dec.w": np.array([0, 1], dtype=bool)}, spec)
+    for other in (swapped, shorter):
+        pair = MaskSet([a, other])
+        for combine in (pair.union_bits, pair.union_mask, lambda: overlap_stats(pair)):
+            with pytest.raises(RegistryMismatchError):
+                combine()
+
+
 def test_mask_file_bit_packing(tmp_path):
     # 12-bit bitset packs LSB-first into 2 bytes
     bits = np.array([1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0], dtype=bool)

@@ -36,7 +36,7 @@ def test_mini_registry_counts_match_analytic_formula():
     assert counts["decoder"] == expect["decoder"]
     assert counts["encoder"] + counts["decoder"] == counts["total"]
     # every tensor tagged exactly once, and the store matches the registry
-    assert sorted(store.names()) == sorted(registry.names())
+    assert sorted(store.names()) == sorted(i.name for i in registry.infos)
     store.require_matches(registry)
 
 
@@ -237,3 +237,37 @@ def test_store_structure_checks():
         s1.require_same_structure(partial)
     with pytest.raises(RegistryMismatchError):
         partial.require_matches(registry)
+
+
+def test_store_tensors_are_views_of_one_vector():
+    from doss.data import SyntheticTask, batch_iterator, gen_domain
+    from doss.masks import full_mask, on_store
+    from doss.training import OptimizerState, TrainConfig, _train_step
+
+    cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=16)
+    built, registry = build_model(cfg, seed=4)
+    store = ParamStore(dict(built.items()))  # copies into a new vector
+    assert not np.shares_memory(store.vector, built.vector)
+    assert store.checksum() == built.checksum()
+    assert store.vector.size == sum(t.data.size for _, t in store.items())
+
+    def all_views(s):
+        return all(np.shares_memory(t.data, s.vector) for _, t in s.items())
+
+    before = store.vector.copy()
+    data = gen_domain(SyntheticTask("copy", content_hi=14, min_len=3, max_len=5, seed=1),
+                      40, domain_id="copy")
+    tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=3, seed=2)
+    state = OptimizerState.zeros(store)
+    batches = batch_iterator([data], "round_robin", 64, 2)
+    mask = on_store(full_mask(registry, "copy"), store)
+    for step in range(1, 5):  # unmasked, then masked steps
+        _train_step(store, cfg, next(batches), step, tcfg, state,
+                    mask if step > 2 else None, None)
+    assert all_views(store) and all_views(built)
+    assert not np.array_equal(store.vector, before)  # trained through the views
+    copy = store.copy()
+    assert copy.checksum() == store.checksum()
+    assert not any(np.shares_memory(t.data, store.vector) for _, t in copy.items())
+    assert all_views(copy)

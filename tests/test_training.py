@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from doss.autograd import Tensor
 from doss.data import SyntheticTask, batch_iterator, gen_domain
 from doss.errors import ConfigError, NumericsError
-from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, overlay
-from doss.model import ModelConfig, ParamStore, build_model
+from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, on_store, overlay
+from doss.model import ModelConfig, ParamStore, build_model, layout_views
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
+from support import random_mask
 
 
 def test_lr_schedule_shape():
@@ -48,7 +49,7 @@ def _scalar_store(value=1.0, maskable=True):
 def test_adam_first_step_hand_value():
     store, name = _scalar_store(0.0)
     state = OptimizerState.zeros(store)
-    adam_step(store, {name: np.ones((1, 1))}, state, lr=0.1)
+    adam_step(store, np.ones(1), state, lr=0.1)
     # step 1 with bias correction: m_hat = 1, v_hat = 1, delta = -0.1/(1+eps)
     assert store.array(name)[0, 0] == pytest.approx(-0.1, abs=1e-8)
     assert state.step == 1
@@ -58,7 +59,7 @@ def test_adam_masked_all_zeros_is_bitwise_noop():
     store, name = _scalar_store(-0.0)  # negative zero: +=0 would flip the sign bit
     state = OptimizerState.zeros(store)
     mask = DomainMask("d", {name: np.zeros(1, dtype=bool)}, PruneSpec(1, 1))
-    adam_step(store, {name: np.ones((1, 1))}, state, lr=0.1, mask=mask)
+    adam_step(store, np.ones(1), state, lr=0.1, mask=on_store(mask, store))
     assert np.signbit(store.array(name))[0, 0]
     assert store.array(name).tobytes() == np.full((1, 1), -0.0).tobytes()
 
@@ -69,11 +70,11 @@ def test_adam_masked_all_ones_matches_unmasked():
     a = ParamStore({"enc.w": Tensor(w.copy(), requires_grad=True, name="enc.w")})
     b = ParamStore({"enc.w": Tensor(w.copy(), requires_grad=True, name="enc.w")})
     sa, sb = OptimizerState.zeros(a), OptimizerState.zeros(b)
-    mask = DomainMask("d", {"enc.w": np.ones(12, dtype=bool)}, PruneSpec(0, 0))
+    mask = on_store(DomainMask("d", {"enc.w": np.ones(12, dtype=bool)}, PruneSpec(0, 0)), b)
     for _ in range(3):
-        g = r.normal(size=(3, 4))
-        adam_step(a, {"enc.w": g}, sa, lr=0.01)
-        adam_step(b, {"enc.w": g}, sb, lr=0.01, mask=mask)
+        g = r.normal(size=12)
+        adam_step(a, g, sa, lr=0.01)
+        adam_step(b, g, sb, lr=0.01, mask=mask)
     assert np.array_equal(a.array("enc.w"), b.array("enc.w"))
 
 
@@ -84,8 +85,7 @@ def test_adam_skips_nonmaskable_under_mask():
     })
     state = OptimizerState.zeros(store)
     mask = DomainMask("d", {"enc.w": np.ones(4, dtype=bool)}, PruneSpec(0, 0))
-    adam_step(store, {"enc.w": np.ones((2, 2)), "enc.b": np.ones(2)}, state,
-              lr=0.1, mask=mask)
+    adam_step(store, np.ones(6), state, lr=0.1, mask=on_store(mask, store))
     assert not np.array_equal(store.array("enc.w"), np.ones((2, 2)))
     assert np.array_equal(store.array("enc.b"), np.ones(2))
 
@@ -98,19 +98,63 @@ def test_adam_masked_elements_bit_frozen(seed):
     store = ParamStore({"enc.w": Tensor(w.copy(), requires_grad=True, name="enc.w")})
     state = OptimizerState.zeros(store)
     bits = r.random(20) < 0.5
-    mask = DomainMask("d", {"enc.w": bits}, PruneSpec(0.5, 0.5))
+    mask = on_store(DomainMask("d", {"enc.w": bits}, PruneSpec(0.5, 0.5)), store)
     for _ in range(4):
-        adam_step(store, {"enc.w": r.normal(size=(4, 5))}, state, lr=0.05, mask=mask)
+        adam_step(store, r.normal(size=20), state, lr=0.05, mask=mask)
     frozen = ~bits.reshape(4, 5)
     assert np.array_equal(store.array("enc.w")[frozen], w[frozen])
     assert store.array("enc.w")[frozen].tobytes() == w[frozen].tobytes()
 
 
 def test_adam_nan_gradient_aborts_with_tensor_name():
-    store, name = _scalar_store()
+    store = ParamStore({"enc.w": Tensor(np.ones((2, 2))), "enc.b": Tensor(np.ones(3))})
+    grad = np.zeros(7)
+    grad[5] = np.nan
+    with pytest.raises(NumericsError, match="'enc.b'"):
+        adam_step(store, grad, OptimizerState.zeros(store), lr=0.1)
+
+
+def _adam_reference(arrays, grads, m, v, t, lr, bits=None):
+    """Adam per tensor, op by op: the reference the flat update must match
+    bit for bit. `bits` maps the masked tensors to their 0/1 arrays."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for name in arrays:
+        if bits is not None and name not in bits:
+            continue
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        delta = lr * (m[name] / (1.0 - b1 ** t)) / (np.sqrt(v[name] / (1.0 - b2 ** t)) + eps)
+        arrays[name] = (arrays[name] - delta if bits is None
+                        else np.where(bits[name], arrays[name] - delta, arrays[name]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16), masked=st.booleans())
+def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked):
+    r = np.random.default_rng(seed)
+    shapes = {"enc.w": (3, 4), "enc.b": (4,), "dec.w": (5, 2), "dec.g": (2,)}
+    store = ParamStore({n: Tensor(r.normal(size=s)) for n, s in shapes.items()})
+    arrays = {n: store.array(n).copy() for n in shapes}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    bits = ({n: r.random(s) < 0.5 for n, s in shapes.items() if len(s) == 2}
+            if masked else None)
+    mask = (on_store(DomainMask("d", bits, PruneSpec(0.5, 0.5)), store)
+            if masked else None)
     state = OptimizerState.zeros(store)
-    with pytest.raises(NumericsError, match="enc.w"):
-        adam_step(store, {name: np.full((1, 1), np.nan)}, state, lr=0.1)
+    for t in range(1, 6):
+        grads = {n: r.normal(size=s) * (bits[n] if masked and n in bits else 1.0)
+                 for n, s in shapes.items()}
+        lr = float(r.uniform(1e-4, 1e-1))
+        adam_step(store, np.concatenate([g.ravel() for g in grads.values()]), state,
+                  lr, mask=mask)
+        _adam_reference(arrays, grads, m, v, t, lr, bits)
+        for n in shapes:
+            assert store.array(n).tobytes() == arrays[n].tobytes(), (t, n)
+            if not masked or n in bits:
+                assert layout_views(state.m, store.layout)[n].tobytes() == m[n].tobytes(), (t, n)
+                assert layout_views(state.v, store.layout)[n].tobytes() == v[n].tobytes(), (t, n)
 
 
 def test_clip_by_global_norm():
@@ -200,11 +244,7 @@ def test_train_doss_freezes_never_masked_elements():
     cfg, lam0, registry, mk = _tiny_setup()
     datasets = [mk("copy", 1), mk("reverse", 2)]
     r = np.random.default_rng(0)
-    masks = []
-    for ds in datasets:
-        bits = {i.name: r.random(i.size) < 0.4 for i in registry.maskable_infos()}
-        masks.append(DomainMask(ds.domain_id, bits, PruneSpec(0.6, 0.6)))
-    ms = MaskSet(masks)
+    ms = MaskSet([random_mask(registry, ds.domain_id, r, 0.4) for ds in datasets])
     lam = train_doss(lam0, ms, datasets,
                      TrainConfig(1e-3, 10, 64, 0.1, max_steps=30, seed=5), cfg)
     union = ms.union_bits()
@@ -222,20 +262,19 @@ def test_masked_train_step_leaves_moments_zero_outside_the_mask():
     # where the mask is 0, nor on a non-maskable tensor
     cfg, lam0, registry, mk = _tiny_setup()
     ds = mk("copy", 1)
-    r = np.random.default_rng(7)
-    mask = DomainMask("copy", {i.name: r.random(i.size) < 0.5
-                               for i in registry.maskable_infos()}, PruneSpec(0.5, 0.5))
+    mask = random_mask(registry, "copy", np.random.default_rng(7), 0.5)
     params, state = lam0.copy(), OptimizerState.zeros(lam0)
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=1, seed=3)
     batch = next(batch_iterator([ds], "round_robin", 64, 3))
-    loss = _train_step(params, cfg, batch, 1, tcfg, state, mask, None)
+    loss = _train_step(params, cfg, batch, 1, tcfg, state, on_store(mask, params), None)
     assert np.isfinite(loss)
+    moments = [layout_views(s, params.layout) for s in (state.m, state.v)]
     moved = 0
     for name, t in lam0.items():
         flat = mask.bits.get(name)
         off = np.ones(t.data.shape, bool) if flat is None else ~flat.reshape(t.data.shape)
-        assert np.all(state.m[name][off] == 0.0) and np.all(state.v[name][off] == 0.0), name
-        moved += int(np.count_nonzero(state.m[name][~off]))
+        assert all(np.all(mom[name][off] == 0.0) for mom in moments), name
+        moved += int(np.count_nonzero(moments[0][name][~off]))
     assert moved > 0
 
 
@@ -254,11 +293,7 @@ def _extension_setup():
     cfg, lam0, registry, mk = _tiny_setup()
     datasets = [mk("copy", 1), mk("reverse", 2)]
     r = np.random.default_rng(1)
-    masks = MaskSet([
-        DomainMask(ds.domain_id,
-                   {i.name: r.random(i.size) < 0.4 for i in registry.maskable_infos()},
-                   PruneSpec(0.6, 0.6))
-        for ds in datasets])
+    masks = MaskSet([random_mask(registry, ds.domain_id, r, 0.4) for ds in datasets])
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=20, seed=7)
     lam = train_doss(lam0, masks, datasets, tcfg, cfg)
     new_data = mk("sort", 9)
