@@ -6,12 +6,19 @@ replays the tape in reverse topological order, sums the gradients reaching
 each node, and returns a name -> gradient map for the named leaves. All
 training math runs in float64. Forward values are checked for NaN/Inf after
 every op; a non-finite value is an error state, not something to propagate.
+
+The ops are the transformer's layer operations, one tape node each: `add`
+(residuals), `linear`, `attention` (head split to head merge), `relu`,
+`layer_norm`, `embedding` (scaled lookup plus positions), `dropout` and
+`cross_entropy`. Each fused backward rule repeats the array expressions of
+the op-by-op chain it stands for, so its gradients equal that chain's bits.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -95,62 +102,68 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; `b` may broadcast against `a` (bias add)."""
+    """Elementwise add; `b` may broadcast against `a`."""
     return _node(a.data + b.data, "add", (a, b),
                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    """Add a constant array/scalar (no gradient flows into the constant)."""
-    c = np.asarray(c, dtype=np.float64)
-    return _node(a.data + c, "add_const", (a,), lambda g: (_unbroadcast(g, a.data.shape),))
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """(..., m, k) @ (k, n), plus a bias of shape (n,) when one is given."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear expects (..., m, k) @ (k, n); got {x.shape} @ {w.shape}")
+    k, n = w.data.shape
+    if b is not None and b.data.shape != (n,):
+        raise ShapeError(f"linear bias must have shape ({n},), got {b.shape}")
+
+    def bw(g):
+        grads = (g @ w.data.T, x.data.reshape(-1, k).T @ g.reshape(-1, n))
+        return grads if b is None else grads + (_unbroadcast(g, b.data.shape),)
+    y = x.data @ w.data
+    if b is None:
+        return _node(y, "linear", (x, w), bw)
+    return _node(y + b.data, "linear", (x, w, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _node(a.data * b.data, "mul", (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: np.ndarray | None) -> Tensor:
+    """Multi-head scaled dot-product attention over projected inputs.
 
+    q: (B, S_q, D); k, v: (B, S_kv, D). Splits D into `n_heads` heads, takes
+    softmax(q k^T / sqrt(D / n_heads) + mask) v per head, and merges the heads
+    back to (B, S_q, D). `mask` is an additive constant that broadcasts
+    against the (B, n_heads, S_q, S_kv) scores; no gradient flows into it."""
+    b, s_q, d = q.data.shape
+    s_kv = k.data.shape[1]
+    if k.data.shape != (b, s_kv, d) or v.data.shape != k.data.shape or d % n_heads:
+        raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, v {v.shape}")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _node(a.data * c, "scale", (a,), lambda g: (g * c,))
+    def heads(x: np.ndarray, s: int) -> np.ndarray:
+        return x.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3)
 
+    def merge(x: np.ndarray, s: int) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(b, s, d)
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., m, k) @ (k, n): right operand is a plain 2-D weight matrix."""
-    if a.data.ndim < 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects (..., m, k) @ (k, n); got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    k, n = b.data.shape
-    return _node(a.data @ b.data, "matmul", (a, b),
-                 lambda g: (g @ b.data.T, a.data.reshape(-1, k).T @ g.reshape(-1, n)))
+    qh, kt, vh = heads(q.data, s_q), heads(k.data, s_kv).transpose(0, 1, 3, 2), heads(v.data, s_kv)
+    scores = (qh @ kt) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
 
-
-def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., m, k) @ (..., k, n) with identical leading dims (attention)."""
-    if a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ShapeError(f"batched_matmul leading dims differ: {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"batched_matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return _node(a.data @ b.data, "batched_matmul", (a, b),
-                 lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
+    def bw(g):
+        g = heads(g, s_q)
+        gp = g @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+        gkt = qh.swapaxes(-1, -2) @ gs
+        return (merge(gs @ kt.swapaxes(-1, -2), s_q), merge(gkt.transpose(0, 1, 3, 2), s_kv),
+                merge(p.swapaxes(-1, -2) @ g, s_kv))
+    return _node(merge(p @ vh, s_q), "attention", (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:
     return _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0.0),))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax (max-subtracted) along `axis`."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    return _node(y, "softmax", (a,),
-                 lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -173,16 +186,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _node(xhat * gain.data + bias.data, "layer_norm", (x, gain, bias), bw)
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...], :]."""
+def embedding(table: Tensor, ids: np.ndarray, scale: float, offset) -> Tensor:
+    """Scaled row lookup plus a constant: out[...] = table[ids[...]] * scale + offset.
+    `offset` broadcasts against the (..., D) rows; no gradient flows into it."""
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.data.shape[0]:
         raise ShapeError("embedding id out of range")
     def bw(g):
         dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.ravel(), g.reshape(-1, table.data.shape[1]))
+        np.add.at(dt, ids.ravel(), (g * scale).reshape(-1, table.data.shape[1]))
         return (dt,)
-    return _node(table.data[ids], "embedding", (table,), bw)
+    return _node(table.data[ids] * scale + offset, "embedding", (table,), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -193,15 +207,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return a
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     return _node(a.data * keep, "dropout", (a,), lambda g: (g * keep,))
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _node(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
-    return _node(a.data.transpose(axes), "transpose", (a,), lambda g: (g.transpose(inv),))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:

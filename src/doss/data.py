@@ -144,12 +144,13 @@ class FilterStats:
 
 
 def filter_corpus(pairs, spec: FilterSpec):
-    """Keep pairs within the length cap and source/target length ratio bounds."""
+    """Keep pairs with both sides non-empty and within the length cap, and
+    within the source/target length ratio bounds."""
     spec.validate()
     kept = []
     stats = FilterStats()
     for src, tgt in pairs:
-        if len(src) > spec.max_len or len(tgt) > spec.max_len:
+        if not src or not tgt or len(src) > spec.max_len or len(tgt) > spec.max_len:
             stats.dropped_length += 1
             continue
         ratio = len(src) / len(tgt)
@@ -197,11 +198,13 @@ def vocab_from_pairs(token_pairs, content_size: int) -> Vocab:
 
 
 def load_parallel_text(src_path, tgt_path) -> list[tuple[list[str], list[str]]]:
-    """Two aligned newline-delimited UTF-8 files, whitespace-tokenized."""
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
+    """Two aligned newline-delimited UTF-8 files, whitespace-tokenized. Lines
+    end only at "\n": a carriage return, form feed or U+2028 inside a line
+    separates tokens, not lines."""
+    with open(src_path, encoding="utf-8", newline="\n") as fh:
+        src_lines = [line.rstrip("\n") for line in fh]
+    with open(tgt_path, encoding="utf-8", newline="\n") as fh:
+        tgt_lines = [line.rstrip("\n") for line in fh]
     if len(src_lines) != len(tgt_lines):
         raise FormatError(
             f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}")

@@ -285,23 +285,11 @@ def _drop(x: Tensor, site: str, drop: DropCtx | None) -> Tensor:
 
 def _attention(params: ParamStore, prefix: str, q_in: Tensor, kv_in: Tensor,
                n_heads: int, attn_mask: np.ndarray | None) -> Tensor:
-    b, s_q, d = q_in.shape
-    s_kv = kv_in.shape[1]
-    dh = d // n_heads
-
-    def heads(x: Tensor, s: int) -> Tensor:
-        return ag.transpose(ag.reshape(x, (b, s, n_heads, dh)), (0, 2, 1, 3))
-
-    q = heads(ag.add(ag.matmul(q_in, params[f"{prefix}.wq"]), params[f"{prefix}.bq"]), s_q)
-    k = heads(ag.add(ag.matmul(kv_in, params[f"{prefix}.wk"]), params[f"{prefix}.bk"]), s_kv)
-    v = heads(ag.add(ag.matmul(kv_in, params[f"{prefix}.wv"]), params[f"{prefix}.bv"]), s_kv)
-
-    scores = ag.scale(ag.batched_matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    if attn_mask is not None:
-        scores = ag.add_const(scores, attn_mask)
-    ctx = ag.batched_matmul(ag.softmax(scores, axis=-1), v)
-    merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, s_q, d))
-    return ag.add(ag.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    q = ag.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k = ag.linear(kv_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
+    v = ag.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    ctx = ag.attention(q, k, v, n_heads, attn_mask)
+    return ag.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _norm(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
@@ -309,9 +297,9 @@ def _norm(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
 
 
 def _ffn(params: ParamStore, prefix: str, x: Tensor, site: str, drop: DropCtx | None) -> Tensor:
-    h = ag.relu(ag.add(ag.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
+    h = ag.relu(ag.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
     h = _drop(h, site + ".act", drop)
-    return ag.add(ag.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    return ag.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _embed(params: ParamStore, table: str, ids: np.ndarray, cfg: ModelConfig,
@@ -320,8 +308,7 @@ def _embed(params: ParamStore, table: str, ids: np.ndarray, cfg: ModelConfig,
     s = ids.shape[1]
     if s > cfg.max_len:
         raise ShapeError(f"sequence length {s} exceeds max_len {cfg.max_len}")
-    x = ag.scale(ag.embedding(params[table], ids), math.sqrt(cfg.d_model))
-    x = ag.add_const(x, pe[None, :s, :])
+    x = ag.embedding(params[table], ids, math.sqrt(cfg.d_model), pe[None, :s, :])
     return _drop(x, site, drop)
 
 
@@ -379,7 +366,7 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
         ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), f"{p}.ffn", drop)
         x = ag.add(x, _drop(ff, f"{p}.ffn.drop", drop))
     x = _norm(params, "dec.final_norm", x)
-    return ag.matmul(x, params["dec.out_proj"])
+    return ag.linear(x, params["dec.out_proj"])
 
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,

@@ -1,5 +1,5 @@
-"""Model presets, a sum op, and dataset and mask measurements that only the
-tests use.
+"""Model presets, sum and product ops, and dataset and mask measurements that
+only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
@@ -17,6 +17,13 @@ def sum_all(a: ag.Tensor) -> ag.Tensor:
     """Sum of every element, as a scalar tape node."""
     return ag._node(np.asarray(a.data.sum()), "sum_all", (a,),
                     lambda g: (np.full_like(a.data, float(g)),))
+
+
+def mul(a: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
+    """Elementwise product; either side may broadcast against the other."""
+    return ag._node(a.data * b.data, "mul", (a, b),
+                    lambda g: (ag._unbroadcast(g * b.data, a.data.shape),
+                               ag._unbroadcast(g * a.data, b.data.shape)))
 
 
 def mini_config(vocab_size: int = 32) -> ModelConfig:

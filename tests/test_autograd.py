@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from doss import autograd as ag
 from doss.errors import NumericsError, ShapeError
-from support import sum_all
+from support import mul, sum_all
 
 H = 1e-5
 REL_TOL = 1e-4
@@ -65,17 +65,41 @@ def rng():
 # ---------------------------------------------------------------------------
 
 
+def unfused_attention(q, k, v, n_heads, mask):
+    """The op-by-op numpy chain that `ag.attention` fuses: split heads, scaled
+    scores plus mask, max-subtracted softmax, weighted values, merge heads."""
+    b, s_q, d = q.shape
+    s_kv, dh = k.shape[1], d // n_heads
+    qh = q.reshape((b, s_q, n_heads, dh)).transpose((0, 2, 1, 3))
+    kh = k.reshape((b, s_kv, n_heads, dh)).transpose((0, 2, 1, 3))
+    vh = v.reshape((b, s_kv, n_heads, dh)).transpose((0, 2, 1, 3))
+    scores = (qh @ kh.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ctx = (e / e.sum(axis=-1, keepdims=True)) @ vh
+    return ctx.transpose((0, 2, 1, 3)).reshape((b, s_q, d))
+
+
+def hide_key(b, s_kv, pos):
+    """Additive (B, 1, 1, S_kv) mask hiding key position `pos`."""
+    mask = np.zeros((b, 1, 1, s_kv))
+    mask[:, :, :, pos] = -1e30
+    return mask
+
+
 def test_matmul_identity():
+    # linear without a bias is the plain matrix product
     a = ag.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ag.matmul(a, ag.Tensor(np.eye(2))).data, a.data)
+    assert np.array_equal(ag.linear(a, ag.Tensor(np.eye(2))).data, a.data)
     b = ag.Tensor([[5.0], [7.0]])
-    assert np.array_equal(ag.matmul(ag.Tensor(np.eye(2)), b).data, b.data)
+    assert np.array_equal(ag.linear(ag.Tensor(np.eye(2)), b).data, b.data)
 
 
 def test_matmul_hand_value_scalar_loop_oracle():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[1.0], [1.0]])
-    out = ag.matmul(ag.Tensor(a), ag.Tensor(b)).data
+    out = ag.linear(ag.Tensor(a), ag.Tensor(b)).data
     # independent scalar-loop product
     expect = np.zeros((2, 1))
     for i in range(2):
@@ -84,39 +108,73 @@ def test_matmul_hand_value_scalar_loop_oracle():
                 expect[i, j] += a[i, k] * b[k, j]
     assert np.array_equal(out, expect)
     assert out.tolist() == [[3.0], [7.0]]
+    biased = ag.linear(ag.Tensor(a), ag.Tensor(b), ag.Tensor([0.5])).data
+    assert biased.tolist() == [[3.5], [7.5]]
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        ag.matmul(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((2, 2))))
+        ag.linear(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        ag.batched_matmul(ag.Tensor(np.ones((2, 2, 3))), ag.Tensor(np.ones((3, 3, 2))))
+        ag.linear(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((3, 2))),
+                  ag.Tensor(np.ones(3)))
+    q = ag.Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError):  # k and v lengths differ
+        ag.attention(q, ag.Tensor(np.ones((2, 5, 4))), q, 2, None)
+    with pytest.raises(ShapeError):  # 4 is not a multiple of 3 heads
+        ag.attention(q, q, q, 3, None)
 
 
 def test_softmax_symmetry_and_stability():
-    assert np.allclose(ag.softmax(ag.Tensor([0.0, 0.0, 0.0])).data, 1 / 3)
-    out = ag.softmax(ag.Tensor([1000.0, 0.0])).data
-    assert abs(out[0] - 1.0) <= 1e-12 and abs(out[1]) <= 1e-12
+    # attention's softmax: equal scores weigh the values equally
+    q = ag.Tensor(np.ones((1, 1, 2)))
+    k = ag.Tensor(np.ones((1, 3, 2)))
+    v = ag.Tensor([[[1.0, 2.0], [3.0, 4.0], [8.0, 0.0]]])
+    assert np.allclose(ag.attention(q, k, v, 1, None).data, [[[4.0, 2.0]]])
+    # scores of +-1000 stay finite, forward and backward
+    q = ag.Tensor(np.ones((1, 1, 1)), requires_grad=True, name="q")
+    k = ag.Tensor([[[1000.0], [-1000.0]]], requires_grad=True, name="k")
+    v = ag.Tensor([[[3.0], [5.0]]], requires_grad=True, name="v")
+    out = ag.attention(q, k, v, 1, None)
+    assert out.data.tolist() == [[[3.0]]]
+    grads = ag.backward(sum_all(out))
+    assert sorted(grads) == ["k", "q", "v"]
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 def test_softmax_exp_formula_oracle():
+    # one head of width 1: the scores are q * k, and v = (1, 0) reads the
+    # weight of the first key
+    q = ag.Tensor([[[1.0]]])
+    k = ag.Tensor([[[1.0], [2.0]]])
+    v = ag.Tensor([[[1.0], [0.0]]])
     x = np.array([1.0, 2.0])
-    expect = np.exp(x) / np.exp(x).sum()
-    assert np.allclose(ag.softmax(ag.Tensor(x)).data, expect, atol=1e-15)
-    assert abs(ag.softmax(ag.Tensor(x)).data[0] - 0.2689414213699951) < 1e-12
+    weight = float(ag.attention(q, k, v, 1, None).data[0, 0, 0])
+    assert abs(weight - np.exp(x[0]) / np.exp(x).sum()) < 1e-15
+    assert abs(weight - 0.2689414213699951) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=-300, max_value=300), min_size=1, max_size=12))
 def test_softmax_sums_to_one(values):
-    out = ag.softmax(ag.Tensor(values), axis=-1).data
+    # keys on the axes make the scores `values`; identity values read the weights
+    n = len(values)
+    q = ag.Tensor(np.ones((1, 1, n)))
+    k = ag.Tensor((np.diag(values) * math.sqrt(n))[None])
+    out = ag.attention(q, k, ag.Tensor(np.eye(n)[None]), 1, None).data
     assert np.all(out > 0)
     assert abs(out.sum() - 1.0) <= 1e-12
 
 
-def test_softmax_bad_axis():
-    with pytest.raises(ShapeError):
-        ag.softmax(ag.Tensor([1.0, 2.0]), axis=2)
+def test_attention_matches_unfused_chain_bit_for_bit():
+    r = rng()
+    q = r.normal(size=(3, 4, 8))
+    kv = r.normal(size=(3, 5, 8))
+    causal = np.triu(np.full((4, 4), -1e30), k=1)[None, None]
+    for args in ((q, q, q, 2, None), (q, q, q, 4, causal),
+                 (q, kv, kv, 2, hide_key(3, 5, 1)), (q, kv, kv[:, ::-1].copy(), 1, None)):
+        out = ag.attention(*(ag.Tensor(a) for a in args[:3]), *args[3:]).data
+        assert np.array_equal(out, unfused_attention(*args))
 
 
 def test_layer_norm_constant_vector():
@@ -180,7 +238,7 @@ def test_cross_entropy_all_pad_is_error():
 
 def test_non_finite_forward_is_error():
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
-        ag.scale(ag.Tensor([1e308]), 10.0)
+        ag.add(ag.Tensor([1e308]), ag.Tensor([1e308]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +254,7 @@ def test_backward_sum_is_ones():
 
 def test_backward_half_square_is_x():
     x = ag.Tensor(rng().normal(size=(5,)), requires_grad=True, name="x")
-    loss = ag.scale(sum_all(ag.mul(x, x)), 0.5)
+    loss = mul(sum_all(mul(x, x)), ag.Tensor(0.5))
     grads = ag.backward(loss)
     assert np.allclose(grads["x"], x.data, atol=1e-12)
 
@@ -204,7 +262,7 @@ def test_backward_half_square_is_x():
 def test_backward_requires_scalar():
     x = ag.Tensor(np.ones((2, 2)), requires_grad=True, name="x")
     with pytest.raises(ShapeError):
-        ag.backward(ag.mul(x, x))
+        ag.backward(mul(x, x))
 
 
 def test_backward_does_not_accumulate_across_calls():
@@ -220,7 +278,7 @@ def test_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         x = ag.Tensor(np.ones((4, 3)))
-        loss = sum_all(ag.relu(ag.matmul(x, w)))
+        loss = sum_all(ag.relu(ag.linear(x, w)))
         ag.backward(loss)
         del loss
         assert gc.collect() == 0  # nothing on the tape was cyclic garbage
@@ -230,7 +288,7 @@ def test_tape_is_freed_without_the_cycle_collector():
 
 def test_topo_order_visits_each_node_once():
     x = ag.Tensor(np.ones(2), requires_grad=True, name="x")
-    y = ag.mul(x, x)
+    y = mul(x, x)
     z = ag.add(y, y)  # diamond: y feeds z twice
     loss = sum_all(z)
     order = ag.topo_order(loss)
@@ -248,8 +306,8 @@ def test_backward_returns_named_leaves_in_topo_order():
     g = ag.Tensor(np.ones(2), requires_grad=True, name="g")
     x = ag.Tensor(r.normal(size=(4, 3)), name="x")  # named, but no gradient
     unnamed = ag.Tensor(np.ones(2), requires_grad=True)
-    h = ag.layer_norm(ag.add(ag.matmul(x, w), b), g, unnamed)
-    loss = sum_all(ag.mul(ag.relu(h), h))
+    h = ag.layer_norm(ag.linear(x, w, b), g, unnamed)
+    loss = sum_all(mul(ag.relu(h), h))
     expect = [n.name for n in ag.topo_order(loss)
               if n._backward is None and n.requires_grad and n.name is not None]
     assert sorted(expect) == ["b", "g", "w"]
@@ -258,13 +316,13 @@ def test_backward_returns_named_leaves_in_topo_order():
 
 def test_forward_backward_deterministic():
     r = rng()
-    a = r.normal(size=(4, 3))
+    a = r.normal(size=(1, 4, 3))
     b = r.normal(size=(3, 2))
 
     def run():
         ta = ag.Tensor(a.copy(), requires_grad=True, name="a")
         tb = ag.Tensor(b.copy(), requires_grad=True, name="b")
-        out = ag.reshape(ag.matmul(ag.relu(ta), tb), (1, 4, 2))
+        out = ag.linear(ag.relu(ta), tb)
         loss = ag.cross_entropy(out, np.array([[1, 0, 1, 0]]), pad_id=9)
         return ag.backward(loss), loss.data.copy()
 
@@ -287,41 +345,50 @@ def _away_from_kinks(a, margin=0.05):
 
 def test_gradcheck_add_broadcast():
     r = rng()
-    check_grads(lambda t: sum_all(ag.mul(ag.add(t[0], t[1]), t[2])),
+    check_grads(lambda t: sum_all(mul(ag.add(t[0], t[1]), t[2])),
                 [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4,)),
                  r.uniform(-2, 2, (3, 4))])
 
 
 def test_gradcheck_matmul():
+    # linear on a 3-D input: the product alone, then with a bias
     r = rng()
-    check_grads(lambda t: sum_all(ag.mul(ag.matmul(t[0], t[1]), t[2])),
+    check_grads(lambda t: sum_all(mul(ag.linear(t[0], t[1]), t[2])),
                 [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (4, 3)),
                  r.uniform(-2, 2, (2, 3, 3))])
+    check_grads(lambda t: sum_all(mul(ag.linear(t[0], t[1], t[2]), t[3])),
+                [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (4, 3)),
+                 r.uniform(-2, 2, (3,)), r.uniform(-2, 2, (2, 3, 3))])
 
 
-def test_gradcheck_batched_matmul():
+@pytest.mark.parametrize("masked", [False, True])
+def test_gradcheck_self_attention(masked):
+    # one input feeds q, k and v: its three gradients are summed
     r = rng()
-    check_grads(lambda t: sum_all(ag.mul(ag.batched_matmul(t[0], t[1]), t[2])),
-                [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 4, 2)),
-                 r.uniform(-2, 2, (2, 3, 2))])
+    mask = hide_key(2, 3, 2) if masked else None
+    check_grads(lambda t: sum_all(mul(ag.attention(t[0], t[0], t[0], 2, mask), t[1])),
+                [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 3, 4))])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_gradcheck_cross_attention(masked):
+    r = rng()
+    mask = hide_key(2, 3, 0) if masked else None
+    check_grads(lambda t: sum_all(mul(ag.attention(t[0], t[1], t[2], 2, mask), t[3])),
+                [r.uniform(-2, 2, (2, 2, 4)), r.uniform(-2, 2, (2, 3, 4)),
+                 r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 2, 4))])
 
 
 def test_gradcheck_relu():
     r = rng()
     x = _away_from_kinks(r.uniform(-2, 2, (3, 5)))
-    check_grads(lambda t: sum_all(ag.mul(ag.relu(t[0]), t[1])),
+    check_grads(lambda t: sum_all(mul(ag.relu(t[0]), t[1])),
                 [x, r.uniform(-2, 2, (3, 5))])
-
-
-def test_gradcheck_softmax():
-    r = rng()
-    check_grads(lambda t: sum_all(ag.mul(ag.softmax(t[0], axis=-1), t[1])),
-                [r.uniform(-2, 2, (3, 5)), r.uniform(-2, 2, (3, 5))])
 
 
 def test_gradcheck_layer_norm():
     r = rng()
-    check_grads(lambda t: sum_all(ag.mul(ag.layer_norm(t[0], t[1], t[2]), t[3])),
+    check_grads(lambda t: sum_all(mul(ag.layer_norm(t[0], t[1], t[2]), t[3])),
                 [r.uniform(-2, 2, (3, 6)), r.uniform(0.5, 2, (6,)),
                  r.uniform(-1, 1, (6,)), r.uniform(-2, 2, (3, 6))])
 
@@ -329,7 +396,8 @@ def test_gradcheck_layer_norm():
 def test_gradcheck_embedding():
     r = rng()
     ids = np.array([[0, 2, 1], [3, 3, 0]])
-    check_grads(lambda t: sum_all(ag.mul(ag.embedding(t[0], ids), t[1])),
+    offset = r.uniform(-1, 1, (1, 3, 5))
+    check_grads(lambda t: sum_all(mul(ag.embedding(t[0], ids, 1.7, offset), t[1])),
                 [r.uniform(-2, 2, (4, 5)), r.uniform(-2, 2, (2, 3, 5))])
 
 
@@ -345,14 +413,6 @@ def test_gradcheck_dropout_fixed_mask():
     # the same derived rng per call makes dropout a fixed linear map
     check_grads(lambda t: sum_all(ag.dropout(t[0], 0.4, ag.derived_rng(7, 0, "gc"))),
                 [r.uniform(-2, 2, (4, 4))])
-
-
-def test_gradcheck_reshape_transpose():
-    r = rng()
-    check_grads(
-        lambda t: sum_all(ag.mul(
-            ag.transpose(ag.reshape(t[0], (2, 6)), (1, 0)), t[1])),
-        [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (6, 2))])
 
 
 # ---------------------------------------------------------------------------

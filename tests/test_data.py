@@ -80,14 +80,15 @@ def test_filter_corpus_rules():
     spec = FilterSpec(max_len=250, min_ratio=0.67, max_ratio=1.5)
     pairs = [(list(range(10)), list(range(10))),   # kept
              (list(range(300)), list(range(10))),  # dropped: length
-             (list(range(20)), list(range(10)))]   # dropped: ratio 2.0
+             (list(range(20)), list(range(10))),   # dropped: ratio 2.0
+             (list(range(3)), [])]                 # dropped: empty target
     kept, stats = filter_corpus(pairs, spec)
     assert len(kept) == 1 and stats.kept == 1
-    assert stats.dropped_length == 1 and stats.dropped_ratio == 1
+    assert stats.dropped_length == 2 and stats.dropped_ratio == 1
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=30))
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=30))
 def test_filter_corpus_idempotent(lengths):
     spec = FilterSpec(max_len=25, min_ratio=0.67, max_ratio=1.5)
     pairs = [([0] * a, [0] * b) for a, b in lengths]
@@ -119,6 +120,11 @@ def test_parallel_text_ingestion(tmp_path):
     ds = encode_pairs(pairs, vocab, "de-en")
     assert ds.size == 2
     assert all(i >= 4 for s, t in ds.pairs for i in list(s) + list(t))
+    # only "\n" ends a line; U+2028, a form feed or a lone CR inside one does not
+    (tmp_path / "s2.txt").write_bytes("ein\u2028haus\r\nder\x0chund\rlauft\n".encode())
+    (tmp_path / "t2.txt").write_bytes(b"a house\r\nthe dog runs\n")
+    assert load_parallel_text(tmp_path / "s2.txt", tmp_path / "t2.txt") == [
+        (["ein", "haus"], ["a", "house"]), (["der", "hund", "lauft"], ["the", "dog", "runs"])]
     (tmp_path / "bad.txt").write_text("only one line\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_parallel_text(tmp_path / "s.txt", tmp_path / "bad.txt")

@@ -5,7 +5,7 @@ import pytest
 
 from doss import autograd as ag
 from doss.errors import ConfigError, FormatError, RegistryMismatchError, ShapeError
-from doss.model import (BOS_ID, DECODER, ENCODER, DropCtx, ModelConfig, ParamStore,
+from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, ParamStore,
                         build_model, count_params, forward, load_checkpoint,
                         load_registry, param_shapes, save_checkpoint, save_registry)
 from support import full_scale_config, mini_config, pool_size, region_ones
@@ -143,6 +143,24 @@ def test_dropout_ctx_determinism():
     c = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 4, 0.2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_tape_op_nodes_match_analytic_count():
+    # per op node: an encoder layer is norm, 4 linear + attention, residual add,
+    # norm, linear, relu, linear, add (12); a decoder layer adds a norm,
+    # 4 linear + attention and an add for cross-attention (19); then two
+    # embeddings, two final norms, the output projection and the loss (6)
+    cfg = mini_config()
+    store, _ = build_model(cfg, seed=5)
+    src, tgt_in = _toy_batch()
+    expect = 12 * cfg.n_enc_layers + 19 * cfg.n_dec_layers + 6
+    # dropout sites: embedding, and after each sublayer and FFN activation
+    dropouts = 1 + 3 * cfg.n_enc_layers + 1 + 4 * cfg.n_dec_layers
+    for drop, n in ((None, expect), (DropCtx(9, 3, 0.2), expect + dropouts)):
+        loss = ag.cross_entropy(forward(store, cfg, src, tgt_in, drop=drop), tgt_in, PAD_ID)
+        order = ag.topo_order(loss)
+        assert sum(1 for node in order if node._backward is not None) == n
+    assert (expect, expect + dropouts) == (68, 84)
 
 
 def test_count_params_with_mask_roundtrip():
