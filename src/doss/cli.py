@@ -121,13 +121,13 @@ class Pipeline:
 
         man = self.man
         specs = man.domains + ([man.extension] if man.extension else [])
-        texts = [None if s.synthetic else
-                 filter_corpus(load_parallel_text(s.src_file, s.tgt_file), s.filter)[0]
-                 for s in specs]
-        base_text = [p for t in texts[:len(man.domains)] if t for p in t]
+        filtered = [(None, None) if s.synthetic else
+                    filter_corpus(load_parallel_text(s.src_file, s.tgt_file), s.filter)
+                    for s in specs]
+        base_text = [p for t, _ in filtered[:len(man.domains)] if t for p in t]
         vocab = vocab_from_pairs(base_text, man.model.vocab_size - N_RESERVED)
         out = []
-        for spec, text in zip(specs, texts):
+        for spec, (text, stats) in zip(specs, filtered):
             if spec.synthetic:
                 out.append((spec.train_set(), spec.eval_set()))
                 continue
@@ -138,7 +138,7 @@ class Pipeline:
             need = spec.train_pairs + spec.eval_pairs
             if ds.size < need:
                 raise ConfigError(f"domain {spec.name!r} has {ds.size} usable pairs, "
-                                  f"needs {need}")
+                                  f"needs {need}; filter: {stats}")
             out.append((DomainDataset(spec.name, ds.pairs[:spec.train_pairs]),
                         DomainDataset(spec.name, ds.pairs[spec.train_pairs:need])))
         return out

@@ -34,9 +34,13 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
                   max_len: int) -> list[list[int]]:
     """Argmax decoding, stopping per sequence at eos or max_len.
 
-    Ties at the argmax break toward the lowest token id. The returned
-    sequences include the terminating eos when one was emitted. Outputs for
-    one example do not depend on the other examples in the batch.
+    Each step feeds only the newest token to `decode_logits`, against one
+    decoder state per call that caches the attention keys and values. Its
+    logits differ from a full-prefix pass only in their last bits (BLAS sums
+    a one-row product in another order). Ties at the argmax break toward the
+    lowest token id. The returned sequences include the terminating eos when
+    one was emitted. Outputs for one example still do not depend on the
+    other examples in the batch.
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
@@ -45,9 +49,11 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
         memory, pad_mask = encode(effective, model_cfg, src)
         out = np.full((src.shape[0], 1), BOS_ID, dtype=np.int64)
         done = np.zeros(src.shape[0], dtype=bool)
+        state: dict = {}
         # the prefix fed to the decoder may not outgrow the model's max_len
         for _ in range(min(max_len, max(model_cfg.max_len - 1, 1))):
-            logits = decode_logits(effective, model_cfg, memory, pad_mask, out)
+            logits = decode_logits(effective, model_cfg, memory, pad_mask, out[:, -1:],
+                                   state=state)
             nxt = logits.data[:, -1, :].argmax(axis=1)
             out = np.concatenate([out, nxt[:, None]], axis=1)
             done |= nxt == EOS_ID

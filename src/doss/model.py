@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, FormatError, RegistryMismatchError, ShapeError
+from .errors import ConfigError, DossError, FormatError, RegistryMismatchError, ShapeError
 
 PAD_ID = 0
 BOS_ID = 1
@@ -284,11 +284,19 @@ def _drop(x: Tensor, site: str, drop: DropCtx | None) -> Tensor:
 
 
 def _attention(params: ParamStore, prefix: str, q_in: Tensor, kv_in: Tensor,
-               n_heads: int, attn_mask: np.ndarray | None) -> Tensor:
+               n_heads: int, attn_mask: np.ndarray | None,
+               state: dict | None = None, grow: bool = False) -> Tensor:
+    """With a decoder `state`, keys and values are kept under `prefix`: `grow`
+    appends those of `kv_in`, otherwise they are projected once and reused."""
     q = ag.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k = ag.linear(kv_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v = ag.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    ctx = ag.attention(q, k, v, n_heads, attn_mask)
+    kv = None if state is None else state.get(prefix)
+    if kv is None or grow:
+        new = [ag.linear(kv_in, params[f"{prefix}.w{c}"], params[f"{prefix}.b{c}"]) for c in "kv"]
+        kv = new if kv is None else [Tensor(np.concatenate((old.data, x.data), axis=1))
+                                     for old, x in zip(kv, new)]
+        if state is not None:
+            state[prefix] = kv
+    ctx = ag.attention(q, *kv, n_heads, attn_mask)
     return ag.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -303,12 +311,12 @@ def _ffn(params: ParamStore, prefix: str, x: Tensor, site: str, drop: DropCtx | 
 
 
 def _embed(params: ParamStore, table: str, ids: np.ndarray, cfg: ModelConfig,
-           site: str, drop: DropCtx | None) -> Tensor:
+           site: str, drop: DropCtx | None, start: int = 0) -> Tensor:
     pe = positional_encoding(cfg.max_len, cfg.d_model)
-    s = ids.shape[1]
-    if s > cfg.max_len:
-        raise ShapeError(f"sequence length {s} exceeds max_len {cfg.max_len}")
-    x = ag.embedding(params[table], ids, math.sqrt(cfg.d_model), pe[None, :s, :])
+    end = start + ids.shape[1]
+    if end > cfg.max_len:
+        raise ShapeError(f"sequence length {end} exceeds max_len {cfg.max_len}")
+    x = ag.embedding(params[table], ids, math.sqrt(cfg.d_model), pe[None, start:end, :])
     return _drop(x, site, drop)
 
 
@@ -326,8 +334,9 @@ def source_pad_mask(src: np.ndarray) -> np.ndarray:
     return np.where(src == PAD_ID, _NEG_INF, 0.0)[:, None, None, :]
 
 
-def causal_mask(t: int) -> np.ndarray:
-    m = np.triu(np.full((t, t), _NEG_INF), k=1)
+def causal_mask(t: int, start: int = 0) -> np.ndarray:
+    """Additive (1, 1, t, start + t) mask: query i sees keys 0..start + i."""
+    m = np.triu(np.full((t, start + t), _NEG_INF), k=start + 1)
     return m[None, None, :, :]
 
 
@@ -349,19 +358,27 @@ def encode(params: ParamStore, cfg: ModelConfig, src: np.ndarray,
 
 def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
                   pad_mask: np.ndarray, tgt_in: np.ndarray,
-                  drop: DropCtx | None = None) -> Tensor:
-    """Run the decoder stack over `tgt_in` against encoder memory."""
+                  drop: DropCtx | None = None, state: dict | None = None) -> Tensor:
+    """Run the decoder stack over `tgt_in` against encoder memory.
+
+    With a `state` dict (under no_grad only), `tgt_in` holds just the positions
+    after those of earlier calls: the state caches each layer's self-attention
+    keys and values, and its cross-attention ones from the first call."""
+    if state is not None and ag._grad_enabled:
+        raise DossError("a decoder state is valid only under no_grad")
     tgt_in = _check_tokens(tgt_in, cfg.vocab_size, "tgt_in")
     t = tgt_in.shape[1]
-    cmask = causal_mask(t)
-    x = _embed(params, "dec.embed", tgt_in, cfg, "dec.embed.drop", drop)
+    start = state["dec.L0.sa"][0].shape[1] if state else 0  # positions cached so far
+    # one newest position sees every key: no mask
+    cmask = None if state is not None and t == 1 else causal_mask(t, start)
+    x = _embed(params, "dec.embed", tgt_in, cfg, "dec.embed.drop", drop, start)
     for i in range(cfg.n_dec_layers):
         p = f"dec.L{i}"
         h = _norm(params, f"{p}.sa_norm", x)
-        sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, cmask)
+        sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, cmask, state, grow=True)
         x = ag.add(x, _drop(sa, f"{p}.sa.drop", drop))
         ca = _attention(params, f"{p}.ca", _norm(params, f"{p}.ca_norm", x),
-                        memory, cfg.n_heads, pad_mask)
+                        memory, cfg.n_heads, pad_mask, state)
         x = ag.add(x, _drop(ca, f"{p}.ca.drop", drop))
         ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), f"{p}.ffn", drop)
         x = ag.add(x, _drop(ff, f"{p}.ffn.drop", drop))

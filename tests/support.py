@@ -1,5 +1,5 @@
-"""Model presets, sum and product ops, and dataset and mask measurements that
-only the tests use.
+"""Model presets, sum and product ops, a full-prefix reference decoder, and
+dataset and mask measurements that only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
@@ -10,7 +10,8 @@ import numpy as np
 from doss import autograd as ag
 from doss.data import DomainDataset
 from doss.masks import DomainMask, MaskSet, PruneSpec, pool_layout
-from doss.model import ModelConfig, ParameterRegistry, layout_views
+from doss.model import (BOS_ID, EOS_ID, ModelConfig, ParameterRegistry, ParamStore,
+                        decode_logits, encode, layout_views)
 
 
 def sum_all(a: ag.Tensor) -> ag.Tensor:
@@ -36,6 +37,29 @@ def full_scale_config() -> ModelConfig:
     """Full-scale preset, ~406M parameters (for counting only)."""
     return ModelConfig(vocab_size=42000, d_model=1024, ffn_dim=8192,
                        n_enc_layers=6, n_dec_layers=6, n_heads=16, max_len=256)
+
+
+def full_prefix_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray,
+                       max_len: int) -> tuple[list[list[int]], list[np.ndarray]]:
+    """Reference greedy decoder: reruns the decoder over the whole prefix at
+    every step and keeps its last-position logits. Returns `greedy_decode`'s
+    token lists and each step's (batch, vocab) logits."""
+    src = np.asarray(src)
+    steps = []
+    with ag.no_grad():
+        memory, pad_mask = encode(effective, model_cfg, src)
+        out = np.full((src.shape[0], 1), BOS_ID, dtype=np.int64)
+        done = np.zeros(src.shape[0], dtype=bool)
+        for _ in range(min(max_len, max(model_cfg.max_len - 1, 1))):
+            steps.append(decode_logits(effective, model_cfg, memory, pad_mask, out).data[:, -1, :])
+            nxt = steps[-1].argmax(axis=1)
+            out = np.concatenate([out, nxt[:, None]], axis=1)
+            done |= nxt == EOS_ID
+            if done.all():
+                break
+    tokens = out[:, 1:]
+    ends = np.where(done, (tokens == EOS_ID).argmax(axis=1) + 1, tokens.shape[1])
+    return [row[:end].tolist() for row, end in zip(tokens, ends)], steps
 
 
 def checksum_bytes(ds: DomainDataset) -> bytes:

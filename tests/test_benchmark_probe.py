@@ -2,16 +2,20 @@
 
 benchmarks/spans.py measures the program by rebinding `doss` module
 attributes, and it times each train step from one batch pull through
-`training.batch_iterator` or `training.epoch_batches` to the next. A rename,
-or a train loop that pulls batches some other way, breaks only the traced
-benchmark run, so it is pinned here.
+`training.batch_iterator` or `training.epoch_batches` to the next. It counts
+the decoder positions of greedy decoding from the token array passed as the
+fifth argument of `evaluation.decode_logits`. A rename, or a train loop that
+pulls batches some other way, breaks only the traced benchmark run, so it is
+pinned here.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from doss import training
+import numpy as np
+
+from doss import evaluation, training
 from doss.data import SyntheticTask, epoch_batches, gen_domain
 from doss.masks import MaskSet, full_mask
 from doss.model import ModelConfig, build_model
@@ -61,3 +65,21 @@ def test_probe_opens_one_step_span_per_train_step_and_uninstalls():
     assert all(s[2] is not None and s[2] >= s[1] for s in probe.spans)
     assert [b.keys() for b in before] == [a.keys() for a in after]
     assert all(a[k] is b[k] for b, a in zip(before, after) for k in b)
+
+
+def test_probe_counts_one_decoder_position_per_row_and_step():
+    spans = _load_spans()
+    cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=16)
+    store, _ = build_model(cfg, seed=4)
+    src = np.array([[5, 6, 7], [8, 9, 0], [4, 0, 0]])
+    probe = spans.Probe(timing=True)
+    probe.install()
+    try:
+        out = evaluation.greedy_decode(store, cfg, src, max_len=9)
+    finally:
+        probe.uninstall()
+    # the longest row ran for every step: it ended at the last one or hit max_len
+    steps = max(len(row) for row in out)
+    assert len([s for s in probe.spans if s[0] == "model.decode_logits"]) == steps
+    assert probe.counts["decoder_positions"] == src.shape[0] * steps

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doss import evaluation
 from doss.autograd import Tensor
-from doss.data import SyntheticTask, gen_domain
+from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.errors import ConfigError, DossError
 from doss.evaluation import (EvalCell, Variant, corpus_bleu, decode_dataset,
                              eval_matrix, exact_match, greedy_decode, pearson,
                              trim_eos)
 from doss.masks import DomainMask, MaskSet, PruneSpec
-from doss.model import EOS_ID, ModelConfig, ParamStore, build_model
+from doss.model import EOS_ID, PAD_ID, ModelConfig, ParamStore, build_model
+from support import full_prefix_decode
 
 
 def oracle_bleu(hyps, refs, max_n=4):
@@ -198,6 +200,33 @@ def test_greedy_decode_cuts_each_row_after_its_first_eos(trained_copy):
     assert len({len(row) for row in out}) > 1
     assert all(row.count(EOS_ID) == 1 and row[-1] == EOS_ID for row in out)
     assert out == [greedy_decode(lam, cfg, src[i:i + 1], max_len=8)[0] for i in range(3)]
+
+
+def test_greedy_decode_matches_full_prefix_reference(trained_copy, monkeypatch):
+    # the cached decoder state feeds one position per step; its tokens equal
+    # the full-prefix loop's, and its logits match to the last bits
+    cfg, store, _, lam, ds = trained_copy
+    src = make_batch("copy", ds.pairs[:24]).src
+    assert (src == PAD_ID).any() and len({int((row != PAD_ID).sum()) for row in src}) > 1
+    seen = []
+    decode_logits = evaluation.decode_logits
+
+    def recording(*args, **kwargs):
+        logits = decode_logits(*args, **kwargs)
+        seen.append(logits.data[:, -1, :])
+        return logits
+
+    monkeypatch.setattr(evaluation, "decode_logits", recording)
+    for params in (lam, store):  # trained: rows end at eos; untrained: rows run long
+        seen.clear()
+        tokens = greedy_decode(params, cfg, src, max_len=12)
+        ref_tokens, ref_steps = full_prefix_decode(params, cfg, src, max_len=12)
+        assert tokens == ref_tokens
+        assert len(seen) == len(ref_steps)
+        for got, ref in zip(seen, ref_steps):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1))
+    assert len(ref_steps) > 6
 
 
 def test_eval_matrix_single_cell_and_averages(trained_copy):

@@ -229,6 +229,21 @@ def test_parallel_extension_shares_base_vocabulary(tmp_path):
         Pipeline(load_manifest(synthetic_base), tmp_path / "out2").ext_sets()
 
 
+def test_too_few_usable_pairs_error_names_the_filter_counts(tmp_path):
+    # 2 pairs pass, 3 are longer than filter_max_len and 5 are 4:1 in length
+    src = ["a b"] * 2 + ["a b c d e f"] * 3 + ["a b c d"] * 5
+    tgt = ["b a"] * 2 + ["f e d c b a"] * 3 + ["a"] * 5
+    for side, lines in (("src", src), ("tgt", tgt)):
+        (tmp_path / f"text.{side}").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = tmp_path / "p.ini"
+    path.write_text(f"[meta]\nseed = 1\n[domain text]\nkind = parallel\n"
+                    f"src_file = {tmp_path / 'text.src'}\ntgt_file = {tmp_path / 'text.tgt'}\n"
+                    f"filter_max_len = 4\ntrain_pairs = 4\neval_pairs = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"has 2 usable pairs, needs 5; filter: "
+                       r"FilterStats\(kept=2, dropped_length=3, dropped_ratio=5\)"):
+        Pipeline(load_manifest(path), tmp_path / "out").train_sets()
+
+
 def test_artifact_meta_roundtrip(tmp_path):
     art = tmp_path / "x.bin"
     art.write_bytes(b"payload")

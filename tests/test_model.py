@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from doss import autograd as ag
-from doss.errors import ConfigError, FormatError, RegistryMismatchError, ShapeError
+from doss.errors import ConfigError, DossError, FormatError, RegistryMismatchError, ShapeError
 from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, ParamStore,
-                        build_model, count_params, forward, load_checkpoint,
-                        load_registry, param_shapes, save_checkpoint, save_registry)
+                        build_model, causal_mask, count_params, decode_logits, encode,
+                        forward, load_checkpoint, load_registry, param_shapes,
+                        save_checkpoint, save_registry)
 from support import full_scale_config, mini_config, pool_size, region_ones
 
 
@@ -143,6 +144,54 @@ def test_dropout_ctx_determinism():
     c = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 4, 0.2)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_decoder_state_in_chunks_matches_full_prefix():
+    # chunks of 3, 2 and 1 positions: the first two use offset causal masks
+    cfg = mini_config()
+    store, _ = build_model(cfg, seed=5)
+    src = np.array([[5, 6, 7, 0], [8, 9, 0, 0]])
+    tgt_in = np.array([[BOS_ID, 5, 6, 7, 9, 4], [BOS_ID, 8, 9, 2, 2, 2]])
+    with ag.no_grad():
+        memory, pad_mask = encode(store, cfg, src)
+        full = decode_logits(store, cfg, memory, pad_mask, tgt_in).data
+        state = {}
+        parts = [decode_logits(store, cfg, memory, pad_mask, tgt_in[:, a:b], state=state)
+                 for a, b in ((0, 3), (3, 5), (5, 6))]
+    assert all(not part.requires_grad and not part._parents for part in parts)
+    np.testing.assert_allclose(np.concatenate([p.data for p in parts], axis=1), full,
+                               rtol=0, atol=1e-12)
+    assert {k: tuple(x.shape for x in kv) for k, kv in state.items()} == {
+        **{f"dec.L{i}.sa": ((2, 6, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)},
+        **{f"dec.L{i}.ca": ((2, 4, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)}}
+
+
+def test_causal_mask_offset_rows_are_the_full_masks_last_rows():
+    full = causal_mask(6)
+    assert full.shape == (1, 1, 6, 6)
+    for start in range(6):
+        assert np.array_equal(causal_mask(6 - start, start), full[:, :, start:, :])
+    assert not causal_mask(1, 5).any()  # the newest position sees every key
+
+
+def test_decoder_state_guards():
+    cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=4)
+    store, _ = build_model(cfg, seed=5)
+    src = np.array([[5, 6]])
+    memory, pad_mask = encode(store, cfg, src)
+    # a state would cut the cached keys and values off the tape
+    with pytest.raises(DossError):
+        decode_logits(store, cfg, memory, pad_mask, np.array([[BOS_ID]]), state={})
+    with ag.no_grad():
+        memory, pad_mask = encode(store, cfg, src)
+        state = {}
+        decode_logits(store, cfg, memory, pad_mask, np.array([[BOS_ID, 5, 6]]), state=state)
+        decode_logits(store, cfg, memory, pad_mask, np.array([[7]]), state=state)
+        with pytest.raises(ShapeError):  # position 4 is past max_len
+            decode_logits(store, cfg, memory, pad_mask, np.array([[8]]), state=state)
+        with pytest.raises(ShapeError):
+            decode_logits(store, cfg, memory, pad_mask, np.ones((1, 5), dtype=int), state={})
 
 
 def test_tape_op_nodes_match_analytic_count():
