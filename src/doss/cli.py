@@ -312,7 +312,7 @@ class Pipeline:
             mlog = MetricsLog()
             lam2, maskset2 = extend_domain(
                 lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg,
-                model_cfg=man.model, registry=registry, mask_cfg=man.train["masks"],
+                model_cfg=man.model, registry=registry, mask_cfg=man.train["extend_mask"],
                 existing_data=self.train_sets(), log=mlog)
             new_mask = maskset2.get(ext_train.domain_id)
             save_mask(new_mask, new_mask_path)
@@ -349,7 +349,7 @@ class Pipeline:
         arts = [new_mask_path, ext_ckpt, metrics, diff_path, report_md, report_csv]
         return self._cached(
             "extend", arts, compute, train=cfg, mode=mode, prune=man.extend_prune,
-            mask_cfg=man.train["masks"], extension=_domain_input(man.extension),
+            mask_cfg=man.train["extend_mask"], extension=_domain_input(man.extension),
             eval=(man.eval_max_len, man.eval_batch), **self._upstream("base", "doss", "masks"))
 
     def evaluate(self) -> bool:
@@ -383,9 +383,9 @@ class Pipeline:
                             **self._upstream("base", "doss", "fts", "masks"))
 
     def sweep(self) -> bool:
+        from . import training
         from .evaluation import Variant, eval_matrix
-        from .masks import MaskSet, PruneSpec, magnitude_prune, mask_finetune
-        from .training import train_doss
+        from .masks import MaskSet, PruneSpec, magnitude_prune
 
         man = self.man
         if not man.sweep_alphas or not man.sweep_betas:
@@ -403,15 +403,16 @@ class Pipeline:
             for alpha, beta in grid:
                 log.info("sweep: alpha=%s beta=%s", alpha, beta)
                 try:
-                    spec = PruneSpec(alpha, beta, man.prune.ft_epochs)
+                    spec = PruneSpec(alpha, beta)
                     for ds in self.train_sets():
                         if ds.domain_id not in finetuned:
-                            finetuned[ds.domain_id] = mask_finetune(
-                                lam0, ds, spec, man.train["masks"], man.model)
+                            finetuned[ds.domain_id] = training.train_full(
+                                lam0, ds, man.train["masks"], man.model)
                     masks = MaskSet([magnitude_prune(finetuned[ds.domain_id], registry, spec,
                                                      ds.domain_id)
                                      for ds in self.train_sets()])
-                    lam = train_doss(lam0, masks, self.train_sets(), doss_cfg, man.model)
+                    lam = training.train_doss(lam0, masks, self.train_sets(), doss_cfg,
+                                              man.model)
                     rep = eval_matrix([Variant("doss", lam, base=lam0, masks=masks)],
                                       self.eval_sets(), man.model,
                                       man.eval_max_len, man.eval_batch)
@@ -441,8 +442,8 @@ class Pipeline:
 
         return self._cached(
             "sweep", [sweep_csv, corr_csv], compute, grid=grid, doss_cfg=doss_cfg,
-            mask_cfg=man.train["masks"], ft_epochs=man.prune.ft_epochs,
-            eval=(man.eval_max_len, man.eval_batch), **self._upstream("base"))
+            mask_cfg=man.train["masks"], eval=(man.eval_max_len, man.eval_batch),
+            **self._upstream("base"))
 
     def run(self, stages: list[str] | None = None) -> None:
         order = stages or ["pretrain", "make_masks", "train_doss", "finetune",
@@ -515,8 +516,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:  # BLAS reads a smaller count as no cap
+            parser.error("--threads must be >= 1")
         # BLAS reads these when numpy is first imported, which is below
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)

@@ -1,10 +1,11 @@
 """Experiment manifests: sectioned key=value files describing a full run.
 
 A manifest holds the model preset, the domain definitions (synthetic task
-specs or parallel-text paths), per-stage training configs, the prune spec,
-the extension plan, and the sweep grid. One global seed expands into
-per-stage seeds via derive_seed(global_seed, stage_name), so every stage is
-independently reproducible.
+specs or parallel-text paths), per-stage training configs (the mask-creation
+finetunes among them), the prune fractions, the extension plan, and the sweep
+grid. One global seed expands into per-stage seeds via
+derive_seed(global_seed, stage_name), so every stage is independently
+reproducible.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class Manifest:
     extension: DomainSpec | None
     extend_mode: str
     extend_prune: PruneSpec
-    train: dict[str, TrainConfig]        # pretrain / masks / doss / finetune / extend
+    # pretrain / masks / doss / finetune / extend, and extend_mask: the
+    # extension mask's finetune, [masks] trained [extend] ft_epochs epochs
+    train: dict[str, TrainConfig]
     sweep_alphas: list[float]
     sweep_betas: list[float]
     sweep_steps: int
@@ -93,8 +96,7 @@ def _floats(raw: str) -> list[float]:
 
 # every train section takes the optimizer keys; [masks] trains ft_epochs
 # epochs instead of steps, and only the masked stages mix domains
-_OPTIM = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int,
-          "grad_clip": float}
+_OPTIM = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int}
 _TRAIN = _OPTIM | {"steps": int}
 _MIXED = _TRAIN | {"mixing": str}
 _PRUNE = {"alpha": float, "beta": float, "ft_epochs": int}
@@ -119,8 +121,7 @@ _SCHEMA = {
 # the sections a manifest may hold besides [domain <name>] and [extension <name>]
 _SECTIONS = {"meta", "model", "sweep", "eval", *_STAGE_TRAIN.values()}
 
-# a grad_clip <= 0 means no clipping
-_TRAIN_DEFAULTS = {"batch_tokens": 256, "grad_clip": 1.0, "mixing": "round_robin"}
+_TRAIN_DEFAULTS = {"batch_tokens": 256, "mixing": "round_robin"}
 
 
 def _read(parser, section: str, kind: str, defaults: dict) -> dict:
@@ -143,11 +144,12 @@ def _read(parser, section: str, kind: str, defaults: dict) -> dict:
 
 
 def _train_config(t: dict, seed: int) -> TrainConfig:
+    """A section's TrainConfig: `steps` steps, or `ft_epochs` epochs for [masks]."""
+    length = {"max_steps": t["steps"]} if "steps" in t else {"epochs": t["ft_epochs"]}
     return TrainConfig(
         learning_rate=t["learning_rate"], warmup_steps=t["warmup"],
-        batch_tokens=t["batch_tokens"], dropout=t["dropout"], max_steps=t["steps"], seed=seed,
-        grad_clip=None if t["grad_clip"] <= 0 else t["grad_clip"], mixing=t["mixing"],
-    ).validate()
+        batch_tokens=t["batch_tokens"], dropout=t["dropout"], seed=seed, mixing=t["mixing"],
+        **length).validate()
 
 
 def _parse_domain(parser, section: str, default_seed: int, content: int) -> DomainSpec:
@@ -217,7 +219,7 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         "pretrain": _read(parser, "pretrain", "train", _TRAIN_DEFAULTS | {
             "learning_rate": 2e-3, "warmup": 200, "dropout": 0.1, "steps": 7000}),
         "masks": _read(parser, "masks", "masks", _TRAIN_DEFAULTS | {
-            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3, "steps": 1,
+            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3,
             "alpha": 0.6, "beta": 0.6, "ft_epochs": 5, "disjoint": False}),
         "doss": _read(parser, "doss", "doss", _TRAIN_DEFAULTS | {
             "learning_rate": 1e-3, "warmup": 50, "dropout": 0.1, "steps": 4500,
@@ -235,17 +237,22 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         raise ConfigError(f"[extend] references domain {ext_name!r} without a "
                           f"matching [extension {ext_name}] section")
     sweep = _read(parser, "sweep", "sweep", {"alphas": [], "betas": [], "steps": 1500})
+    if sweep["steps"] < 0 or not all(0.0 <= f <= 1.0 for f in sweep["alphas"] + sweep["betas"]):
+        raise ConfigError(f"[sweep] needs steps >= 0 and alphas/betas in [0, 1]: {sweep}")
     evals = _read(parser, "eval", "eval", {"max_decode_len": 10, "batch_size": 64})
+    if evals["max_decode_len"] < 1 or evals["batch_size"] < 1:
+        raise ConfigError(f"[eval] max_decode_len and batch_size must be >= 1: {evals}")
 
     man = Manifest(
         seed=meta["seed"] if seed is None else seed, out=meta["out"] or None,
         model=model, domains=domains,
-        prune=PruneSpec(masks["alpha"], masks["beta"], masks["ft_epochs"]).validate(),
+        prune=PruneSpec(masks["alpha"], masks["beta"]).validate(),
         masks_disjoint=masks["disjoint"], extension=extension, extend_mode=extend["mode"],
-        extend_prune=PruneSpec(extend["alpha"], extend["beta"], extend["ft_epochs"]).validate(),
+        extend_prune=PruneSpec(extend["alpha"], extend["beta"]).validate(),
         train={}, sweep_alphas=sweep["alphas"], sweep_betas=sweep["betas"],
         sweep_steps=sweep["steps"], eval_max_len=evals["max_decode_len"],
         eval_batch=evals["batch_size"])
     for stage, name in _STAGE_TRAIN.items():
         man.train[name] = _train_config(sections[name], man.stage_seed(stage))
+    man.train["extend_mask"] = replace(man.train["masks"], epochs=extend["ft_epochs"]).validate()
     return man

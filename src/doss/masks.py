@@ -13,7 +13,6 @@ the decoder with beta. Ties break by pool order, i.e. (tensor name, index).
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,16 +29,13 @@ MASK_VERSION = 1
 
 @dataclass(frozen=True)
 class PruneSpec:
-    """Region prune fractions and the length of the mask-creation finetune."""
+    """Prune fractions of the encoder (alpha) and decoder (beta) pools."""
     alpha: float
     beta: float
-    ft_epochs: int = 5
 
     def validate(self) -> "PruneSpec":
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ConfigError(f"prune fractions must be in [0, 1]: {self}")
-        if self.ft_epochs < 1:
-            raise ConfigError(f"ft_epochs must be >= 1: {self}")
         return self
 
 
@@ -65,11 +61,8 @@ class DomainMask:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DomainMask):
             return NotImplemented
-        # ft_epochs is creation provenance, not part of the serialized identity;
         # equal masks select the same elements in any layout order
-        return (self.domain_id == other.domain_id
-                and self.spec.alpha == other.spec.alpha
-                and self.spec.beta == other.spec.beta
+        return (self.domain_id == other.domain_id and self.spec == other.spec
                 and self.bits.keys() == other.bits.keys()
                 and all(np.array_equal(self.bits[n], other.bits[n]) for n in self.bits))
 
@@ -173,23 +166,16 @@ def magnitude_prune_disjoint(finetuned: ParamStore, registry: ParameterRegistry,
     return mask
 
 
-def mask_finetune(base: ParamStore, domain_data, spec: PruneSpec, train_cfg,
-                  model_cfg, log=None) -> ParamStore:
-    """A copy of the base trained spec.ft_epochs epochs on one domain; the
-    same for every (alpha, beta)."""
-    from . import training  # circular at module level: training drives the finetune
-
-    spec.validate()
-    cfg = dataclasses.replace(train_cfg, max_steps=None, epochs=spec.ft_epochs)
-    return training.train_full(base, domain_data, cfg, model_cfg, log=log)
-
-
 def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg,
                        registry: ParameterRegistry, model_cfg,
                        disjoint_against: MaskSet | None = None,
                        log=None) -> DomainMask:
-    """`mask_finetune`, then magnitude-prune; the base is never mutated."""
-    finetuned = mask_finetune(base, domain_data, spec, train_cfg, model_cfg, log=log)
+    """Finetune a copy of the base on one domain with `train_cfg` (the
+    manifest's mask-creation config), then magnitude-prune it; the base is
+    never mutated."""
+    from . import training  # circular at module level: training drives the finetune
+
+    finetuned = training.train_full(base, domain_data, train_cfg, model_cfg, log=log)
     if disjoint_against is not None:
         return magnitude_prune_disjoint(finetuned, registry, spec, disjoint_against,
                                         domain_id=domain_data.domain_id)
@@ -199,14 +185,7 @@ def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg
 def full_mask(registry: ParameterRegistry, domain_id: str) -> DomainMask:
     """All-ones mask over the maskable pool (alpha = beta = 0)."""
     return DomainMask(domain_id, {n: np.ones(size, dtype=bool)
-                                  for n, size in pool_layout(registry)}, PruneSpec(0.0, 0.0, 1))
-
-
-def capacity(spec: PruneSpec) -> int:
-    """Maximum number of full-density disjoint domains for these fractions."""
-    if spec.alpha >= 1.0 or spec.beta >= 1.0:
-        raise ConfigError("capacity undefined when a prune fraction is 1")
-    return int(np.floor(min(1.0 / (1.0 - spec.alpha), 1.0 / (1.0 - spec.beta))))
+                                  for n, size in pool_layout(registry)}, PruneSpec(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

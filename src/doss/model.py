@@ -178,9 +178,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
 
@@ -443,7 +440,10 @@ class FramedReader:
     def string(self) -> str:
         """A u16-length-prefixed UTF-8 string."""
         (n,) = self.unpack("<H")
-        return self.read(n).decode("utf-8")
+        try:
+            return self.read(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.what} file holds a string that is not UTF-8") from exc
 
     def end(self) -> None:
         if self.fh.read(1):

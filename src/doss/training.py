@@ -33,6 +33,8 @@ from .model import (DropCtx, ModelConfig, PAD_ID, ParameterRegistry, ParamStore,
 # configs and optimizer state
 # ---------------------------------------------------------------------------
 
+GRAD_CLIP = 1.0  # every train step clips the gradient's global L2 norm to this
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -43,7 +45,6 @@ class TrainConfig:
     max_steps: int | None = None
     epochs: int | None = None
     seed: int = 0
-    grad_clip: float | None = 1.0
     mixing: str = "round_robin"
 
     def validate(self) -> "TrainConfig":
@@ -57,8 +58,6 @@ class TrainConfig:
             raise ConfigError("max_steps must be >= 0")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive or None")
         if self.mixing not in ("round_robin", "proportional"):
             raise ConfigError(f"unknown mixing strategy {self.mixing!r}")
         return self
@@ -167,9 +166,8 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
     views = layout_views(grad, params.layout)
     if mask is not None:
         grad *= mask.keep
-    if cfg.grad_clip is not None:
-        # backward's order: another summation order changes the norm's last bits
-        clip_by_global_norm({name: views[name] for name in grads}, cfg.grad_clip)
+    # backward's order: another summation order changes the norm's last bits
+    clip_by_global_norm({name: views[name] for name in grads}, GRAD_CLIP)
     lr = lr_schedule(step, cfg.warmup_steps, cfg.learning_rate)
     adam_step(params, grad, state, lr, mask=mask)
     value = float(loss.data)

@@ -1,5 +1,6 @@
-"""Model presets, sum and product ops, a full-prefix reference decoder, and
-dataset and mask measurements that only the tests use.
+"""Model presets, sum and product ops, a full-prefix reference decoder,
+parameter names, dataset and mask measurements, and the capacity bound that
+only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
@@ -9,6 +10,7 @@ import numpy as np
 
 from doss import autograd as ag
 from doss.data import DomainDataset
+from doss.errors import ConfigError
 from doss.masks import DomainMask, MaskSet, PruneSpec, pool_layout
 from doss.model import (BOS_ID, EOS_ID, ModelConfig, ParameterRegistry, ParamStore,
                         decode_logits, encode, layout_views)
@@ -62,6 +64,11 @@ def full_prefix_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.nd
     return [row[:end].tolist() for row, end in zip(tokens, ends)], steps
 
 
+def param_names(store: ParamStore) -> list[str]:
+    """The store's tensor names in layout order."""
+    return [name for name, _ in store.items()]
+
+
 def checksum_bytes(ds: DomainDataset) -> bytes:
     """The domain id and every pair, as bytes that differ when any token does."""
     chunks = [ds.domain_id.encode()]
@@ -100,3 +107,10 @@ def is_pairwise_disjoint(masks: MaskSet) -> bool:
             if any(np.any(ms[i].bits[n] & ms[j].bits[n]) for n in ms[i].bits):
                 return False
     return True
+
+
+def capacity(spec: PruneSpec) -> int:
+    """Maximum number of full-density disjoint domains for these fractions."""
+    if spec.alpha >= 1.0 or spec.beta >= 1.0:
+        raise ConfigError("capacity undefined when a prune fraction is 1")
+    return int(np.floor(min(1.0 / (1.0 - spec.alpha), 1.0 / (1.0 - spec.beta))))

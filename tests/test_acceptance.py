@@ -20,11 +20,11 @@ from doss.data import SyntheticTask, gen_domain
 from doss.errors import ConfigError
 from doss.evaluation import corpus_bleu
 from doss.manifest import load_manifest
-from doss.masks import MaskSet, PruneSpec, capacity, create_domain_mask, load_mask, magnitude_prune
+from doss.masks import MaskSet, PruneSpec, create_domain_mask, load_mask, magnitude_prune
 from doss.model import (ModelConfig, PAD_ID, build_model, count_params, forward,
                         load_checkpoint)
 from doss.training import TrainConfig
-from support import is_pairwise_disjoint, pool_size, region_ones
+from support import capacity, is_pairwise_disjoint, pool_size, region_ones
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFEST = REPO / "configs" / "desk.ini"

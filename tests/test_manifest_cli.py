@@ -1,6 +1,8 @@
 """Manifest parsing, config hashing, pipeline caching, sweep correlations."""
 
+import configparser
 import csv
+import dataclasses
 import os
 import shutil
 from pathlib import Path
@@ -95,7 +97,9 @@ def test_manifest_parsing(tiny_manifest):
     assert man.model.vocab_size == 16
     assert [d.name for d in man.domains] == ["copy", "reverse"]
     assert man.extension.name == "sort"
-    assert man.prune.alpha == 0.6 and man.prune.ft_epochs == 1
+    assert man.prune.alpha == 0.6
+    assert man.train["masks"].epochs == 1 and man.train["masks"].max_steps is None
+    assert man.train["extend_mask"] == dataclasses.replace(man.train["masks"], epochs=5)
     assert man.train["pretrain"].max_steps == 40
     assert man.train["pretrain"].learning_rate == pytest.approx(2e-3)
     assert man.train["finetune"].dropout == pytest.approx(0.3)
@@ -158,6 +162,39 @@ def test_manifest_errors(tmp_path):
     assert main(["run", "--config", str(dup), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("path", ["configs/desk.ini", "benchmarks/desk.ini",
+                                  "benchmarks/pipeline.ini"])
+def test_shipped_manifests_train_masks_for_ft_epochs(path):
+    path = Path(__file__).resolve().parent.parent / path
+    raw = configparser.ConfigParser(interpolation=None)
+    raw.read(path)
+    man = load_manifest(path)
+    for name, section in (("masks", "masks"), ("extend_mask", "extend")):
+        cfg = man.train[name]
+        assert cfg.epochs == int(raw[section]["ft_epochs"]) and cfg.max_steps is None, name
+        assert cfg.seed == man.stage_seed("make_masks"), name
+    assert man.train["extend_mask"] == dataclasses.replace(
+        man.train["masks"], epochs=man.train["extend_mask"].epochs)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("batch_size = 32", "batch_size = 0"),
+    ("batch_size = 32", "batch_size = -1"),
+    ("max_decode_len = 7", "max_decode_len = 0"),
+    ("steps = 10", "steps = -3"),
+    ("alphas = 0.5", "alphas = 0.5 1.5"),
+    ("betas = 0.5", "betas = -0.1"),
+])
+def test_manifest_rejects_bad_eval_and_sweep_values(tmp_path, old, new):
+    path = tmp_path / "v.ini"
+    path.write_text(TINY.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"\[(eval|sweep)\]"):
+        load_manifest(path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()  # rejected before any stage ran
+
+
 @pytest.mark.parametrize("edits", [
     pytest.param([("[pretrain]", "[pretrian]")], id="unknown"),
     pytest.param([("[extension sort]", "[extension rev]\nkind = reverse\n[extension sort]")],
@@ -206,6 +243,21 @@ def test_cli_threads_overrides_blas_env(flag, tiny_manifest, tmp_path, monkeypat
     rc = main(["pretrain", "--config", str(tiny_manifest), "--out", str(tmp_path / "o"), *flag])
     assert rc == 0
     assert [os.environ[var] for var in _THREAD_VARS] == ["2"] * len(_THREAD_VARS)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_threads_below_one_is_a_usage_error(threads, tiny_manifest, tmp_path, monkeypatch,
+                                                capsys):
+    # BLAS reads a count below 1 as no cap, so it must never be exported
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "8")
+    monkeypatch.setattr(Pipeline, "pretrain", lambda self: pytest.fail("a stage ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["pretrain", "--config", str(tiny_manifest), "--out", str(tmp_path / "o"),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert [os.environ[var] for var in _THREAD_VARS] == ["8"] * len(_THREAD_VARS)
 
 
 def test_parallel_extension_shares_base_vocabulary(tmp_path):
@@ -470,14 +522,14 @@ def test_sweep_records_dosserrors_and_reraises_bugs(tiny_run, tmp_path, monkeypa
     pipe2 = Pipeline(load_manifest(man_path), tmp_path)
 
     def raising(exc):
-        def mask_finetune(*args, **kwargs):
+        def train_full(*args, **kwargs):
             raise exc
-        return mask_finetune
+        return train_full
 
-    monkeypatch.setattr(masks, "mask_finetune", raising(TypeError("bug")))
+    monkeypatch.setattr(training, "train_full", raising(TypeError("bug")))
     with pytest.raises(TypeError):
         pipe2.sweep()
-    monkeypatch.setattr(masks, "mask_finetune", raising(NumericsError("diverged")))
+    monkeypatch.setattr(training, "train_full", raising(NumericsError("diverged")))
     assert pipe2.sweep() is True
     data = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
     assert len(data) == 1 and data[0].startswith("0.5,0.5,failed")

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from doss.autograd import Tensor
 from doss.errors import ConfigError, FormatError, RegistryMismatchError
-from doss.masks import (DomainMask, MaskSet, PruneSpec, capacity, full_mask,
+from doss.masks import (DomainMask, MaskSet, PruneSpec, full_mask,
                         load_mask, magnitude_prune, magnitude_prune_disjoint,
                         overlap_stats, overlay, save_mask)
 from doss.model import ParamInfo, ParameterRegistry, ParamStore
-from support import is_pairwise_disjoint, pool_size, region_ones
+from support import capacity, is_pairwise_disjoint, pool_size, region_ones
 
 
 def make_store(tensors: dict[str, tuple[np.ndarray, str]]):
@@ -245,7 +245,7 @@ def test_mask_file_roundtrip(tmp_path):
     r = np.random.default_rng(9)
     store, reg = make_store({"enc.w": (r.normal(size=(4, 5)), "encoder"),
                              "dec.w": (r.normal(size=(3, 3)), "decoder")})
-    mask = magnitude_prune(store, reg, PruneSpec(0.35, 0.6, ft_epochs=7), "mydomain")
+    mask = magnitude_prune(store, reg, PruneSpec(0.35, 0.6), "mydomain")
     path = tmp_path / "m.mask"
     save_mask(mask, path)
     loaded = load_mask(path)
@@ -316,6 +316,12 @@ def test_mask_file_errors(tmp_path):
     trunc.write_bytes(raw[:-1])
     with pytest.raises(FormatError):
         load_mask(trunc)
+    for field in (b"\x01\x00x", b"\x01\x00w"):  # the domain id, then the tensor name
+        assert raw.count(field) == 1
+        not_utf8 = tmp_path / "s.mask"
+        not_utf8.write_bytes(raw.replace(field, b"\x01\x00\xff"))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_mask(not_utf8)
 
 
 def test_maskset_unique_ids_and_union():
@@ -343,14 +349,13 @@ def test_create_domain_mask_behaviour():
     lam0, registry = build_model(cfg, seed=4)
     data = gen_domain(SyntheticTask("reverse", content_hi=14, min_len=3, max_len=5,
                                     seed=2), 40, domain_id="rev")
-    tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=1, seed=6)
+    tcfg = TrainConfig(1e-3, 10, 64, 0.1, epochs=2, seed=6)
     before = lam0.checksum()
-    spec = PruneSpec(0.5, 0.5, ft_epochs=2)
+    spec = PruneSpec(0.5, 0.5)
     m1 = create_domain_mask(lam0, data, spec, tcfg, registry, cfg)
     m2 = create_domain_mask(lam0, data, spec, tcfg, registry, cfg)
     assert lam0.checksum() == before  # the base is never mutated
     assert m1 == m2                   # same seed -> identical masks
-    all_ones = create_domain_mask(lam0, data, PruneSpec(0.0, 0.0, ft_epochs=1),
-                                  tcfg, registry, cfg)
+    all_ones = create_domain_mask(lam0, data, PruneSpec(0.0, 0.0), tcfg, registry, cfg)
     assert all_ones.popcount() == sum(i.size for i in registry.maskable_infos())
     m1.require_matches(registry)

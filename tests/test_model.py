@@ -9,7 +9,7 @@ from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, 
                         build_model, causal_mask, count_params, decode_logits, encode,
                         forward, load_checkpoint, load_registry, param_shapes,
                         save_checkpoint, save_registry)
-from support import full_scale_config, mini_config, pool_size, region_ones
+from support import full_scale_config, mini_config, param_names, pool_size, region_ones
 
 
 def analytic_count(cfg: ModelConfig) -> dict[str, int]:
@@ -37,7 +37,7 @@ def test_mini_registry_counts_match_analytic_formula():
     assert counts["decoder"] == expect["decoder"]
     assert counts["encoder"] + counts["decoder"] == counts["total"]
     # every tensor tagged exactly once, and the store matches the registry
-    assert sorted(store.names()) == sorted(i.name for i in registry.infos)
+    assert sorted(param_names(store)) == sorted(i.name for i in registry.infos)
     store.require_matches(registry)
 
 
@@ -243,7 +243,7 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(store, path)
     loaded = load_checkpoint(path)
-    assert loaded.names() == store.names()
+    assert param_names(loaded) == param_names(store)
     for name, t in store.items():
         # values survive the float32 on-disk representation exactly
         assert np.array_equal(loaded.array(name),
@@ -272,6 +272,11 @@ def test_checkpoint_format_errors(tmp_path):
     trailing.write_bytes(raw + b"x")
     with pytest.raises(FormatError):
         load_checkpoint(trailing)
+    name = next(store.items())[0].encode()
+    not_utf8 = tmp_path / "name.ckpt"
+    not_utf8.write_bytes(raw.replace(name, b"\xff\xfe" + name[2:], 1))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_checkpoint(not_utf8)
 
 
 def test_registry_sidecar_roundtrip(tmp_path):

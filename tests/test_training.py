@@ -13,7 +13,7 @@ from doss.model import ModelConfig, ParamStore, build_model, layout_views
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
-from support import random_mask
+from support import param_names, random_mask
 
 
 def test_lr_schedule_shape():
@@ -297,14 +297,14 @@ def _extension_setup():
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=20, seed=7)
     lam = train_doss(lam0, masks, datasets, tcfg, cfg)
     new_data = mk("sort", 9)
-    mask_cfg = TrainConfig(1e-3, 10, 64, 0.3, max_steps=1, seed=8)
+    mask_cfg = TrainConfig(1e-3, 10, 64, 0.3, epochs=1, seed=8)
     return cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg
 
 
 def test_extend_disjoint_mask_and_preservation():
     cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
-                              PruneSpec(0.2, 0.2, ft_epochs=1), tcfg,
+                              PruneSpec(0.2, 0.2), tcfg,
                               model_cfg=cfg, registry=registry, mask_cfg=mask_cfg)
     new_mask = ms2.get("sort")
     union = masks.union_bits()
@@ -314,7 +314,7 @@ def test_extend_disjoint_mask_and_preservation():
     for m in masks:
         pre = overlay(lam0, lam, m)
         post = overlay(lam0, lam2, m)
-        for name in pre.names():
+        for name in param_names(pre):
             assert pre.array(name).tobytes() == post.array(name).tobytes()
     assert ms2.ids() == ["copy", "reverse", "sort"]
 
@@ -333,10 +333,10 @@ def test_extend_all_masks_joint_needs_existing_data():
     cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     with pytest.raises(ConfigError):
         extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
-                      PruneSpec(0.6, 0.6, ft_epochs=1), tcfg,
+                      PruneSpec(0.6, 0.6), tcfg,
                       model_cfg=cfg, registry=registry, mask_cfg=mask_cfg)
     lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
-                              PruneSpec(0.6, 0.6, ft_epochs=1), tcfg,
+                              PruneSpec(0.6, 0.6), tcfg,
                               model_cfg=cfg, registry=registry, mask_cfg=mask_cfg,
                               existing_data=datasets)
     assert len(ms2) == 3
@@ -344,7 +344,7 @@ def test_extend_all_masks_joint_needs_existing_data():
 
 def test_extend_unconstrained_trains_more_than_disjoint():
     cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
-    spec = PruneSpec(0.5, 0.5, ft_epochs=1)
+    spec = PruneSpec(0.5, 0.5)
     _, ms_unc = extend_domain(lam, lam0, masks, new_data, "new_only_unconstrained",
                               spec, tcfg, model_cfg=cfg, registry=registry,
                               mask_cfg=mask_cfg)
