@@ -10,8 +10,11 @@ every op; a non-finite value is an error state, not something to propagate.
 The ops are the transformer's layer operations, one tape node each: `add`
 (residuals), `linear`, `attention` (head split to head merge), `relu`,
 `layer_norm`, `embedding` (scaled lookup plus positions), `dropout` and
-`cross_entropy`. Each fused backward rule repeats the array expressions of
-the op-by-op chain it stands for, so its gradients equal that chain's bits.
+`cross_entropy`. `attention`'s backward repeats the array expressions of the
+op-by-op chain it stands for, so its gradients equal that chain's bits.
+`linear`'s gradients are 2-D products over the flattened leading dims, and
+`layer_norm`'s input gradient is the compact
+ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class Tensor:
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by {op}")
 
 
@@ -116,8 +119,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear bias must have shape ({n},), got {b.shape}")
 
     def bw(g):
-        grads = (g @ w.data.T, x.data.reshape(-1, k).T @ g.reshape(-1, n))
-        return grads if b is None else grads + (_unbroadcast(g, b.data.shape),)
+        g2 = g.reshape(-1, n)  # one 2-D GEMM per gradient, whatever x's leading dims
+        grads = ((g2 @ w.data.T).reshape(x.data.shape), x.data.reshape(-1, k).T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
     y = x.data @ w.data
     if b is None:
         return _node(y, "linear", (x, w), bw)
@@ -149,7 +153,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     scores = (qh @ kt) * c
     if mask is not None:
         scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    # the row max, reduced over the outer axis of an (S_kv, rows) copy: the same
+    # bits as a reduction along the short contiguous key axis, several times faster
+    row_max = scores.reshape(-1, s_kv).T.copy().max(axis=0).reshape(scores.shape[:-1] + (1,))
+    e = np.exp(scores - row_max)
     p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
@@ -178,11 +185,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     xhat = xc * ivar
     def bw(g):
         dxhat = g * gain.data
-        dvar = (dxhat * xc * -0.5 * ivar ** 3).sum(axis=-1, keepdims=True)
-        dmu = (-dxhat * ivar).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(axis=-1, keepdims=True)
+        dx = ivar * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         lead = tuple(range(g.ndim - 1))
-        return (dxhat * ivar + dvar * 2.0 * xc / d + dmu / d, (g * xhat).sum(axis=lead),
-                g.sum(axis=lead))
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
     return _node(xhat * gain.data + bias.data, "layer_norm", (x, gain, bias), bw)
 
 
@@ -284,7 +290,7 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# seeded rng derivation (dropout, stage seeds)
+# seeded rng derivation (stage seeds, one dropout generator per train step)
 # ---------------------------------------------------------------------------
 
 
@@ -295,4 +301,5 @@ def derive_seed(*parts) -> int:
 
 
 def derived_rng(*parts) -> np.random.Generator:
+    """A PCG64 generator seeded by `derive_seed(*parts)`."""
     return np.random.Generator(np.random.PCG64(derive_seed(*parts)))

@@ -291,7 +291,7 @@ class Pipeline:
         mode = mode or man.extend_mode
         cfg = man.train["extend"]
         if steps is not None:
-            cfg = dataclasses.replace(cfg, max_steps=steps)
+            cfg = dataclasses.replace(cfg, max_steps=steps).validate()
         if man.extension is None:
             raise ConfigError("manifest has no [extension <name>] section")
         edir = self.extend_dir(mode)

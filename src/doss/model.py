@@ -251,10 +251,10 @@ def count_params(registry: ParameterRegistry, mask=None) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class DropCtx:
-    """Per-step dropout context; masks derive from (seed, step, call site)."""
-    seed: int
-    step: int
+    """Per-step dropout context: the rate and one generator, derived from
+    (seed, step), that every dropout site draws its mask from in forward order."""
     rate: float
+    rng: np.random.Generator
 
 
 _PE_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -274,10 +274,8 @@ def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _drop(x: Tensor, site: str, drop: DropCtx | None) -> Tensor:
-    if drop is None or drop.rate == 0.0:
-        return x
-    return ag.dropout(x, drop.rate, ag.derived_rng(drop.seed, drop.step, site))
+def _drop(x: Tensor, drop: DropCtx | None) -> Tensor:
+    return x if drop is None else ag.dropout(x, drop.rate, drop.rng)
 
 
 def _attention(params: ParamStore, prefix: str, q_in: Tensor, kv_in: Tensor,
@@ -301,20 +299,19 @@ def _norm(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return ag.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _ffn(params: ParamStore, prefix: str, x: Tensor, site: str, drop: DropCtx | None) -> Tensor:
-    h = ag.relu(ag.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    h = _drop(h, site + ".act", drop)
+def _ffn(params: ParamStore, prefix: str, x: Tensor, drop: DropCtx | None) -> Tensor:
+    h = _drop(ag.relu(ag.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])), drop)
     return ag.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _embed(params: ParamStore, table: str, ids: np.ndarray, cfg: ModelConfig,
-           site: str, drop: DropCtx | None, start: int = 0) -> Tensor:
+           drop: DropCtx | None, start: int = 0) -> Tensor:
     pe = positional_encoding(cfg.max_len, cfg.d_model)
     end = start + ids.shape[1]
     if end > cfg.max_len:
         raise ShapeError(f"sequence length {end} exceeds max_len {cfg.max_len}")
     x = ag.embedding(params[table], ids, math.sqrt(cfg.d_model), pe[None, start:end, :])
-    return _drop(x, site, drop)
+    return _drop(x, drop)
 
 
 def _check_tokens(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
@@ -342,14 +339,14 @@ def encode(params: ParamStore, cfg: ModelConfig, src: np.ndarray,
     """Run the encoder stack; returns (memory, source pad mask)."""
     src = _check_tokens(src, cfg.vocab_size, "src")
     pad_mask = source_pad_mask(src)
-    x = _embed(params, "enc.embed", src, cfg, "enc.embed.drop", drop)
+    x = _embed(params, "enc.embed", src, cfg, drop)
     for i in range(cfg.n_enc_layers):
         p = f"enc.L{i}"
         h = _norm(params, f"{p}.sa_norm", x)
         sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, pad_mask)
-        x = ag.add(x, _drop(sa, f"{p}.sa.drop", drop))
-        ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), f"{p}.ffn", drop)
-        x = ag.add(x, _drop(ff, f"{p}.ffn.drop", drop))
+        x = ag.add(x, _drop(sa, drop))
+        ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), drop)
+        x = ag.add(x, _drop(ff, drop))
     return _norm(params, "enc.final_norm", x), pad_mask
 
 
@@ -368,17 +365,17 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
     start = state["dec.L0.sa"][0].shape[1] if state else 0  # positions cached so far
     # one newest position sees every key: no mask
     cmask = None if state is not None and t == 1 else causal_mask(t, start)
-    x = _embed(params, "dec.embed", tgt_in, cfg, "dec.embed.drop", drop, start)
+    x = _embed(params, "dec.embed", tgt_in, cfg, drop, start)
     for i in range(cfg.n_dec_layers):
         p = f"dec.L{i}"
         h = _norm(params, f"{p}.sa_norm", x)
         sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, cmask, state, grow=True)
-        x = ag.add(x, _drop(sa, f"{p}.sa.drop", drop))
+        x = ag.add(x, _drop(sa, drop))
         ca = _attention(params, f"{p}.ca", _norm(params, f"{p}.ca_norm", x),
                         memory, cfg.n_heads, pad_mask, state)
-        x = ag.add(x, _drop(ca, f"{p}.ca.drop", drop))
-        ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), f"{p}.ffn", drop)
-        x = ag.add(x, _drop(ff, f"{p}.ffn.drop", drop))
+        x = ag.add(x, _drop(ca, drop))
+        ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), drop)
+        x = ag.add(x, _drop(ff, drop))
     x = _norm(params, "dec.final_norm", x)
     return ag.linear(x, params["dec.out_proj"])
 

@@ -157,7 +157,7 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
 def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: int,
                 cfg: TrainConfig, state: OptimizerState,
                 mask: StoreMask | None, log: MetricsLog | None) -> float:
-    drop = DropCtx(cfg.seed, step, cfg.dropout)
+    drop = DropCtx(cfg.dropout, ag.derived_rng(cfg.seed, step)) if cfg.dropout > 0.0 else None
     logits = forward(params, model_cfg, batch.src, batch.tgt_in, drop=drop)
     loss = ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
     grads = ag.backward(loss)

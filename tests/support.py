@@ -1,6 +1,6 @@
-"""Model presets, sum and product ops, a full-prefix reference decoder,
-parameter names, dataset and mask measurements, and the capacity bound that
-only the tests use.
+"""Model presets, sum and product ops, the long-form layer-norm backward, a
+full-prefix reference decoder, parameter names, dataset and mask
+measurements, and the capacity bound that only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
@@ -27,6 +27,19 @@ def mul(a: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     return ag._node(a.data * b.data, "mul", (a, b),
                     lambda g: (ag._unbroadcast(g * b.data, a.data.shape),
                                ag._unbroadcast(g * a.data, b.data.shape)))
+
+
+def layer_norm_backward_long_form(x: np.ndarray, gain: np.ndarray, g: np.ndarray,
+                                  eps: float = 1e-6) -> np.ndarray:
+    """The input gradient of `ag.layer_norm` through the variance and mean
+    terms separately, as the op computed it before its compact form."""
+    d = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    ivar = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    dxhat = g * gain
+    dvar = (dxhat * xc * -0.5 * ivar ** 3).sum(axis=-1, keepdims=True)
+    dmu = (-dxhat * ivar).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(axis=-1, keepdims=True)
+    return dxhat * ivar + dvar * 2.0 * xc / d + dmu / d
 
 
 def mini_config(vocab_size: int = 32) -> ModelConfig:

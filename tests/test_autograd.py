@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from doss import autograd as ag
 from doss.errors import NumericsError, ShapeError
-from support import mul, sum_all
+from support import layer_norm_backward_long_form, mul, sum_all
 
 H = 1e-5
 REL_TOL = 1e-4
@@ -391,6 +391,29 @@ def test_gradcheck_layer_norm():
     check_grads(lambda t: sum_all(mul(ag.layer_norm(t[0], t[1], t[2]), t[3])),
                 [r.uniform(-2, 2, (3, 6)), r.uniform(0.5, 2, (6,)),
                  r.uniform(-1, 1, (6,)), r.uniform(-2, 2, (3, 6))])
+
+
+def test_layer_norm_backward_matches_long_form():
+    # a desk-shaped batch (36 rows of 7 positions, d_model 64) far from zero
+    r = rng()
+    x = r.normal(size=(36, 7, 64)) + 1e3
+    gain, bias = r.uniform(0.5, 2, (64,)), r.uniform(-1, 1, (64,))
+    up = r.normal(size=x.shape)
+    t = ag.Tensor(x, requires_grad=True, name="x")
+    grads = ag.backward(sum_all(mul(ag.layer_norm(t, ag.Tensor(gain), ag.Tensor(bias)),
+                                    ag.Tensor(up))))
+    expect = layer_norm_backward_long_form(x, gain, up)
+    assert np.abs(grads["x"] - expect).max() <= 1e-10 * np.abs(expect).max()
+
+
+def test_linear_backward_matches_3d_products():
+    r = rng()
+    x, w, b = r.normal(size=(36, 7, 64)), r.normal(size=(64, 64)), r.normal(size=(64,))
+    up = r.normal(size=(36, 7, 64))
+    ts = [ag.Tensor(a, requires_grad=True, name=n) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
+    grads = ag.backward(sum_all(mul(ag.linear(*ts), ag.Tensor(up))))
+    np.testing.assert_allclose(grads["x"], up @ w.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads["b"], up.sum(axis=(0, 1)), rtol=0, atol=1e-12)
 
 
 def test_gradcheck_embedding():

@@ -444,6 +444,26 @@ def test_extend_cache_hit_reads_no_data(tiny_run, monkeypatch):
     assert Pipeline(load_manifest(man_path), pipe.out).extend() is False
 
 
+def test_extend_bad_steps_fails_before_any_training(tiny_run, tmp_path, monkeypatch):
+    man_path, pipe = tiny_run
+    for name in ("base.ckpt", "base.reg", "doss.ckpt", "mask_copy.mask", "mask_reverse.mask"):
+        (tmp_path / name).write_bytes((pipe.out / name).read_bytes())
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = training.train_full
+    monkeypatch.setattr(training, "train_full", spy)
+    rc = main(["extend", "--config", str(man_path), "--out", str(tmp_path), "--steps", "-3"])
+    assert rc == 2
+    assert calls == []
+    with pytest.raises(ConfigError, match="max_steps"):
+        Pipeline(load_manifest(man_path), tmp_path).extend(steps=-3)
+    assert calls == []
+
+
 def test_ft_all_ones_preservation_diff_matches_fresh_decodes(tiny_run, tmp_path, monkeypatch):
     man_path, pipe = tiny_run
     for name in ("base.ckpt", "base.reg", "doss.ckpt", "mask_copy.mask", "mask_reverse.mask"):

@@ -139,9 +139,9 @@ def test_dropout_ctx_determinism():
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src, tgt_in = _toy_batch()
-    a = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 3, 0.2)).data
-    b = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 3, 0.2)).data
-    c = forward(store, cfg, src, tgt_in, drop=DropCtx(9, 4, 0.2)).data
+    a = forward(store, cfg, src, tgt_in, drop=DropCtx(0.2, ag.derived_rng(9, 3))).data
+    b = forward(store, cfg, src, tgt_in, drop=DropCtx(0.2, ag.derived_rng(9, 3))).data
+    c = forward(store, cfg, src, tgt_in, drop=DropCtx(0.2, ag.derived_rng(9, 4))).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -205,7 +205,7 @@ def test_tape_op_nodes_match_analytic_count():
     expect = 12 * cfg.n_enc_layers + 19 * cfg.n_dec_layers + 6
     # dropout sites: embedding, and after each sublayer and FFN activation
     dropouts = 1 + 3 * cfg.n_enc_layers + 1 + 4 * cfg.n_dec_layers
-    for drop, n in ((None, expect), (DropCtx(9, 3, 0.2), expect + dropouts)):
+    for drop, n in ((None, expect), (DropCtx(0.2, ag.derived_rng(9, 3)), expect + dropouts)):
         loss = ag.cross_entropy(forward(store, cfg, src, tgt_in, drop=drop), tgt_in, PAD_ID)
         order = ag.topo_order(loss)
         assert sum(1 for node in order if node._backward is not None) == n

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doss import autograd as ag
 from doss.autograd import Tensor
 from doss.data import SyntheticTask, batch_iterator, gen_domain
 from doss.errors import ConfigError, NumericsError
@@ -287,6 +288,24 @@ def test_train_doss_bit_reproducible():
     a = train_doss(lam0, masks, datasets, tcfg, cfg)
     b = train_doss(lam0, masks, datasets, tcfg, cfg)
     assert a.checksum() == b.checksum()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_one_dropout_generator_per_train_step(rate, monkeypatch):
+    cfg, lam0, _, mk = _tiny_setup()
+    ds = mk("copy", 1)
+    calls = []
+
+    def spy(*parts):
+        calls.append(parts)
+        return real(*parts)
+
+    real = ag.derived_rng
+    monkeypatch.setattr(ag, "derived_rng", spy)
+    tcfg = TrainConfig(1e-3, 10, 64, rate, max_steps=6, seed=3)
+    a, b = (train_full(lam0, ds, tcfg, cfg).checksum() for _ in range(2))
+    assert calls == ([(3, step) for step in range(1, 7)] * 2 if rate else [])
+    assert a == b
 
 
 def _extension_setup():
