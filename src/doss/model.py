@@ -108,7 +108,9 @@ def param_shapes(cfg: ModelConfig) -> list[ParamInfo]:
     def attn(prefix: str, region: str) -> None:
         for part in ("wq", "wk", "wv", "wo"):
             w(f"{prefix}.{part}", (d, d), region)
-        for part in ("bq", "bk", "bv", "bo"):
+        # no key bias: q . bk is the same for every key of a query, and softmax
+        # ignores a per-query constant, so its gradient is zero
+        for part in ("bq", "bv", "bo"):
             w(f"{prefix}.{part}", (d,), region)
 
     def norm(prefix: str, region: str) -> None:
@@ -286,7 +288,8 @@ def _attention(params: ParamStore, prefix: str, q_in: Tensor, kv_in: Tensor,
     q = ag.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     kv = None if state is None else state.get(prefix)
     if kv is None or grow:
-        new = [ag.linear(kv_in, params[f"{prefix}.w{c}"], params[f"{prefix}.b{c}"]) for c in "kv"]
+        new = [ag.linear(kv_in, params[f"{prefix}.wk"]),
+               ag.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])]
         kv = new if kv is None else [Tensor(np.concatenate((old.data, x.data), axis=1))
                                      for old, x in zip(kv, new)]
         if state is not None:

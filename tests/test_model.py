@@ -15,7 +15,7 @@ from support import full_scale_config, mini_config, param_names, pool_size, regi
 def analytic_count(cfg: ModelConfig) -> dict[str, int]:
     """Hand formula for total/encoder/decoder/non-embedding parameter counts."""
     d, f, v = cfg.d_model, cfg.ffn_dim, cfg.vocab_size
-    attn = 4 * (d * d + d)
+    attn = 4 * d * d + 3 * d  # q, v and output biases; keys have none
     norm = 2 * d
     ffn = d * f + f + f * d + d
     enc_layer = attn + 2 * norm + ffn
