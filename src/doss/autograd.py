@@ -7,13 +7,17 @@ each node, and returns a name -> gradient map for the named leaves. All
 training math runs in float64. Forward values are checked for NaN/Inf after
 every op; a non-finite value is an error state, not something to propagate.
 
-The ops are the transformer's layer operations, one tape node each: `add`
-(residuals), `linear`, `attention` (head split to head merge), `relu`,
-`layer_norm`, `embedding` (scaled lookup plus positions), `dropout` and
-`cross_entropy`. `attention`'s backward repeats the array expressions of the
-op-by-op chain it stands for, so its gradients equal that chain's bits.
-`linear`'s gradients are 2-D products over the flattened leading dims, and
-`layer_norm`'s input gradient is the compact
+Activations are token-major: one (rows, d) array per layer, one row per live
+token of a batch, with no pad rows. A `Rows` map records where those rows sit
+in the batch's (B, S) grid of positions. The ops are the transformer's layer
+operations, one tape node each: `add` (residuals, equal shapes), `linear`
+(one 2-D GEMM), `attention` (head split to head merge), `relu`, `layer_norm`,
+`embedding` (scaled lookup plus positions), `dropout`, `pad` (rows back to
+their (B, S) grid) and `cross_entropy`. `attention` alone needs the grid: it
+scatters its rows into zero-padded (B, S, d) blocks, applies the additive
+mask, and gathers the live query rows back; its backward repeats the array
+expressions of the op-by-op chain it stands for. `linear`'s gradients are
+2-D products, and `layer_norm`'s input gradient is the compact
 ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
 """
 
@@ -89,15 +93,38 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+class Rows:
+    """Where the rows of a token-major activation sit in a (B, S) grid of
+    positions: at the row-major flat positions `index`, or at every position
+    when `index` is None. Row-major order keeps each sequence's rows
+    together and in position order."""
+
+    __slots__ = ("b", "s", "index")
+
+    def __init__(self, b: int, s: int, index: np.ndarray | None = None):
+        self.b, self.s, self.index = b, s, index
+
+    @classmethod
+    def where(cls, live: np.ndarray) -> "Rows":
+        """The rows of the true positions of a (B, S) bool map."""
+        return cls(*live.shape, None if live.all() else np.flatnonzero(live))
+
+    @property
+    def count(self) -> int:
+        return self.b * self.s if self.index is None else self.index.size
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """(rows, d) -> (B, S, d), zero where no row sits."""
+        if self.index is None:
+            return x.reshape(self.b, self.s, x.shape[-1])
+        block = np.zeros((self.b * self.s, x.shape[-1]))
+        block[self.index] = x
+        return block.reshape(self.b, self.s, x.shape[-1])
+
+    def gather(self, block: np.ndarray) -> np.ndarray:
+        """(B, S, d) -> (rows, d): the inverse of `scatter` on its rows."""
+        flat = block.reshape(self.b * self.s, block.shape[-1])
+        return flat if self.index is None else flat.take(self.index, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,51 +132,58 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; `b` may broadcast against `a`."""
-    return _node(a.data + b.data, "add", (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    """Elementwise add of two arrays of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add expects equal shapes; got {a.shape} + {b.shape}")
+    return _node(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """(..., m, k) @ (k, n), plus a bias of shape (n,) when one is given."""
-    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"linear expects (..., m, k) @ (k, n); got {x.shape} @ {w.shape}")
-    k, n = w.data.shape
+    """(m, k) @ (k, n), plus a bias of shape (n,) when one is given."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear expects (m, k) @ (k, n); got {x.shape} @ {w.shape}")
+    n = w.data.shape[1]
     if b is not None and b.data.shape != (n,):
         raise ShapeError(f"linear bias must have shape ({n},), got {b.shape}")
 
     def bw(g):
-        g2 = g.reshape(-1, n)  # one 2-D GEMM per gradient, whatever x's leading dims
-        grads = ((g2 @ w.data.T).reshape(x.data.shape), x.data.reshape(-1, k).T @ g2)
-        return grads if b is None else grads + (g2.sum(axis=0),)
+        grads = (g @ w.data.T, x.data.T @ g)
+        return grads if b is None else grads + (g.sum(axis=0),)
     y = x.data @ w.data
     if b is None:
         return _node(y, "linear", (x, w), bw)
     return _node(y + b.data, "linear", (x, w, b), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              mask: np.ndarray | None) -> Tensor:
-    """Multi-head scaled dot-product attention over projected inputs.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None,
+              q_rows: Rows, kv_rows: Rows) -> Tensor:
+    """Multi-head scaled dot-product attention over projected token rows.
 
-    q: (B, S_q, D); k, v: (B, S_kv, D). Splits D into `n_heads` heads, takes
-    softmax(q k^T / sqrt(D / n_heads) + mask) v per head, and merges the heads
-    back to (B, S_q, D). `mask` is an additive constant that broadcasts
-    against the (B, n_heads, S_q, S_kv) scores; no gradient flows into it."""
-    b, s_q, d = q.data.shape
-    s_kv = k.data.shape[1]
-    if k.data.shape != (b, s_kv, d) or v.data.shape != k.data.shape or d % n_heads:
-        raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, v {v.shape}")
+    q: (rows, D) at `q_rows`' positions of a (B, S_q) grid; k, v: (rows, D)
+    at `kv_rows`' positions of a (B, S_kv) grid. Scatters each into a
+    zero-padded (B, S, D) block, splits D into `n_heads` heads, takes
+    softmax(q k^T / sqrt(D / n_heads) + mask) v per head, merges the heads
+    back and gathers the query rows. `mask` is an additive constant that
+    broadcasts against the (B, n_heads, S_q, S_kv) scores and must hide every
+    key position without a row from every query row; no gradient flows into
+    it."""
+    b, s_q, s_kv = q_rows.b, q_rows.s, kv_rows.s
+    d = q.data.shape[-1]
+    if (q.data.shape != (q_rows.count, d) or k.data.shape != (kv_rows.count, d)
+            or v.data.shape != k.data.shape or kv_rows.b != b or d % n_heads):
+        raise ShapeError(f"attention over {n_heads} heads: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape} for ({b}, {s_q}) and ({kv_rows.b}, {s_kv}) grids")
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
 
-    def heads(x: np.ndarray, s: int) -> np.ndarray:
-        return x.reshape(b, s, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(x: np.ndarray, rows: Rows) -> np.ndarray:
+        return rows.scatter(x).reshape(b, rows.s, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray, s: int) -> np.ndarray:
-        return x.transpose(0, 2, 1, 3).reshape(b, s, d)
+    def merge(x: np.ndarray, rows: Rows) -> np.ndarray:
+        return rows.gather(x.transpose(0, 2, 1, 3).reshape(b, rows.s, d))
 
-    qh, kt, vh = heads(q.data, s_q), heads(k.data, s_kv).transpose(0, 1, 3, 2), heads(v.data, s_kv)
+    qh, vh = heads(q.data, q_rows), heads(v.data, kv_rows)
+    kt = heads(k.data, kv_rows).transpose(0, 1, 3, 2)
     scores = (qh @ kt) * c
     if mask is not None:
         scores = scores + mask
@@ -160,13 +194,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        g = heads(g, s_q)
+        g = heads(g, q_rows)
         gp = g @ vh.swapaxes(-1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
         gkt = qh.swapaxes(-1, -2) @ gs
-        return (merge(gs @ kt.swapaxes(-1, -2), s_q), merge(gkt.transpose(0, 1, 3, 2), s_kv),
-                merge(p.swapaxes(-1, -2) @ g, s_kv))
-    return _node(merge(p @ vh, s_q), "attention", (q, k, v), bw)
+        return (merge(gs @ kt.swapaxes(-1, -2), q_rows), merge(gkt.transpose(0, 1, 3, 2), kv_rows),
+                merge(p.swapaxes(-1, -2) @ g, kv_rows))
+    return _node(merge(p @ vh, q_rows), "attention", (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -203,6 +237,11 @@ def embedding(table: Tensor, ids: np.ndarray, scale: float, offset) -> Tensor:
         np.add.at(dt, ids.ravel(), (g * scale).reshape(-1, table.data.shape[1]))
         return (dt,)
     return _node(table.data[ids] * scale + offset, "embedding", (table,), bw)
+
+
+def pad(x: Tensor, rows: Rows) -> Tensor:
+    """Token rows back to their (B, S, d) grid, zero where no row sits."""
+    return _node(rows.scatter(x.data), "pad", (x,), lambda g: (rows.gather(g),))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -270,10 +309,14 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> dict[str, np.ndarray]:
+def backward(loss: Tensor, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Propagate from a scalar loss; returns {name: grad} for the named leaves
     that require grad, in `topo_order`. This dict is the only record of the
-    gradients: each call starts from zero, and unnamed leaves get none."""
+    gradients: each call starts from zero, and unnamed leaves get none.
+
+    With `into` (leaf name -> zeroed array of the leaf's shape), each of
+    those gradients is copied into its array, and the returned dict holds the
+    arrays: a train step passes its views of one gradient vector."""
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = topo_order(loss)
@@ -285,8 +328,13 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
             if parent.requires_grad:
                 key = id(parent)
                 store[key] = store[key] + g if key in store else g
-    return {node.name: store[id(node)] for node in order
-            if node._backward is None and node.requires_grad and node.name is not None}
+    grads = {node.name: store[id(node)] for node in order
+             if node._backward is None and node.requires_grad and node.name is not None}
+    if into is None:
+        return grads
+    for name, g in grads.items():
+        np.copyto(into[name], g)
+    return {name: into[name] for name in grads}
 
 
 # ---------------------------------------------------------------------------

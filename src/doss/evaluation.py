@@ -18,7 +18,8 @@ from . import autograd as ag
 from .data import DomainDataset, make_batch
 from .errors import ConfigError, DossError
 from .masks import MaskSet, overlay
-from .model import BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, encode
+from .model import (BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, encode,
+                    keep_decoding)
 
 
 def trim_eos(seq, eos: int = EOS_ID) -> list[int]:
@@ -30,38 +31,59 @@ def trim_eos(seq, eos: int = EOS_ID) -> list[int]:
     return out
 
 
+def rows_to_decode(finished: np.ndarray) -> np.ndarray:
+    """Positions, in a decode batch, of the rows that the next step decodes:
+    those not finished and, when just one of a batch of two or more is left,
+    the first finished row as well. A one-row product takes BLAS's other
+    path, so a lone row's bits would depend on the rest of the batch."""
+    keep = np.flatnonzero(~finished)
+    if keep.size == 1 and finished.size > 1:
+        keep = np.sort(np.append(keep, np.flatnonzero(finished)[0]))
+    return keep
+
+
 def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray,
                   max_len: int) -> list[list[int]]:
     """Argmax decoding, stopping per sequence at eos or max_len.
 
-    Each step feeds only the newest token to `decode_logits`, against one
-    decoder state per call that caches the attention keys and values. Its
-    logits differ from a full-prefix pass only in their last bits (BLAS sums
-    a one-row product in another order). Ties at the argmax break toward the
-    lowest token id. The returned sequences include the terminating eos when
-    one was emitted. Outputs for one example still do not depend on the
-    other examples in the batch.
+    Each step feeds the newest token of every row still decoding to
+    `decode_logits`, against one decoder state per call that caches the
+    attention keys and values. A row that emits eos leaves the batch, with
+    its memory and cached keys and values (see `rows_to_decode`). Ties at
+    the argmax break toward the lowest token id. The returned sequences
+    include the terminating eos when one was emitted.
+
+    A step's products are 2-D over the rows still decoding, so a row's logits
+    can differ in their last bits from a full-prefix pass, or from the same
+    row decoded in another batch. For products of two or more rows BLAS gave
+    each row the bits of its own product in every case checked, but that is
+    measured, not guaranteed, and a batch of one row takes another path.
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
     src = np.asarray(src)
+    # the prefix fed to the decoder may not outgrow the model's max_len
+    steps = min(max_len, max(model_cfg.max_len - 1, 1))
+    tokens = np.zeros((src.shape[0], steps), dtype=np.int64)
+    done = np.zeros(src.shape[0], dtype=bool)
+    rows = np.arange(src.shape[0])  # the batch rows still decoding
     with ag.no_grad():
-        memory, pad_mask = encode(effective, model_cfg, src)
-        out = np.full((src.shape[0], 1), BOS_ID, dtype=np.int64)
-        done = np.zeros(src.shape[0], dtype=bool)
+        memory, src_live = encode(effective, model_cfg, src)
+        last = np.full((src.shape[0], 1), BOS_ID, dtype=np.int64)
         state: dict = {}
-        # the prefix fed to the decoder may not outgrow the model's max_len
-        for _ in range(min(max_len, max(model_cfg.max_len - 1, 1))):
-            logits = decode_logits(effective, model_cfg, memory, pad_mask, out[:, -1:],
-                                   state=state)
-            nxt = logits.data[:, -1, :].argmax(axis=1)
-            out = np.concatenate([out, nxt[:, None]], axis=1)
-            done |= nxt == EOS_ID
-            if done.all():
+        for step in range(steps):
+            logits = decode_logits(effective, model_cfg, memory, src_live, last, state=state)
+            tokens[rows, step] = logits.data[:, -1, :].argmax(axis=1)
+            done[rows] |= tokens[rows, step] == EOS_ID
+            keep = rows_to_decode(done[rows])
+            if keep.size == 0:
                 break
-    tokens = out[:, 1:]
-    is_eos = tokens == EOS_ID
-    ends = np.where(done, is_eos.argmax(axis=1) + 1, tokens.shape[1])
+            if keep.size < rows.size:
+                memory, src_live = keep_decoding(memory, src_live, state, keep)
+                rows = rows[keep]
+            last = tokens[rows, step:step + 1]
+    tokens = tokens[:, :step + 1]
+    ends = np.where(done, (tokens == EOS_ID).argmax(axis=1) + 1, tokens.shape[1])
     return [row[:end].tolist() for row, end in zip(tokens, ends)]
 
 

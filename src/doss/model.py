@@ -6,6 +6,13 @@ maskable. Weight matrices and embeddings are maskable; biases and layer-norm
 parameters are not (they stay shared across domains). A ParamStore's tensors
 are views, in insertion order, of one float64 vector, so optimizer updates and
 overlays are vector ops. Positional encodings are sinusoidal and parameter-free.
+
+Activations are token-major: the encoder and decoder embed and compute only
+live positions, one row per token. A source position is live where its token
+is not PAD_ID; a target position is live before the row's padding. Pads sit at
+row ends, so a key mask hides the source pads and the causal mask the target
+pads from every live query. `forward` and `decode_logits` pad the logits back
+to (batch, position, vocab), zero at target pads.
 """
 
 from __future__ import annotations
@@ -281,20 +288,25 @@ def _drop(x: Tensor, drop: DropCtx | None) -> Tensor:
 
 
 def _attention(params: ParamStore, prefix: str, q_in: Tensor, kv_in: Tensor,
-               n_heads: int, attn_mask: np.ndarray | None,
+               n_heads: int, mask: np.ndarray | None, q_rows: ag.Rows, kv_rows: ag.Rows,
                state: dict | None = None, grow: bool = False) -> Tensor:
-    """With a decoder `state`, keys and values are kept under `prefix`: `grow`
-    appends those of `kv_in`, otherwise they are projected once and reused."""
+    """With a decoder `state`, keys and values are kept under `prefix` as
+    (B, S, d) blocks: `grow` appends those of `kv_in`, otherwise they are
+    projected once and reused."""
     q = ag.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     kv = None if state is None else state.get(prefix)
     if kv is None or grow:
-        new = [ag.linear(kv_in, params[f"{prefix}.wk"]),
-               ag.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])]
-        kv = new if kv is None else [Tensor(np.concatenate((old.data, x.data), axis=1))
-                                     for old, x in zip(kv, new)]
+        k = ag.linear(kv_in, params[f"{prefix}.wk"])
+        v = ag.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
         if state is not None:
-            state[prefix] = kv
-    ctx = ag.attention(q, *kv, n_heads, attn_mask)
+            new = [kv_rows.scatter(x.data) for x in (k, v)]
+            state[prefix] = new if kv is None else [np.concatenate((old, x), axis=1)
+                                                    for old, x in zip(kv, new)]
+    if state is not None:
+        b, s, d = state[prefix][0].shape
+        k, v = (Tensor(x.reshape(b * s, d)) for x in state[prefix])
+        kv_rows = ag.Rows(b, s)
+    ctx = ag.attention(q, k, v, n_heads, mask, q_rows, kv_rows)
     return ag.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -307,13 +319,16 @@ def _ffn(params: ParamStore, prefix: str, x: Tensor, drop: DropCtx | None) -> Te
     return ag.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
-def _embed(params: ParamStore, table: str, ids: np.ndarray, cfg: ModelConfig,
-           drop: DropCtx | None, start: int = 0) -> Tensor:
-    pe = positional_encoding(cfg.max_len, cfg.d_model)
+def _embed(params: ParamStore, table: str, ids: np.ndarray, live: np.ndarray,
+           cfg: ModelConfig, drop: DropCtx | None, start: int = 0) -> Tensor:
+    """One row per live token of a (B, S) id array, at the position of its
+    column plus `start`."""
     end = start + ids.shape[1]
     if end > cfg.max_len:
         raise ShapeError(f"sequence length {end} exceeds max_len {cfg.max_len}")
-    x = ag.embedding(params[table], ids, math.sqrt(cfg.d_model), pe[None, start:end, :])
+    pe = positional_encoding(cfg.max_len, cfg.d_model)
+    x = ag.embedding(params[table], ids[live], math.sqrt(cfg.d_model),
+                     pe[start + np.nonzero(live)[1]])
     return _drop(x, drop)
 
 
@@ -326,9 +341,9 @@ def _check_tokens(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
     return ids
 
 
-def source_pad_mask(src: np.ndarray) -> np.ndarray:
-    """Additive mask hiding pad source positions: (B, 1, 1, S)."""
-    return np.where(src == PAD_ID, _NEG_INF, 0.0)[:, None, None, :]
+def key_mask(live: np.ndarray) -> np.ndarray:
+    """Additive (B, 1, 1, S) mask hiding the key positions that are not live."""
+    return np.where(live, 0.0, _NEG_INF)[:, None, None, :]
 
 
 def causal_mask(t: int, start: int = 0) -> np.ndarray:
@@ -339,58 +354,78 @@ def causal_mask(t: int, start: int = 0) -> np.ndarray:
 
 def encode(params: ParamStore, cfg: ModelConfig, src: np.ndarray,
            drop: DropCtx | None = None) -> tuple[Tensor, np.ndarray]:
-    """Run the encoder stack; returns (memory, source pad mask)."""
+    """Run the encoder stack over the live (non-pad) source positions;
+    returns (memory, live): one memory row per true position of the (B, S)
+    bool map `live`, in row-major order."""
     src = _check_tokens(src, cfg.vocab_size, "src")
-    pad_mask = source_pad_mask(src)
-    x = _embed(params, "enc.embed", src, cfg, drop)
+    live = src != PAD_ID
+    rows, mask = ag.Rows.where(live), key_mask(live)
+    x = _embed(params, "enc.embed", src, live, cfg, drop)
     for i in range(cfg.n_enc_layers):
         p = f"enc.L{i}"
         h = _norm(params, f"{p}.sa_norm", x)
-        sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, pad_mask)
+        sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, mask, rows, rows)
         x = ag.add(x, _drop(sa, drop))
         ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), drop)
         x = ag.add(x, _drop(ff, drop))
-    return _norm(params, "enc.final_norm", x), pad_mask
+    return _norm(params, "enc.final_norm", x), live
 
 
 def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
-                  pad_mask: np.ndarray, tgt_in: np.ndarray,
+                  src_live: np.ndarray, tgt_in: np.ndarray,
                   drop: DropCtx | None = None, state: dict | None = None) -> Tensor:
-    """Run the decoder stack over `tgt_in` against encoder memory.
+    """Run the decoder stack over `tgt_in` against encoder memory, as `encode`
+    returns it; returns (B, T, vocab) logits, zero at target pads.
 
-    With a `state` dict (under no_grad only), `tgt_in` holds just the positions
-    after those of earlier calls: the state caches each layer's self-attention
-    keys and values, and its cross-attention ones from the first call."""
+    Positions of `tgt_in` that hold PAD_ID are pads and get no rows; a batch
+    pads tgt_in where it pads tgt_out, at row ends, so the causal mask hides
+    them from every live position. With a `state` dict (under no_grad only),
+    `tgt_in` holds just the positions after those of earlier calls, all live:
+    the state caches each layer's self-attention keys and values, and its
+    cross-attention ones from the first call, as (B, S, d) blocks."""
     if state is not None and ag._grad_enabled:
         raise DossError("a decoder state is valid only under no_grad")
     tgt_in = _check_tokens(tgt_in, cfg.vocab_size, "tgt_in")
     t = tgt_in.shape[1]
     start = state["dec.L0.sa"][0].shape[1] if state else 0  # positions cached so far
+    live = np.ones(tgt_in.shape, dtype=bool) if state is not None else tgt_in != PAD_ID
+    rows, src_rows, src_mask = ag.Rows.where(live), ag.Rows.where(src_live), key_mask(src_live)
     # one newest position sees every key: no mask
     cmask = None if state is not None and t == 1 else causal_mask(t, start)
-    x = _embed(params, "dec.embed", tgt_in, cfg, drop, start)
+    x = _embed(params, "dec.embed", tgt_in, live, cfg, drop, start)
     for i in range(cfg.n_dec_layers):
         p = f"dec.L{i}"
         h = _norm(params, f"{p}.sa_norm", x)
-        sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, cmask, state, grow=True)
+        sa = _attention(params, f"{p}.sa", h, h, cfg.n_heads, cmask, rows, rows, state, grow=True)
         x = ag.add(x, _drop(sa, drop))
         ca = _attention(params, f"{p}.ca", _norm(params, f"{p}.ca_norm", x),
-                        memory, cfg.n_heads, pad_mask, state)
+                        memory, cfg.n_heads, src_mask, rows, src_rows, state)
         x = ag.add(x, _drop(ca, drop))
         ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), drop)
         x = ag.add(x, _drop(ff, drop))
     x = _norm(params, "dec.final_norm", x)
-    return ag.linear(x, params["dec.out_proj"])
+    return ag.pad(ag.linear(x, params["dec.out_proj"]), rows)
+
+
+def keep_decoding(memory: Tensor, src_live: np.ndarray, state: dict,
+                  keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Narrow an incremental decode to its batch rows `keep` (increasing):
+    the state's cached keys and values in place; returns the memory and the
+    source live map of those rows."""
+    for prefix, kv in state.items():
+        state[prefix] = [x[keep] for x in kv]
+    return Tensor(memory.data[np.isin(np.nonzero(src_live)[0], keep)]), src_live[keep]
 
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,
             drop: DropCtx | None = None) -> Tensor:
-    """Full encoder-decoder pass; returns logits (batch, tgt_len, vocab).
-    Dropout applies only under a DropCtx."""
+    """Full encoder-decoder pass over the live positions; returns logits
+    (batch, tgt_len, vocab), zero at target pads. Dropout applies only under
+    a DropCtx."""
     if src.shape[0] != np.asarray(tgt_in).shape[0]:
         raise ShapeError("src and tgt_in batch sizes differ")
-    memory, pad_mask = encode(params, cfg, src, drop)
-    return decode_logits(params, cfg, memory, pad_mask, tgt_in, drop)
+    memory, src_live = encode(params, cfg, src, drop)
+    return decode_logits(params, cfg, memory, src_live, tgt_in, drop)
 
 
 # ---------------------------------------------------------------------------

@@ -160,14 +160,12 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
     drop = DropCtx(cfg.dropout, ag.derived_rng(cfg.seed, step)) if cfg.dropout > 0.0 else None
     logits = forward(params, model_cfg, batch.src, batch.tgt_in, drop=drop)
     loss = ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
-    grads = ag.backward(loss)
-    grad = np.concatenate([grads[name].ravel() if name in grads else np.zeros(t.data.size)
-                           for name, t in params.items()])
-    views = layout_views(grad, params.layout)
+    grad = np.zeros(params.vector.size)  # tensors the tape does not reach keep 0
+    grads = ag.backward(loss, layout_views(grad, params.layout))
     if mask is not None:
         grad *= mask.keep
     # backward's order: another summation order changes the norm's last bits
-    clip_by_global_norm({name: views[name] for name in grads}, GRAD_CLIP)
+    clip_by_global_norm(grads, GRAD_CLIP)
     lr = lr_schedule(step, cfg.warmup_steps, cfg.learning_rate)
     adam_step(params, grad, state, lr, mask=mask)
     value = float(loss.data)

@@ -1,19 +1,23 @@
 """Model presets, sum and product ops, the long-form layer-norm backward, a
-full-prefix reference decoder, parameter names, dataset and mask
-measurements, and the capacity bound that only the tests use.
+padded reference model and a full-prefix reference decoder over it,
+parameter names, dataset and mask measurements, and the capacity bound that
+only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
 """
+
+import math
 
 import numpy as np
 
 from doss import autograd as ag
 from doss.data import DomainDataset
 from doss.errors import ConfigError
+from doss.evaluation import rows_to_decode
 from doss.masks import DomainMask, MaskSet, PruneSpec, pool_layout
-from doss.model import (BOS_ID, EOS_ID, ModelConfig, ParameterRegistry, ParamStore,
-                        decode_logits, encode, layout_views)
+from doss.model import (BOS_ID, EOS_ID, PAD_ID, ModelConfig, ParameterRegistry, ParamStore,
+                        layout_views, positional_encoding)
 
 
 def sum_all(a: ag.Tensor) -> ag.Tensor:
@@ -22,11 +26,22 @@ def sum_all(a: ag.Tensor) -> ag.Tensor:
                     lambda g: (np.full_like(a.data, float(g)),))
 
 
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
 def mul(a: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     """Elementwise product; either side may broadcast against the other."""
     return ag._node(a.data * b.data, "mul", (a, b),
-                    lambda g: (ag._unbroadcast(g * b.data, a.data.shape),
-                               ag._unbroadcast(g * a.data, b.data.shape)))
+                    lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                               _unbroadcast(g * a.data, b.data.shape)))
 
 
 def layer_norm_backward_long_form(x: np.ndarray, gain: np.ndarray, g: np.ndarray,
@@ -54,24 +69,100 @@ def full_scale_config() -> ModelConfig:
                        n_enc_layers=6, n_dec_layers=6, n_heads=16, max_len=256)
 
 
+# ---------------------------------------------------------------------------
+# the padded reference model: every (B, S) position is a row
+# ---------------------------------------------------------------------------
+
+
+def _ref_norm(params: ParamStore, prefix: str, x: ag.Tensor) -> ag.Tensor:
+    return ag.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
+
+
+def _ref_ffn(params: ParamStore, prefix: str, x: ag.Tensor) -> ag.Tensor:
+    h = ag.relu(ag.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ag.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+
+
+def _ref_attention(params: ParamStore, cfg: ModelConfig, prefix: str, x: ag.Tensor,
+                   kv: ag.Tensor, q_rows: ag.Rows, kv_rows: ag.Rows,
+                   mask: np.ndarray) -> ag.Tensor:
+    q = ag.linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k = ag.linear(kv, params[f"{prefix}.wk"])
+    v = ag.linear(kv, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
+    ctx = ag.attention(q, k, v, cfg.n_heads, mask, q_rows, kv_rows)
+    return ag.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+
+
+def _ref_embed(params: ParamStore, cfg: ModelConfig, table: str, ids: np.ndarray) -> ag.Tensor:
+    pe = positional_encoding(cfg.max_len, cfg.d_model)
+    return ag.embedding(params[table], ids.ravel(), math.sqrt(cfg.d_model),
+                        np.tile(pe[:ids.shape[1]], (ids.shape[0], 1)))
+
+
+def padded_encode(params: ParamStore, cfg: ModelConfig, src: np.ndarray) -> ag.Tensor:
+    """The encoder as it ran before pad-free rows: a row per (B, S) position,
+    pads included, hidden from attention by the additive key mask only."""
+    rows = ag.Rows(*src.shape)
+    mask = np.where(src == PAD_ID, -1e30, 0.0)[:, None, None, :]
+    x = _ref_embed(params, cfg, "enc.embed", src)
+    for i in range(cfg.n_enc_layers):
+        p = f"enc.L{i}"
+        h = _ref_norm(params, f"{p}.sa_norm", x)
+        x = ag.add(x, _ref_attention(params, cfg, f"{p}.sa", h, h, rows, rows, mask))
+        x = ag.add(x, _ref_ffn(params, f"{p}.ffn", _ref_norm(params, f"{p}.ffn_norm", x)))
+    return _ref_norm(params, "enc.final_norm", x)
+
+
+def padded_decode_logits(params: ParamStore, cfg: ModelConfig, memory: ag.Tensor,
+                         src: np.ndarray, tgt_in: np.ndarray) -> ag.Tensor:
+    """The decoder as it ran before pad-free rows, against `padded_encode`'s
+    memory: every target position is computed, pads included. Returns
+    (B, T, vocab) logits."""
+    (b, s), t = src.shape, tgt_in.shape[1]
+    rows, src_rows = ag.Rows(b, t), ag.Rows(b, s)
+    pad_mask = np.where(src == PAD_ID, -1e30, 0.0)[:, None, None, :]
+    causal = np.triu(np.full((t, t), -1e30), k=1)[None, None]
+    x = _ref_embed(params, cfg, "dec.embed", tgt_in)
+    for i in range(cfg.n_dec_layers):
+        p = f"dec.L{i}"
+        h = _ref_norm(params, f"{p}.sa_norm", x)
+        x = ag.add(x, _ref_attention(params, cfg, f"{p}.sa", h, h, rows, rows, causal))
+        h = _ref_norm(params, f"{p}.ca_norm", x)
+        x = ag.add(x, _ref_attention(params, cfg, f"{p}.ca", h, memory, rows, src_rows, pad_mask))
+        x = ag.add(x, _ref_ffn(params, f"{p}.ffn", _ref_norm(params, f"{p}.ffn_norm", x)))
+    x = _ref_norm(params, "dec.final_norm", x)
+    return ag.pad(ag.linear(x, params["dec.out_proj"]), rows)
+
+
+def padded_forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray,
+                   tgt_in: np.ndarray) -> ag.Tensor:
+    """Reference for `model.forward` without dropout: (B, T, vocab) logits
+    computed at every position, and a tape to take gradients through."""
+    return padded_decode_logits(params, cfg, padded_encode(params, cfg, src), src, tgt_in)
+
+
 def full_prefix_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray,
                        max_len: int) -> tuple[list[list[int]], list[np.ndarray]]:
-    """Reference greedy decoder: reruns the decoder over the whole prefix at
-    every step and keeps its last-position logits. Returns `greedy_decode`'s
-    token lists and each step's (batch, vocab) logits."""
+    """Reference greedy decoder: reruns the padded reference decoder over the
+    whole prefix of every row at every step. Returns `greedy_decode`'s token
+    lists and, per step, the last-position logits of the rows that
+    `greedy_decode` decodes at that step (`rows_to_decode`)."""
     src = np.asarray(src)
     steps = []
     with ag.no_grad():
-        memory, pad_mask = encode(effective, model_cfg, src)
+        memory = padded_encode(effective, model_cfg, src)
         out = np.full((src.shape[0], 1), BOS_ID, dtype=np.int64)
         done = np.zeros(src.shape[0], dtype=bool)
+        rows = np.arange(src.shape[0])
         for _ in range(min(max_len, max(model_cfg.max_len - 1, 1))):
-            steps.append(decode_logits(effective, model_cfg, memory, pad_mask, out).data[:, -1, :])
-            nxt = steps[-1].argmax(axis=1)
+            logits = padded_decode_logits(effective, model_cfg, memory, src, out).data[:, -1, :]
+            steps.append(logits[rows])
+            nxt = logits.argmax(axis=1)
             out = np.concatenate([out, nxt[:, None]], axis=1)
             done |= nxt == EOS_ID
             if done.all():
                 break
+            rows = rows[rows_to_decode(done[rows])]
     tokens = out[:, 1:]
     ends = np.where(done, (tokens == EOS_ID).argmax(axis=1) + 1, tokens.shape[1])
     return [row[:end].tolist() for row, end in zip(tokens, ends)], steps

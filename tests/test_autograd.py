@@ -81,6 +81,15 @@ def unfused_attention(q, k, v, n_heads, mask):
     return ctx.transpose((0, 2, 1, 3)).reshape((b, s_q, d))
 
 
+def attend(q, k, v, n_heads, mask):
+    """`ag.attention` on (B, S, D) blocks whose every position is a row;
+    returns the (B, S_q, D) block."""
+    (b, s_q, d), s_kv = q.shape, k.shape[1]
+    out = ag.attention(*(ag.Tensor(x.reshape(-1, d)) for x in (q, k, v)), n_heads, mask,
+                       ag.Rows(b, s_q), ag.Rows(b, s_kv))
+    return out.data.reshape(b, s_q, d)
+
+
 def hide_key(b, s_kv, pos):
     """Additive (B, 1, 1, S_kv) mask hiding key position `pos`."""
     mask = np.zeros((b, 1, 1, s_kv))
@@ -118,25 +127,28 @@ def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ag.linear(ag.Tensor(np.ones((2, 3))), ag.Tensor(np.ones((3, 2))),
                   ag.Tensor(np.ones(3)))
-    q = ag.Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError):  # activations are token rows: 2-D only
+        ag.linear(ag.Tensor(np.ones((2, 3, 3))), ag.Tensor(np.ones((3, 2))))
+    q, rows = ag.Tensor(np.ones((6, 4))), ag.Rows(2, 3)
     with pytest.raises(ShapeError):  # k and v lengths differ
-        ag.attention(q, ag.Tensor(np.ones((2, 5, 4))), q, 2, None)
+        ag.attention(q, ag.Tensor(np.ones((10, 4))), q, 2, None, rows, ag.Rows(2, 5))
     with pytest.raises(ShapeError):  # 4 is not a multiple of 3 heads
-        ag.attention(q, q, q, 3, None)
+        ag.attention(q, q, q, 3, None, rows, rows)
+    with pytest.raises(ShapeError):  # 6 rows, but the grid holds 4 live positions
+        ag.attention(q, q, q, 2, None, ag.Rows.where(np.array([[1, 1, 0], [1, 1, 0]]) > 0), rows)
 
 
 def test_softmax_symmetry_and_stability():
     # attention's softmax: equal scores weigh the values equally
-    q = ag.Tensor(np.ones((1, 1, 2)))
-    k = ag.Tensor(np.ones((1, 3, 2)))
-    v = ag.Tensor([[[1.0, 2.0], [3.0, 4.0], [8.0, 0.0]]])
-    assert np.allclose(ag.attention(q, k, v, 1, None).data, [[[4.0, 2.0]]])
+    q, k = np.ones((1, 1, 2)), np.ones((1, 3, 2))
+    v = np.array([[[1.0, 2.0], [3.0, 4.0], [8.0, 0.0]]])
+    assert np.allclose(attend(q, k, v, 1, None), [[[4.0, 2.0]]])
     # scores of +-1000 stay finite, forward and backward
-    q = ag.Tensor(np.ones((1, 1, 1)), requires_grad=True, name="q")
-    k = ag.Tensor([[[1000.0], [-1000.0]]], requires_grad=True, name="k")
-    v = ag.Tensor([[[3.0], [5.0]]], requires_grad=True, name="v")
-    out = ag.attention(q, k, v, 1, None)
-    assert out.data.tolist() == [[[3.0]]]
+    q = ag.Tensor(np.ones((1, 1)), requires_grad=True, name="q")
+    k = ag.Tensor([[1000.0], [-1000.0]], requires_grad=True, name="k")
+    v = ag.Tensor([[3.0], [5.0]], requires_grad=True, name="v")
+    out = ag.attention(q, k, v, 1, None, ag.Rows(1, 1), ag.Rows(1, 2))
+    assert out.data.tolist() == [[3.0]]
     grads = ag.backward(sum_all(out))
     assert sorted(grads) == ["k", "q", "v"]
     assert all(np.all(np.isfinite(g)) for g in grads.values())
@@ -145,11 +157,11 @@ def test_softmax_symmetry_and_stability():
 def test_softmax_exp_formula_oracle():
     # one head of width 1: the scores are q * k, and v = (1, 0) reads the
     # weight of the first key
-    q = ag.Tensor([[[1.0]]])
-    k = ag.Tensor([[[1.0], [2.0]]])
-    v = ag.Tensor([[[1.0], [0.0]]])
+    q = np.array([[[1.0]]])
+    k = np.array([[[1.0], [2.0]]])
+    v = np.array([[[1.0], [0.0]]])
     x = np.array([1.0, 2.0])
-    weight = float(ag.attention(q, k, v, 1, None).data[0, 0, 0])
+    weight = float(attend(q, k, v, 1, None)[0, 0, 0])
     assert abs(weight - np.exp(x[0]) / np.exp(x).sum()) < 1e-15
     assert abs(weight - 0.2689414213699951) < 1e-12
 
@@ -159,9 +171,9 @@ def test_softmax_exp_formula_oracle():
 def test_softmax_sums_to_one(values):
     # keys on the axes make the scores `values`; identity values read the weights
     n = len(values)
-    q = ag.Tensor(np.ones((1, 1, n)))
-    k = ag.Tensor((np.diag(values) * math.sqrt(n))[None])
-    out = ag.attention(q, k, ag.Tensor(np.eye(n)[None]), 1, None).data
+    q = np.ones((1, 1, n))
+    k = (np.diag(values) * math.sqrt(n))[None]
+    out = attend(q, k, np.eye(n)[None], 1, None)
     assert np.all(out > 0)
     assert abs(out.sum() - 1.0) <= 1e-12
 
@@ -173,9 +185,35 @@ def test_attention_matches_unfused_chain_bit_for_bit():
     causal = np.triu(np.full((4, 4), -1e30), k=1)[None, None]
     for args in ((q, q, q, 2, None), (q, q, q, 4, causal),
                  (q, kv, kv, 2, hide_key(3, 5, 1)), (q, kv, kv[:, ::-1].copy(), 1, None)):
-        out = ag.attention(*(ag.Tensor(a) for a in args[:3]), *args[3:]).data
-        assert np.array_equal(out, unfused_attention(*args))
+        assert np.array_equal(attend(*args), unfused_attention(*args))
 
+
+def test_attention_rows_scatter_into_zero_padded_blocks():
+    # rows at the live positions of each grid give the zero-padded block
+    # chain's values at the live query positions, bit for bit
+    r = rng()
+    q_live = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool)
+    kv_live = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 1, 0, 0, 0]], dtype=bool)
+    q_rows, kv_rows = ag.Rows.where(q_live), ag.Rows.where(kv_live)
+    q, k, v = (r.normal(size=(n, 8)) for n in (q_rows.count, kv_rows.count, kv_rows.count))
+    mask = np.where(kv_live, 0.0, -1e30)[:, None, None, :]
+    out = ag.attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(v), 2, mask, q_rows, kv_rows)
+    blocks = [rows.scatter(x) for rows, x in ((q_rows, q), (kv_rows, k), (kv_rows, v))]
+    assert np.array_equal(out.data, unfused_attention(*blocks, 2, mask)[q_live])
+
+
+def test_rows_scatter_and_gather():
+    live = np.array([[1, 1, 0], [1, 0, 0]], dtype=bool)
+    rows = ag.Rows.where(live)
+    x = np.arange(6.0).reshape(3, 2)
+    block = rows.scatter(x)
+    assert block.shape == (2, 3, 2) and rows.count == 3
+    assert np.array_equal(block[live], x) and not block[~live].any()
+    assert np.array_equal(rows.gather(block), x)
+    full, y = ag.Rows.where(np.ones((2, 3), dtype=bool)), np.ones((6, 2))
+    assert full.index is None  # every position has a row: both ways are views
+    assert np.shares_memory(full.scatter(y), y)
+    assert np.shares_memory(full.gather(full.scatter(y)), y)
 
 def test_layer_norm_constant_vector():
     out = ag.layer_norm(ag.Tensor([3.0, 3.0, 3.0]), ag.Tensor(np.ones(3)),
@@ -316,14 +354,14 @@ def test_backward_returns_named_leaves_in_topo_order():
 
 def test_forward_backward_deterministic():
     r = rng()
-    a = r.normal(size=(1, 4, 3))
+    a = r.normal(size=(4, 3))
     b = r.normal(size=(3, 2))
 
     def run():
         ta = ag.Tensor(a.copy(), requires_grad=True, name="a")
         tb = ag.Tensor(b.copy(), requires_grad=True, name="b")
         out = ag.linear(ag.relu(ta), tb)
-        loss = ag.cross_entropy(out, np.array([[1, 0, 1, 0]]), pad_id=9)
+        loss = ag.cross_entropy(out, np.array([1, 0, 1, 0]), pad_id=9)
         return ag.backward(loss), loss.data.copy()
 
     (g1, l1), (g2, l2) = run(), run()
@@ -343,40 +381,66 @@ def _away_from_kinks(a, margin=0.05):
     return a
 
 
-def test_gradcheck_add_broadcast():
+def test_add_requires_equal_shapes():
+    with pytest.raises(ShapeError):
+        ag.add(ag.Tensor(np.ones((3, 4))), ag.Tensor(np.ones(4)))
+
+
+def test_gradcheck_mul_broadcast():
+    # add, then the tests' broadcasting product: its gradient sums back down
     r = rng()
     check_grads(lambda t: sum_all(mul(ag.add(t[0], t[1]), t[2])),
-                [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4,)),
-                 r.uniform(-2, 2, (3, 4))])
+                [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4)),
+                 r.uniform(-2, 2, (4,))])
 
 
 def test_gradcheck_matmul():
-    # linear on a 3-D input: the product alone, then with a bias
+    # the product alone, then with a bias
     r = rng()
     check_grads(lambda t: sum_all(mul(ag.linear(t[0], t[1]), t[2])),
-                [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (4, 3)),
-                 r.uniform(-2, 2, (2, 3, 3))])
+                [r.uniform(-2, 2, (6, 4)), r.uniform(-2, 2, (4, 3)),
+                 r.uniform(-2, 2, (6, 3))])
     check_grads(lambda t: sum_all(mul(ag.linear(t[0], t[1], t[2]), t[3])),
-                [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (4, 3)),
-                 r.uniform(-2, 2, (3,)), r.uniform(-2, 2, (2, 3, 3))])
+                [r.uniform(-2, 2, (6, 4)), r.uniform(-2, 2, (4, 3)),
+                 r.uniform(-2, 2, (3,)), r.uniform(-2, 2, (6, 3))])
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_gradcheck_self_attention(masked):
-    # one input feeds q, k and v: its three gradients are summed
+    # one input feeds q, k and v: its three gradients are summed; masked, the
+    # second sequence has a pad position, which gets no row
     r = rng()
-    mask = hide_key(2, 3, 2) if masked else None
-    check_grads(lambda t: sum_all(mul(ag.attention(t[0], t[0], t[0], 2, mask), t[1])),
-                [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 3, 4))])
+    if masked:
+        live = np.array([[1, 1, 1], [1, 1, 0]], dtype=bool)
+        rows, mask = ag.Rows.where(live), np.where(live, 0.0, -1e30)[:, None, None, :]
+    else:
+        rows, mask = ag.Rows(2, 3), None
+    n = rows.count
+    check_grads(lambda t: sum_all(mul(ag.attention(t[0], t[0], t[0], 2, mask, rows, rows), t[1])),
+                [r.uniform(-2, 2, (n, 4)), r.uniform(-2, 2, (n, 4))])
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_gradcheck_cross_attention(masked):
     r = rng()
-    mask = hide_key(2, 3, 0) if masked else None
-    check_grads(lambda t: sum_all(mul(ag.attention(t[0], t[1], t[2], 2, mask), t[3])),
-                [r.uniform(-2, 2, (2, 2, 4)), r.uniform(-2, 2, (2, 3, 4)),
-                 r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 2, 4))])
+    q_rows = ag.Rows(2, 2)
+    if masked:
+        live = np.array([[0, 1, 1], [1, 1, 1]], dtype=bool)  # key 0 of row 0: no row
+        kv_rows, mask = ag.Rows.where(live), hide_key(2, 3, 0) * ~live[:, None, None, :]
+    else:
+        kv_rows, mask = ag.Rows(2, 3), None
+    n = kv_rows.count
+    check_grads(lambda t: sum_all(mul(ag.attention(t[0], t[1], t[2], 2, mask, q_rows, kv_rows),
+                                      t[3])),
+                [r.uniform(-2, 2, (4, 4)), r.uniform(-2, 2, (n, 4)),
+                 r.uniform(-2, 2, (n, 4)), r.uniform(-2, 2, (4, 4))])
+
+
+def test_gradcheck_pad():
+    r = rng()
+    rows = ag.Rows.where(np.array([[1, 1, 0], [1, 0, 0]], dtype=bool))
+    check_grads(lambda t: sum_all(mul(ag.pad(t[0], rows), t[1])),
+                [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (2, 3, 4))])
 
 
 def test_gradcheck_relu():
@@ -407,12 +471,17 @@ def test_layer_norm_backward_matches_long_form():
 
 
 def test_linear_backward_matches_3d_products():
+    # a desk-shaped batch as 252 token rows, against numpy's 3-D products
     r = rng()
     x, w, b = r.normal(size=(36, 7, 64)), r.normal(size=(64, 64)), r.normal(size=(64,))
     up = r.normal(size=(36, 7, 64))
-    ts = [ag.Tensor(a, requires_grad=True, name=n) for a, n in ((x, "x"), (w, "w"), (b, "b"))]
-    grads = ag.backward(sum_all(mul(ag.linear(*ts), ag.Tensor(up))))
-    np.testing.assert_allclose(grads["x"], up @ w.T, rtol=0, atol=1e-12)
+    ts = [ag.Tensor(a, requires_grad=True, name=n)
+          for a, n in ((x.reshape(-1, 64), "x"), (w, "w"), (b, "b"))]
+    out = ag.linear(*ts)
+    np.testing.assert_allclose(out.data, (x @ w + b).reshape(-1, 64), rtol=0, atol=1e-12)
+    grads = ag.backward(sum_all(mul(out, ag.Tensor(up.reshape(-1, 64)))))
+    np.testing.assert_allclose(grads["x"], (up @ w.T).reshape(-1, 64), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads["w"], np.einsum("bsk,bsn->kn", x, up), rtol=0, atol=1e-10)
     np.testing.assert_allclose(grads["b"], up.sum(axis=(0, 1)), rtol=0, atol=1e-12)
 
 

@@ -3,8 +3,9 @@
 benchmarks/spans.py measures the program by rebinding `doss` module
 attributes, and it times each train step from one batch pull through
 `training.batch_iterator` or `training.epoch_batches` to the next. It counts
-the decoder positions of greedy decoding from the token array passed as the
-fifth argument of `evaluation.decode_logits`. A rename, or a train loop that
+the decoder positions of greedy decoding, one per row still decoding and
+step, from the token array passed as the fifth argument of
+`evaluation.decode_logits`. A rename, or a train loop that
 pulls batches some other way, breaks only the traced benchmark run, so it is
 pinned here.
 """
@@ -82,4 +83,7 @@ def test_probe_counts_one_decoder_position_per_row_and_step():
     # the longest row ran for every step: it ended at the last one or hit max_len
     steps = max(len(row) for row in out)
     assert len([s for s in probe.spans if s[0] == "model.decode_logits"]) == steps
-    assert probe.counts["decoder_positions"] == src.shape[0] * steps
+    # a row leaves the batch after its eos, but every step's batch keeps two rows
+    ends = [len(row) for row in out]
+    assert probe.counts["decoder_positions"] == sum(
+        max(sum(end >= step for end in ends), 2) for step in range(1, steps + 1))

@@ -14,7 +14,7 @@ from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.errors import ConfigError, DossError
 from doss.evaluation import (EvalCell, Variant, corpus_bleu, decode_dataset,
                              eval_matrix, exact_match, greedy_decode, pearson,
-                             trim_eos)
+                             rows_to_decode, trim_eos)
 from doss.masks import DomainMask, MaskSet, PruneSpec
 from doss.model import EOS_ID, PAD_ID, ModelConfig, ParamStore, build_model
 from support import full_prefix_decode
@@ -166,6 +166,17 @@ def test_greedy_decode_batch_independence():
     assert perm == batch[::-1]
 
 
+def test_rows_to_decode_keeps_two_rows_while_the_batch_had_two():
+    def keep(*finished):
+        return rows_to_decode(np.array(finished, dtype=bool)).tolist()
+
+    assert keep(False, True, False) == [0, 2]
+    assert keep(True, False, True) == [0, 1]  # the first finished row stays
+    assert keep(False, True) == [0, 1]
+    assert keep(True, True) == []
+    assert keep(False) == [0] and keep(True) == []
+
+
 def test_decode_dataset_order_and_shapes():
     cfg, store, _ = _mini()
     ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=2, max_len=5, seed=3),
@@ -227,6 +238,22 @@ def test_greedy_decode_matches_full_prefix_reference(trained_copy, monkeypatch):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1))
     assert len(ref_steps) > 6
+
+
+def test_greedy_decode_tokens_match_in_batches_of_2_and_64(trained_copy):
+    # each source decoded beside one other row and inside a 64-row batch,
+    # where other rows finish earlier or later and leave the batch
+    cfg, store, _, lam, ds = trained_copy
+    pairs = ds.pairs[:64]
+    src = make_batch("copy", pairs).src
+    for params in (lam, store):
+        batch = greedy_decode(params, cfg, src, max_len=8)
+        for i in range(32):
+            j = 63 - i
+            two = greedy_decode(params, cfg, make_batch("copy", [pairs[i], pairs[j]]).src, 8)
+            assert two == [batch[i], batch[j]], (i, j)
+    lengths = {len(row) for row in greedy_decode(lam, cfg, src, max_len=8)}
+    assert len(lengths) > 1  # the trained model's rows end at different steps
 
 
 def test_eval_matrix_single_cell_and_averages(trained_copy):

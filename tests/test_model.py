@@ -5,11 +5,13 @@ import pytest
 
 from doss import autograd as ag
 from doss.errors import ConfigError, DossError, FormatError, RegistryMismatchError, ShapeError
+from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, ParamStore,
                         build_model, causal_mask, count_params, decode_logits, encode,
-                        forward, load_checkpoint, load_registry, param_shapes,
+                        forward, keep_decoding, load_checkpoint, load_registry, param_shapes,
                         save_checkpoint, save_registry)
-from support import full_scale_config, mini_config, param_names, pool_size, region_ones
+from support import (full_scale_config, mini_config, padded_forward, param_names, pool_size,
+                     region_ones)
 
 
 def analytic_count(cfg: ModelConfig) -> dict[str, int]:
@@ -166,6 +168,48 @@ def test_decoder_state_in_chunks_matches_full_prefix():
         **{f"dec.L{i}.ca": ((2, 4, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)}}
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_forward_matches_the_padded_reference_on_mixed_lengths(seed):
+    # the pad-free pass against the padded one it replaces: logits at live
+    # target positions and every parameter gradient agree to rounding
+    cfg = mini_config()
+    store, _ = build_model(cfg, seed=seed)
+    ds = gen_domain(SyntheticTask("reverse", content_hi=32, min_len=1, max_len=9, seed=seed),
+                    12, domain_id="r")
+    batch = make_batch("r", ds.pairs)
+    live = batch.tgt_out != PAD_ID
+    assert (batch.src == PAD_ID).any() and not live.all()
+    logits = forward(store, cfg, batch.src, batch.tgt_in)
+    ref = padded_forward(store, cfg, batch.src, batch.tgt_in)
+    assert logits.shape == ref.shape
+    np.testing.assert_allclose(logits.data[live], ref.data[live], rtol=0, atol=1e-12)
+    assert not logits.data[~live].any()
+    grads = ag.backward(ag.cross_entropy(logits, batch.tgt_out, PAD_ID))
+    ref_grads = ag.backward(ag.cross_entropy(ref, batch.tgt_out, PAD_ID))
+    assert sorted(grads) == sorted(ref_grads) == sorted(param_names(store))
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_keep_decoding_narrows_memory_and_state_to_the_kept_rows():
+    cfg = mini_config()
+    store, _ = build_model(cfg, seed=5)
+    src = np.array([[5, 6, 7, 0], [8, 9, 0, 0], [4, 4, 4, 4]])
+    tgt_in = np.array([[BOS_ID, 5], [BOS_ID, 8], [BOS_ID, 4]])
+    keep = np.array([0, 2])
+    with ag.no_grad():
+        memory, live = encode(store, cfg, src)
+        state = {}
+        decode_logits(store, cfg, memory, live, tgt_in[:, :1], state=state)
+        memory, live = keep_decoding(memory, live, state, keep)
+        narrowed = decode_logits(store, cfg, memory, live, tgt_in[keep, 1:], state=state).data
+        sub_memory, sub_live = encode(store, cfg, src[keep])
+        full = decode_logits(store, cfg, sub_memory, sub_live, tgt_in[keep]).data
+    assert np.array_equal(memory.data, sub_memory.data) and np.array_equal(live, sub_live)
+    assert {k: [x.shape[0] for x in kv] for k, kv in state.items()} == {k: [2, 2] for k in state}
+    np.testing.assert_allclose(narrowed[:, 0], full[:, 1], rtol=0, atol=1e-12)
+
+
 def test_causal_mask_offset_rows_are_the_full_masks_last_rows():
     full = causal_mask(6)
     assert full.shape == (1, 1, 6, 6)
@@ -198,18 +242,20 @@ def test_tape_op_nodes_match_analytic_count():
     # per op node: an encoder layer is norm, 4 linear + attention, residual add,
     # norm, linear, relu, linear, add (12); a decoder layer adds a norm,
     # 4 linear + attention and an add for cross-attention (19); then two
-    # embeddings, two final norms, the output projection and the loss (6)
+    # embeddings, two final norms, the output projection, its pad from token
+    # rows back to the (batch, position) grid, and the loss (7). Attention
+    # scatters and gathers its rows inside its own node.
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src, tgt_in = _toy_batch()
-    expect = 12 * cfg.n_enc_layers + 19 * cfg.n_dec_layers + 6
+    expect = 12 * cfg.n_enc_layers + 19 * cfg.n_dec_layers + 7
     # dropout sites: embedding, and after each sublayer and FFN activation
     dropouts = 1 + 3 * cfg.n_enc_layers + 1 + 4 * cfg.n_dec_layers
     for drop, n in ((None, expect), (DropCtx(0.2, ag.derived_rng(9, 3)), expect + dropouts)):
         loss = ag.cross_entropy(forward(store, cfg, src, tgt_in, drop=drop), tgt_in, PAD_ID)
         order = ag.topo_order(loss)
         assert sum(1 for node in order if node._backward is not None) == n
-    assert (expect, expect + dropouts) == (68, 84)
+    assert (expect, expect + dropouts) == (69, 85)
 
 
 def test_count_params_with_mask_roundtrip():

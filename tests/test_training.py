@@ -10,7 +10,8 @@ from doss.autograd import Tensor
 from doss.data import SyntheticTask, batch_iterator, gen_domain
 from doss.errors import ConfigError, NumericsError
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, on_store, overlay
-from doss.model import ModelConfig, ParamStore, build_model, layout_views
+from doss.model import (PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, forward,
+                        layout_views)
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
@@ -306,6 +307,26 @@ def test_one_dropout_generator_per_train_step(rate, monkeypatch):
     a, b = (train_full(lam0, ds, tcfg, cfg).checksum() for _ in range(2))
     assert calls == ([(3, step) for step in range(1, 7)] * 2 if rate else [])
     assert a == b
+
+
+def test_backward_into_the_step_vector_is_the_concatenation_bit_for_bit():
+    # the train step has backward write each gradient into its view of one
+    # zeroed vector; it holds the bits of concatenating the per-tensor gradients
+    cfg, lam0, _, mk = _tiny_setup()
+    batch = next(batch_iterator([mk("copy", 1)], "round_robin", 64, 2))
+
+    def loss():
+        logits = forward(lam0, cfg, batch.src, batch.tgt_in, DropCtx(0.1, ag.derived_rng(3, 1)))
+        return ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
+
+    grads = ag.backward(loss())
+    concatenated = np.concatenate([grads[n].ravel() if n in grads else np.zeros(t.data.size)
+                                   for n, t in lam0.items()])
+    vector = np.zeros(lam0.vector.size)
+    written = ag.backward(loss(), layout_views(vector, lam0.layout))
+    assert vector.tobytes() == concatenated.tobytes()
+    assert list(written) == list(grads)
+    assert all(np.shares_memory(g, vector) for g in written.values())
 
 
 def _extension_setup():
