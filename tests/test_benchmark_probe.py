@@ -72,7 +72,7 @@ def test_probe_counts_one_decoder_position_per_row_and_step():
     spans = _load_spans()
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    store, _ = build_model(cfg, seed=4)
+    store, _ = build_model(cfg, seed=5)  # its rows end at different steps
     src = np.array([[5, 6, 7], [8, 9, 0], [4, 0, 0]])
     probe = spans.Probe(timing=True)
     probe.install()
@@ -85,5 +85,6 @@ def test_probe_counts_one_decoder_position_per_row_and_step():
     assert len([s for s in probe.spans if s[0] == "model.decode_logits"]) == steps
     # a row leaves the batch after its eos, but every step's batch keeps two rows
     ends = [len(row) for row in out]
+    assert len(set(ends)) == 3
     assert probe.counts["decoder_positions"] == sum(
         max(sum(end >= step for end in ends), 2) for step in range(1, steps + 1))
