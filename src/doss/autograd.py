@@ -12,8 +12,8 @@ token of a batch, with no pad rows. A `Rows` map records where those rows sit
 in the batch's (B, S) grid of positions. The ops are the transformer's layer
 operations, one tape node each: `add` (residuals, equal shapes), `linear`
 (one 2-D GEMM), `attention` (head split to head merge), `relu`, `layer_norm`,
-`embedding` (scaled lookup plus positions), `dropout`, `pad` (rows back to
-their (B, S) grid) and `cross_entropy`. `attention` alone needs the grid: it
+`embedding` (scaled lookup plus positions), `dropout` and `cross_entropy`
+(over (N, V) logit rows). `attention` alone needs the grid: it
 scatters its rows into zero-padded (B, S, d) blocks, applies the additive
 mask, and gathers the live query rows back; its backward repeats the array
 expressions of the op-by-op chain it stands for. `linear`'s gradients are
@@ -239,11 +239,6 @@ def embedding(table: Tensor, ids: np.ndarray, scale: float, offset) -> Tensor:
     return _node(table.data[ids] * scale + offset, "embedding", (table,), bw)
 
 
-def pad(x: Tensor, rows: Rows) -> Tensor:
-    """Token rows back to their (B, S, d) grid, zero where no row sits."""
-    return _node(rows.scatter(x.data), "pad", (x,), lambda g: (rows.gather(g),))
-
-
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept activations are scaled by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
@@ -254,33 +249,25 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _node(a.data * keep, "dropout", (a,), lambda g: (g * keep,))
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
-    """Mean negative log-softmax over non-pad target positions.
-
-    logits: (..., V); targets: integer array matching the leading dims.
-    Positions whose target equals `pad_id` contribute nothing.
-    """
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of (N, V) logit rows at their (N,) target ids."""
     targets = np.asarray(targets)
-    if targets.shape != logits.data.shape[:-1]:
-        raise ShapeError(f"targets shape {targets.shape} does not match logits {logits.shape}")
-    vocab = logits.data.shape[-1]
-    if targets.min(initial=0) < 0 or targets.max(initial=0) >= vocab:
+    if logits.data.ndim != 2 or targets.shape != logits.data.shape[:1] or not targets.size:
+        raise ShapeError(f"cross_entropy expects (N, V) logits and (N,) targets, N >= 1; "
+                         f"got {logits.shape} and {targets.shape}")
+    n, vocab = logits.data.shape
+    if targets.min() < 0 or targets.max() >= vocab:
         raise ShapeError("target id out of range")
-    nonpad = targets != pad_id
-    n = int(nonpad.sum())
-    if n == 0:
-        raise ShapeError("cross_entropy: every target position is padding")
-    m = logits.data.max(axis=-1, keepdims=True)
+    m = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - m)
-    z = e.sum(axis=-1, keepdims=True)
+    z = e.sum(axis=1, keepdims=True)
     logp = logits.data - m - np.log(z)
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    loss = -(picked * nonpad).sum() / n
+    rows = np.arange(n)
+    loss = -logp[rows, targets].sum() / n
     def bw(g):
-        dlogits = (e / z)
-        flat = dlogits.reshape(-1, vocab)
-        flat[np.arange(flat.shape[0]), targets.ravel()] -= 1.0
-        return (dlogits * nonpad[..., None] * (float(g) / n),)
+        dlogits = e / z
+        dlogits[rows, targets] -= 1.0
+        return (dlogits * (float(g) / n),)
     return _node(np.asarray(loss), "cross_entropy", (logits,), bw)
 
 

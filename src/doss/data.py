@@ -197,14 +197,19 @@ def vocab_from_pairs(token_pairs, content_size: int) -> Vocab:
     return Vocab(tuple(ranked))
 
 
+def _text_lines(path) -> list[str]:
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_parallel_text(src_path, tgt_path) -> list[tuple[list[str], list[str]]]:
     """Two aligned newline-delimited UTF-8 files, whitespace-tokenized. Lines
     end only at "\n": a carriage return, form feed or U+2028 inside a line
     separates tokens, not lines."""
-    with open(src_path, encoding="utf-8", newline="\n") as fh:
-        src_lines = [line.rstrip("\n") for line in fh]
-    with open(tgt_path, encoding="utf-8", newline="\n") as fh:
-        tgt_lines = [line.rstrip("\n") for line in fh]
+    src_lines, tgt_lines = _text_lines(src_path), _text_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise FormatError(
             f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}")
@@ -269,6 +274,8 @@ def _pack_indices(ds: DomainDataset, order: np.ndarray, batch_tokens: int):
 
 def _check_budget(datasets: Sequence[DomainDataset], batch_tokens: int) -> None:
     for ds in datasets:
+        if ds.size == 0:
+            raise ConfigError(f"domain {ds.domain_id!r} has no pairs to batch")
         worst = ds.max_pair_tokens()
         if worst > batch_tokens:
             raise ConfigError(

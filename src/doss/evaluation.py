@@ -73,7 +73,7 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
         state: dict = {}
         for step in range(steps):
             logits = decode_logits(effective, model_cfg, memory, src_live, last, state=state)
-            tokens[rows, step] = logits.data[:, -1, :].argmax(axis=1)
+            tokens[rows, step] = logits.data.argmax(axis=1)
             done[rows] |= tokens[rows, step] == EOS_ID
             keep = rows_to_decode(done[rows])
             if keep.size == 0:

@@ -158,6 +158,9 @@ def _parse_domain(parser, section: str, default_seed: int, content: int) -> Doma
         "kind": "", "train_pairs": 1500, "eval_pairs": 150, "filter_max_len": 250,
         "min_ratio": 0.67, "max_ratio": 1.5, "min_len": 3, "max_len": 6, "shift": 1,
         "seed": default_seed, "src_file": None, "tgt_file": None})
+    if d["train_pairs"] < 1 or d["eval_pairs"] < 1:
+        raise ConfigError(f"[{section}] train_pairs and eval_pairs must be >= 1: "
+                          f"{d['train_pairs']}, {d['eval_pairs']}")
     spec = DomainSpec(
         name=name, train_pairs=d["train_pairs"], eval_pairs=d["eval_pairs"],
         filter=FilterSpec(d["filter_max_len"], d["min_ratio"], d["max_ratio"]).validate())
@@ -181,8 +184,8 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
     derived from it."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        found = parser.read(path)
-    except configparser.Error as exc:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"manifest {path} does not parse: {exc}") from exc
     if not found:
         raise ConfigError(f"manifest not found: {path}")

@@ -11,8 +11,8 @@ Activations are token-major: the encoder and decoder embed and compute only
 live positions, one row per token. A source position is live where its token
 is not PAD_ID; a target position is live before the row's padding. Pads sit at
 row ends, so a key mask hides the source pads and the causal mask the target
-pads from every live query. `forward` and `decode_logits` pad the logits back
-to (batch, position, vocab), zero at target pads.
+pads from every live query. The logits are token-major too: one row per live
+target position, so `tgt_out[tgt_in != PAD_ID]` are their targets, in order.
 """
 
 from __future__ import annotations
@@ -375,7 +375,8 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
                   src_live: np.ndarray, tgt_in: np.ndarray,
                   drop: DropCtx | None = None, state: dict | None = None) -> Tensor:
     """Run the decoder stack over `tgt_in` against encoder memory, as `encode`
-    returns it; returns (B, T, vocab) logits, zero at target pads.
+    returns it; returns (live target tokens, vocab) logits, one row per true
+    position of `tgt_in != PAD_ID` in row-major order.
 
     Positions of `tgt_in` that hold PAD_ID are pads and get no rows; a batch
     pads tgt_in where it pads tgt_out, at row ends, so the causal mask hides
@@ -404,7 +405,7 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
         ff = _ffn(params, f"{p}.ffn", _norm(params, f"{p}.ffn_norm", x), drop)
         x = ag.add(x, _drop(ff, drop))
     x = _norm(params, "dec.final_norm", x)
-    return ag.pad(ag.linear(x, params["dec.out_proj"]), rows)
+    return ag.linear(x, params["dec.out_proj"])
 
 
 def keep_decoding(memory: Tensor, src_live: np.ndarray, state: dict,
@@ -419,9 +420,9 @@ def keep_decoding(memory: Tensor, src_live: np.ndarray, state: dict,
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,
             drop: DropCtx | None = None) -> Tensor:
-    """Full encoder-decoder pass over the live positions; returns logits
-    (batch, tgt_len, vocab), zero at target pads. Dropout applies only under
-    a DropCtx."""
+    """Full encoder-decoder pass over the live positions; returns
+    (live target tokens, vocab) logits as `decode_logits` does. Dropout
+    applies only under a DropCtx."""
     if src.shape[0] != np.asarray(tgt_in).shape[0]:
         raise ShapeError("src and tgt_in batch sizes differ")
     memory, src_live = encode(params, cfg, src, drop)

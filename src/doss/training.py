@@ -159,7 +159,7 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
                 mask: StoreMask | None, log: MetricsLog | None) -> float:
     drop = DropCtx(cfg.dropout, ag.derived_rng(cfg.seed, step)) if cfg.dropout > 0.0 else None
     logits = forward(params, model_cfg, batch.src, batch.tgt_in, drop=drop)
-    loss = ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
+    loss = ag.cross_entropy(logits, batch.tgt_out[batch.tgt_in != PAD_ID])
     grad = np.zeros(params.vector.size)  # tensors the tape does not reach keep 0
     grads = ag.backward(loss, layout_views(grad, params.layout))
     if mask is not None:

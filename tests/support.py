@@ -1,5 +1,5 @@
-"""Model presets, sum and product ops, the long-form layer-norm backward, a
-padded reference model and a full-prefix reference decoder over it,
+"""Model presets, sum, product and row-selection ops, the long-form layer-norm
+backward, a padded reference model and a full-prefix reference decoder over it,
 parameter names, dataset and mask measurements, and the capacity bound that
 only the tests use.
 
@@ -42,6 +42,15 @@ def mul(a: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     return ag._node(a.data * b.data, "mul", (a, b),
                     lambda g: (_unbroadcast(g * b.data, a.data.shape),
                                _unbroadcast(g * a.data, b.data.shape)))
+
+
+def take_rows(a: ag.Tensor, index: np.ndarray) -> ag.Tensor:
+    """The rows `index` of a 2-D array, in that order."""
+    def bw(g):
+        da = np.zeros_like(a.data)
+        np.add.at(da, index, g)
+        return (da,)
+    return ag._node(a.data[index], "take_rows", (a,), bw)
 
 
 def layer_norm_backward_long_form(x: np.ndarray, gain: np.ndarray, g: np.ndarray,
@@ -117,7 +126,7 @@ def padded_decode_logits(params: ParamStore, cfg: ModelConfig, memory: ag.Tensor
                          src: np.ndarray, tgt_in: np.ndarray) -> ag.Tensor:
     """The decoder as it ran before pad-free rows, against `padded_encode`'s
     memory: every target position is computed, pads included. Returns
-    (B, T, vocab) logits."""
+    (B * T, vocab) logits, a row per position in row-major order."""
     (b, s), t = src.shape, tgt_in.shape[1]
     rows, src_rows = ag.Rows(b, t), ag.Rows(b, s)
     pad_mask = np.where(src == PAD_ID, -1e30, 0.0)[:, None, None, :]
@@ -131,13 +140,14 @@ def padded_decode_logits(params: ParamStore, cfg: ModelConfig, memory: ag.Tensor
         x = ag.add(x, _ref_attention(params, cfg, f"{p}.ca", h, memory, rows, src_rows, pad_mask))
         x = ag.add(x, _ref_ffn(params, f"{p}.ffn", _ref_norm(params, f"{p}.ffn_norm", x)))
     x = _ref_norm(params, "dec.final_norm", x)
-    return ag.pad(ag.linear(x, params["dec.out_proj"]), rows)
+    return ag.linear(x, params["dec.out_proj"])
 
 
 def padded_forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray,
                    tgt_in: np.ndarray) -> ag.Tensor:
-    """Reference for `model.forward` without dropout: (B, T, vocab) logits
-    computed at every position, and a tape to take gradients through."""
+    """Reference for `model.forward` without dropout: (B * T, vocab) logits
+    computed at every position, pads included, and a tape to take gradients
+    through."""
     return padded_decode_logits(params, cfg, padded_encode(params, cfg, src), src, tgt_in)
 
 
@@ -155,7 +165,8 @@ def full_prefix_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.nd
         done = np.zeros(src.shape[0], dtype=bool)
         rows = np.arange(src.shape[0])
         for _ in range(min(max_len, max(model_cfg.max_len - 1, 1))):
-            logits = padded_decode_logits(effective, model_cfg, memory, src, out).data[:, -1, :]
+            logits = padded_decode_logits(effective, model_cfg, memory, src, out).data
+            logits = logits.reshape(*out.shape, -1)[:, -1]
             steps.append(logits[rows])
             nxt = logits.argmax(axis=1)
             out = np.concatenate([out, nxt[:, None]], axis=1)

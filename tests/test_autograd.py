@@ -236,42 +236,37 @@ def test_layer_norm_shape_check():
 
 
 def test_cross_entropy_uniform_is_log_vocab():
-    logits = ag.Tensor(np.zeros((2, 3, 7)))
-    targets = np.array([[1, 2, 3], [4, 5, 6]])
-    loss = ag.cross_entropy(logits, targets, pad_id=0)
+    logits = ag.Tensor(np.zeros((6, 7)))
+    targets = np.array([1, 2, 3, 4, 5, 6])
+    loss = ag.cross_entropy(logits, targets)
     assert abs(float(loss.data) - math.log(7)) < 1e-12
 
 
 def test_cross_entropy_confident_limit():
-    logits = np.full((1, 1, 4), -200.0)
-    logits[0, 0, 2] = 200.0
-    loss = ag.cross_entropy(ag.Tensor(logits), np.array([[2]]), pad_id=0)
+    logits = np.full((1, 4), -200.0)
+    logits[0, 2] = 200.0
+    loss = ag.cross_entropy(ag.Tensor(logits), np.array([2]))
     assert float(loss.data) < 1e-12
 
 
 def test_cross_entropy_two_class_hand_value():
-    logits = ag.Tensor(np.array([[[0.0, math.log(3.0)]]]))
-    loss = ag.cross_entropy(logits, np.array([[1]]), pad_id=0)
+    logits = ag.Tensor(np.array([[0.0, math.log(3.0)]]))
+    loss = ag.cross_entropy(logits, np.array([1]))
     # softmax = [1/4, 3/4]; -ln(3/4)
     assert abs(float(loss.data) - (-math.log(0.75))) < 1e-12
     assert abs(float(loss.data) - 0.2876820724517809) < 1e-12
 
 
-def test_cross_entropy_pad_positions_ignored():
-    r = rng()
-    logits = r.normal(size=(2, 3, 5))
-    targets = np.array([[1, 2, 0], [3, 0, 0]])
-    full = ag.cross_entropy(ag.Tensor(logits), targets, pad_id=0)
-    manual = 0.0
-    for b, t in [(0, 0), (0, 1), (1, 0)]:
-        row = logits[b, t]
-        manual += -(row[targets[b, t]] - math.log(np.exp(row - row.max()).sum()) - row.max())
-    assert abs(float(full.data) - manual / 3) < 1e-12
-
-
-def test_cross_entropy_all_pad_is_error():
-    with pytest.raises(ShapeError):
-        ag.cross_entropy(ag.Tensor(np.zeros((1, 2, 4))), np.array([[0, 0]]), pad_id=0)
+def test_cross_entropy_shape_mismatch_and_empty_targets_are_errors():
+    cases = [((2, 3, 4), [[1, 2, 3], [1, 2, 3]]),  # grid-shaped logits
+             ((3, 4), [1, 2]),                      # fewer targets than rows
+             ((3, 4), [[1], [2], [3]]),             # targets not a vector
+             ((0, 4), []),                          # no targets
+             ((2, 4), [1, 4]),                      # id past the vocab
+             ((2, 4), [-1, 0])]                     # negative id
+    for shape, targets in cases:
+        with pytest.raises(ShapeError):
+            ag.cross_entropy(ag.Tensor(np.zeros(shape)), np.array(targets, dtype=np.int64))
 
 
 def test_non_finite_forward_is_error():
@@ -361,7 +356,7 @@ def test_forward_backward_deterministic():
         ta = ag.Tensor(a.copy(), requires_grad=True, name="a")
         tb = ag.Tensor(b.copy(), requires_grad=True, name="b")
         out = ag.linear(ag.relu(ta), tb)
-        loss = ag.cross_entropy(out, np.array([1, 0, 1, 0]), pad_id=9)
+        loss = ag.cross_entropy(out, np.array([1, 0, 1, 0]))
         return ag.backward(loss), loss.data.copy()
 
     (g1, l1), (g2, l2) = run(), run()
@@ -436,13 +431,6 @@ def test_gradcheck_cross_attention(masked):
                  r.uniform(-2, 2, (n, 4)), r.uniform(-2, 2, (4, 4))])
 
 
-def test_gradcheck_pad():
-    r = rng()
-    rows = ag.Rows.where(np.array([[1, 1, 0], [1, 0, 0]], dtype=bool))
-    check_grads(lambda t: sum_all(mul(ag.pad(t[0], rows), t[1])),
-                [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (2, 3, 4))])
-
-
 def test_gradcheck_relu():
     r = rng()
     x = _away_from_kinks(r.uniform(-2, 2, (3, 5)))
@@ -495,9 +483,9 @@ def test_gradcheck_embedding():
 
 def test_gradcheck_cross_entropy():
     r = rng()
-    targets = np.array([[1, 4, 0], [2, 0, 0]])
-    check_grads(lambda t: ag.cross_entropy(t[0], targets, pad_id=0),
-                [r.uniform(-2, 2, (2, 3, 5))])
+    targets = np.array([1, 4, 0, 2, 0, 0])
+    check_grads(lambda t: ag.cross_entropy(t[0], targets),
+                [r.uniform(-2, 2, (6, 5))])
 
 
 def test_gradcheck_dropout_fixed_mask():

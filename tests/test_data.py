@@ -216,6 +216,14 @@ def test_batch_budget_error():
         next(batch_iterator([], "round_robin", 64, seed=0))
 
 
+def test_empty_dataset_is_a_config_error_naming_the_domain():
+    empty = DomainDataset("x", [])
+    with pytest.raises(ConfigError, match="'x'"):
+        epoch_batches(empty, batch_tokens=64, seed=0)
+    with pytest.raises(ConfigError, match="'x'"):
+        next(batch_iterator([empty], "round_robin", 64, seed=0))
+
+
 def test_concat_datasets():
     a = gen_domain(SyntheticTask("copy", seed=1), 10, domain_id="A")
     b = gen_domain(SyntheticTask("sort", seed=2), 15, domain_id="B")

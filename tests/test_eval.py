@@ -224,7 +224,7 @@ def test_greedy_decode_matches_full_prefix_reference(trained_copy, monkeypatch):
 
     def recording(*args, **kwargs):
         logits = decode_logits(*args, **kwargs)
-        seen.append(logits.data[:, -1, :])
+        seen.append(logits.data)
         return logits
 
     monkeypatch.setattr(evaluation, "decode_logits", recording)

@@ -12,7 +12,7 @@ import pytest
 
 from doss import cli, evaluation, masks, training
 from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
-from doss.errors import ConfigError, NumericsError
+from doss.errors import ConfigError, FormatError, NumericsError
 from doss.evaluation import decode_dataset, trim_eos
 from doss.manifest import load_manifest
 from doss.model import load_checkpoint
@@ -184,11 +184,18 @@ def test_shipped_manifests_train_masks_for_ft_epochs(path):
     ("steps = 10", "steps = -3"),
     ("alphas = 0.5", "alphas = 0.5 1.5"),
     ("betas = 0.5", "betas = -0.1"),
+    pytest.param("kind = copy\ntrain_pairs = 120", "kind = copy\ntrain_pairs = -5",
+                 id="domain_train_pairs_negative"),
+    pytest.param("kind = reverse\ntrain_pairs = 120\neval_pairs = 16",
+                 "kind = reverse\ntrain_pairs = 120\neval_pairs = 0", id="domain_eval_pairs_zero"),
+    pytest.param("kind = sort\ntrain_pairs = 120", "kind = sort\ntrain_pairs = 0",
+                 id="extension_train_pairs_zero"),
 ])
 def test_manifest_rejects_bad_eval_and_sweep_values(tmp_path, old, new):
+    # and pair counts below 1 in a [domain ...] or [extension ...] section
     path = tmp_path / "v.ini"
     path.write_text(TINY.replace(old, new), encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[(eval|sweep)\]"):
+    with pytest.raises(ConfigError, match=r"\[(eval|sweep|domain \w+|extension \w+)\]"):
         load_manifest(path)
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -279,6 +286,29 @@ def test_parallel_extension_shares_base_vocabulary(tmp_path):
     synthetic_base.write_text(f"[meta]\nseed = 1\n[domain a]\nkind = copy\n[extension new]\n{ext}")
     with pytest.raises(ConfigError):
         Pipeline(load_manifest(synthetic_base), tmp_path / "out2").ext_sets()
+
+
+def test_non_utf8_manifest_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[meta]\nseed = 1\n# caf\xe9\n[domain a]\nkind = copy\n")
+    with pytest.raises(ConfigError, match="latin1.ini"):
+        load_manifest(path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_non_utf8_parallel_text_is_a_format_error(tmp_path, caplog):
+    (tmp_path / "text.src").write_bytes(b"a b\ncaf\xe9 b\n")
+    (tmp_path / "text.tgt").write_text("b a\nb a\n", encoding="utf-8")
+    path = tmp_path / "p.ini"
+    path.write_text(f"[meta]\nseed = 1\n[domain text]\nkind = parallel\n"
+                    f"src_file = {tmp_path / 'text.src'}\ntgt_file = {tmp_path / 'text.tgt'}\n"
+                    f"train_pairs = 1\neval_pairs = 1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="text.src"):
+        Pipeline(load_manifest(path), tmp_path / "out").train_sets()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "text.src is not UTF-8" in caplog.text
 
 
 def test_too_few_usable_pairs_error_names_the_filter_counts(tmp_path):

@@ -11,7 +11,7 @@ from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, 
                         forward, keep_decoding, load_checkpoint, load_registry, param_shapes,
                         save_checkpoint, save_registry)
 from support import (full_scale_config, mini_config, padded_forward, param_names, pool_size,
-                     region_ones)
+                     region_ones, take_rows)
 
 
 def analytic_count(cfg: ModelConfig) -> dict[str, int]:
@@ -95,8 +95,9 @@ def test_forward_shape_contract():
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src = np.array([[5, 6, 7]])
-    logits = forward(store, cfg, src, np.array([[BOS_ID]]))
-    assert logits.shape == (1, 1, cfg.vocab_size)
+    tgt_in = np.array([[BOS_ID, 5, 6], [BOS_ID, 8, PAD_ID]])
+    logits = forward(store, cfg, np.repeat(src, 2, axis=0), tgt_in)
+    assert logits.shape == (5, cfg.vocab_size)  # one row per live target position
 
 
 def test_forward_eval_deterministic():
@@ -112,8 +113,9 @@ def test_forward_batch_permutation_equivariant():
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src, tgt_in = _toy_batch()
-    base = forward(store, cfg, src, tgt_in).data
-    perm = forward(store, cfg, src[::-1].copy(), tgt_in[::-1].copy()).data
+    grid = (*tgt_in.shape, cfg.vocab_size)  # every target position is live
+    base = forward(store, cfg, src, tgt_in).data.reshape(grid)
+    perm = forward(store, cfg, src[::-1].copy(), tgt_in[::-1].copy()).data.reshape(grid)
     assert np.array_equal(base, perm[::-1])
 
 
@@ -126,8 +128,8 @@ def test_forward_causality():
     tgt_b[0, 2] = 9  # change position 2: logits at positions < 2 must not move
     la = forward(store, cfg, src, tgt_a).data
     lb = forward(store, cfg, src, tgt_b).data
-    assert np.array_equal(la[:, :2], lb[:, :2])
-    assert not np.array_equal(la[:, 2:], lb[:, 2:])
+    assert np.array_equal(la[:2], lb[:2])
+    assert not np.array_equal(la[2:], lb[2:])
 
 
 def test_forward_rejects_bad_tokens():
@@ -161,8 +163,9 @@ def test_decoder_state_in_chunks_matches_full_prefix():
         parts = [decode_logits(store, cfg, memory, pad_mask, tgt_in[:, a:b], state=state)
                  for a, b in ((0, 3), (3, 5), (5, 6))]
     assert all(not part.requires_grad and not part._parents for part in parts)
-    np.testing.assert_allclose(np.concatenate([p.data for p in parts], axis=1), full,
-                               rtol=0, atol=1e-12)
+    grid = (2, -1, cfg.vocab_size)
+    chained = np.concatenate([p.data.reshape(grid) for p in parts], axis=1)
+    np.testing.assert_allclose(chained.reshape(full.shape), full, rtol=0, atol=1e-12)
     assert {k: tuple(x.shape for x in kv) for k, kv in state.items()} == {
         **{f"dec.L{i}.sa": ((2, 6, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)},
         **{f"dec.L{i}.ca": ((2, 4, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)}}
@@ -177,15 +180,14 @@ def test_forward_matches_the_padded_reference_on_mixed_lengths(seed):
     ds = gen_domain(SyntheticTask("reverse", content_hi=32, min_len=1, max_len=9, seed=seed),
                     12, domain_id="r")
     batch = make_batch("r", ds.pairs)
-    live = batch.tgt_out != PAD_ID
+    live = batch.tgt_in != PAD_ID
     assert (batch.src == PAD_ID).any() and not live.all()
     logits = forward(store, cfg, batch.src, batch.tgt_in)
-    ref = padded_forward(store, cfg, batch.src, batch.tgt_in)
-    assert logits.shape == ref.shape
-    np.testing.assert_allclose(logits.data[live], ref.data[live], rtol=0, atol=1e-12)
-    assert not logits.data[~live].any()
-    grads = ag.backward(ag.cross_entropy(logits, batch.tgt_out, PAD_ID))
-    ref_grads = ag.backward(ag.cross_entropy(ref, batch.tgt_out, PAD_ID))
+    ref = take_rows(padded_forward(store, cfg, batch.src, batch.tgt_in), np.flatnonzero(live))
+    assert logits.shape == ref.shape == (live.sum(), cfg.vocab_size)
+    np.testing.assert_allclose(logits.data, ref.data, rtol=0, atol=1e-12)
+    grads = ag.backward(ag.cross_entropy(logits, batch.tgt_out[live]))
+    ref_grads = ag.backward(ag.cross_entropy(ref, batch.tgt_out[live]))
     assert sorted(grads) == sorted(ref_grads) == sorted(param_names(store))
     for name, g in grads.items():
         np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-10, err_msg=name)
@@ -207,7 +209,7 @@ def test_keep_decoding_narrows_memory_and_state_to_the_kept_rows():
         full = decode_logits(store, cfg, sub_memory, sub_live, tgt_in[keep]).data
     assert np.array_equal(memory.data, sub_memory.data) and np.array_equal(live, sub_live)
     assert {k: [x.shape[0] for x in kv] for k, kv in state.items()} == {k: [2, 2] for k in state}
-    np.testing.assert_allclose(narrowed[:, 0], full[:, 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(narrowed, full.reshape(2, 2, -1)[:, 1], rtol=0, atol=1e-12)
 
 
 def test_causal_mask_offset_rows_are_the_full_masks_last_rows():
@@ -242,20 +244,20 @@ def test_tape_op_nodes_match_analytic_count():
     # per op node: an encoder layer is norm, 4 linear + attention, residual add,
     # norm, linear, relu, linear, add (12); a decoder layer adds a norm,
     # 4 linear + attention and an add for cross-attention (19); then two
-    # embeddings, two final norms, the output projection, its pad from token
-    # rows back to the (batch, position) grid, and the loss (7). Attention
-    # scatters and gathers its rows inside its own node.
+    # embeddings, two final norms, the output projection and the loss (6).
+    # Attention scatters and gathers its rows inside its own node.
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src, tgt_in = _toy_batch()
-    expect = 12 * cfg.n_enc_layers + 19 * cfg.n_dec_layers + 7
+    expect = 12 * cfg.n_enc_layers + 19 * cfg.n_dec_layers + 6
     # dropout sites: embedding, and after each sublayer and FFN activation
     dropouts = 1 + 3 * cfg.n_enc_layers + 1 + 4 * cfg.n_dec_layers
     for drop, n in ((None, expect), (DropCtx(0.2, ag.derived_rng(9, 3)), expect + dropouts)):
-        loss = ag.cross_entropy(forward(store, cfg, src, tgt_in, drop=drop), tgt_in, PAD_ID)
+        loss = ag.cross_entropy(forward(store, cfg, src, tgt_in, drop=drop),
+                                tgt_in[tgt_in != PAD_ID])
         order = ag.topo_order(loss)
         assert sum(1 for node in order if node._backward is not None) == n
-    assert (expect, expect + dropouts) == (69, 85)
+    assert (expect, expect + dropouts) == (68, 84)
 
 
 def test_count_params_with_mask_roundtrip():

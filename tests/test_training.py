@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from doss import autograd as ag
 from doss.autograd import Tensor
-from doss.data import SyntheticTask, batch_iterator, gen_domain
+from doss.data import SyntheticTask, batch_iterator, gen_domain, make_batch
 from doss.errors import ConfigError, NumericsError
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, on_store, overlay
 from doss.model import (PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, forward,
@@ -15,7 +15,7 @@ from doss.model import (PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, f
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
-from support import param_names, random_mask
+from support import padded_forward, param_names, random_mask
 
 
 def test_lr_schedule_shape():
@@ -317,7 +317,7 @@ def test_backward_into_the_step_vector_is_the_concatenation_bit_for_bit():
 
     def loss():
         logits = forward(lam0, cfg, batch.src, batch.tgt_in, DropCtx(0.1, ag.derived_rng(3, 1)))
-        return ag.cross_entropy(logits, batch.tgt_out, PAD_ID)
+        return ag.cross_entropy(logits, batch.tgt_out[batch.tgt_in != PAD_ID])
 
     grads = ag.backward(loss())
     concatenated = np.concatenate([grads[n].ravel() if n in grads else np.zeros(t.data.size)
@@ -327,6 +327,23 @@ def test_backward_into_the_step_vector_is_the_concatenation_bit_for_bit():
     assert vector.tobytes() == concatenated.tobytes()
     assert list(written) == list(grads)
     assert all(np.shares_memory(g, vector) for g in written.values())
+
+
+def test_train_step_loss_is_the_mean_over_live_targets():
+    # the step scores each logit row against tgt_out at the same live position
+    # of tgt_in, in row-major order; the padded reference computes every position
+    cfg, lam0, _, mk = _tiny_setup()
+    batch = make_batch("reverse", mk("reverse", 2).pairs[:8])
+    live = batch.tgt_in != PAD_ID
+    assert len(set(live.sum(axis=1).tolist())) > 1
+    ref = padded_forward(lam0, cfg, batch.src, batch.tgt_in).data.reshape(*live.shape, -1)
+    rows, targets = ref[live], batch.tgt_out[live]
+    top = rows.max(axis=1)
+    nll = top + np.log(np.exp(rows - top[:, None]).sum(axis=1)) - rows[np.arange(rows.shape[0]),
+                                                                       targets]
+    loss = _train_step(lam0.copy(), cfg, batch, 1, TrainConfig(1e-3, 10, 64, 0.0, max_steps=1),
+                       OptimizerState.zeros(lam0), None, None)
+    assert abs(loss - nll.mean()) <= 1e-12
 
 
 def _extension_setup():
