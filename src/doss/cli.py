@@ -71,11 +71,11 @@ def artifact_valid(artifact: Path, key: str) -> bool:
     meta = _meta_path(artifact)
     if not artifact.exists() or not meta.exists():
         return False
-    fields = {}
-    for line in meta.read_text(encoding="utf-8").splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            fields[k] = v
+    try:
+        lines = meta.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:  # a corrupted sidecar: the stage reruns
+        return False
+    fields = dict(line.split("=", 1) for line in lines if "=" in line)
     return fields.get("config_hash") == key and fields.get("sha256") == _sha256_file(artifact)
 
 

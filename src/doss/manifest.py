@@ -143,13 +143,17 @@ def _read(parser, section: str, kind: str, defaults: dict) -> dict:
     return values
 
 
-def _train_config(t: dict, seed: int) -> TrainConfig:
-    """A section's TrainConfig: `steps` steps, or `ft_epochs` epochs for [masks]."""
+def _train_config(section: str, t: dict, seed: int) -> TrainConfig:
+    """[section]'s TrainConfig: `steps` steps, or `ft_epochs` epochs for [masks]."""
     length = {"max_steps": t["steps"]} if "steps" in t else {"epochs": t["ft_epochs"]}
-    return TrainConfig(
+    cfg = TrainConfig(
         learning_rate=t["learning_rate"], warmup_steps=t["warmup"],
         batch_tokens=t["batch_tokens"], dropout=t["dropout"], seed=seed, mixing=t["mixing"],
-        **length).validate()
+        **length)
+    try:
+        return cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _parse_domain(parser, section: str, default_seed: int, content: int) -> DomainSpec:
@@ -256,6 +260,6 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         sweep_steps=sweep["steps"], eval_max_len=evals["max_decode_len"],
         eval_batch=evals["batch_size"])
     for stage, name in _STAGE_TRAIN.items():
-        man.train[name] = _train_config(sections[name], man.stage_seed(stage))
+        man.train[name] = _train_config(name, sections[name], man.stage_seed(stage))
     man.train["extend_mask"] = replace(man.train["masks"], epochs=extend["ft_epochs"]).validate()
     return man

@@ -223,25 +223,22 @@ def overlap_stats(masks: MaskSet) -> OverlapStats:
 
 
 class StoreMask(NamedTuple):
-    """A DomainMask on a ParamStore's vector. Its ones are a sparse random
-    pattern, so they are held as indices: on this pattern a gather/scatter
-    is ~3x faster than a `where=` vector op."""
-    keep: np.ndarray    # bool: the mask's bits, and 1 on tensors it does not name
-    ones: np.ndarray    # indices of the mask's ones
-    frozen: np.ndarray  # indices of the tensors the mask does not name
+    """A DomainMask on a ParamStore's vector, 0 on the tensors it does not
+    name. Its sparse random ones are also held as indices: on this pattern a
+    gather/scatter is ~3x faster than a `where=` vector op."""
+    keep: np.ndarray  # bool: the mask's bits
+    ones: np.ndarray  # indices of the mask's ones
 
 
 def on_store(mask: DomainMask, store: ParamStore) -> StoreMask:
     """Map `mask` onto `store`'s vector layout."""
     bits = np.zeros(store.vector.size, dtype=bool)
-    covered = np.zeros(store.vector.size, dtype=bool)
-    bit_views, covered_views = (layout_views(v, store.layout) for v in (bits, covered))
+    views = layout_views(bits, store.layout)
     for name, b in mask.bits.items():
         if name not in store or store.array(name).size != b.size:
             raise RegistryMismatchError(f"mask names no tensor of its size: {name}")
-        bit_views[name][...] = b.reshape(bit_views[name].shape)
-        covered_views[name][...] = True
-    return StoreMask(bits | ~covered, np.flatnonzero(bits), np.flatnonzero(~covered))
+        views[name][...] = b.reshape(views[name].shape)
+    return StoreMask(bits, np.flatnonzero(bits))
 
 
 def overlay(base: ParamStore, trained: ParamStore, mask: DomainMask) -> ParamStore:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -451,13 +452,14 @@ def save_checkpoint(store: ParamStore, path) -> None:
 
 
 class FramedReader:
-    """Reads a binary artifact framed as magic, u16 version, then
-    little-endian fields. A short read, a wrong magic or version, and
-    trailing bytes are all FormatErrors naming the artifact kind."""
+    """Reads a binary artifact framed as magic, u16 version, then little-endian
+    fields. A read past the file's end (refused before it allocates), a wrong
+    magic or version, and trailing bytes are FormatErrors naming the kind."""
 
     def __init__(self, fh, magic: bytes, version: int, what: str):
         self.fh = fh
         self.what = what
+        self.left = os.fstat(fh.fileno()).st_size
         if self.read(len(magic)) != magic:
             raise FormatError(f"bad {what} magic")
         (got,) = self.unpack("<H")
@@ -465,10 +467,10 @@ class FramedReader:
             raise FormatError(f"unsupported {what} version {got}")
 
     def read(self, n: int) -> bytes:
-        buf = self.fh.read(n)
-        if len(buf) != n:
+        if n > self.left:
             raise FormatError(f"{self.what} file truncated")
-        return buf
+        self.left -= n
+        return self.fh.read(n)
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
@@ -482,7 +484,7 @@ class FramedReader:
             raise FormatError(f"{self.what} file holds a string that is not UTF-8") from exc
 
     def end(self) -> None:
-        if self.fh.read(1):
+        if self.left:
             raise FormatError(f"trailing bytes after {self.what} payload")
 
 
@@ -495,8 +497,7 @@ def load_checkpoint(path) -> ParamStore:
             name = reader.string()
             (rank,) = reader.unpack("<B")
             shape = reader.unpack(f"<{rank}I")
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(reader.read(4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(reader.read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
             tensors[name] = Tensor(data.astype(np.float64), requires_grad=True, name=name)
         reader.end()
     return ParamStore(tensors)

@@ -2,13 +2,12 @@
 joint training, and the domain-extension protocols.
 
 Parameters, gradients and Adam moments share the trained store's vector
-layout; `_train` maps each domain's mask onto it once. Masked updates make two
-guarantees. `_train_step` zeroes the gradient vector where the mask is 0, in
-one op before the clip and the Adam moments (tensors the mask does not name,
-biases and layer norms, keep their gradients in the clip norm), and
-`adam_step` writes only the mask's ones and keeps the other tensors' moments,
-so masked-out elements keep their exact bit pattern and non-maskable tensors
-are never touched by masked training.
+layout; `_train` maps each domain's mask onto it once. A masked step keeps
+its gradient only at the mask's ones: `_train_step` zeroes it everywhere
+else, on the tensors the mask does not name (biases, layer norms) too, in one
+op before the clip, so the clip norm covers only what the step trains. Then
+`adam_step` writes only the mask's ones, so every other element keeps its
+exact bit pattern.
 """
 
 from __future__ import annotations
@@ -48,8 +47,9 @@ class TrainConfig:
     mixing: str = "round_robin"
 
     def validate(self) -> "TrainConfig":
-        if self.learning_rate <= 0 or self.warmup_steps < 1 or self.batch_tokens < 1:
-            raise ConfigError(f"learning_rate/warmup/batch_tokens must be positive: {self}")
+        if not 0 < self.learning_rate < math.inf or self.warmup_steps < 1 or self.batch_tokens < 1:
+            raise ConfigError(f"learning_rate/warmup/batch_tokens must be finite and positive: "
+                              f"{self}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
         if (self.max_steps is None) == (self.epochs is None):
@@ -121,9 +121,8 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
               lr: float, betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
               mask: StoreMask | None = None) -> tuple[ParamStore, OptimizerState]:
     """One Adam update with bias correction, in place over `params.vector`;
-    `grad` and the moments share its layout. Under a mask the moments of
-    tensors it does not name keep their values and only its ones are
-    written; the caller zeroes the gradient where the mask is 0."""
+    `grad` and the moments share its layout. Under a mask only its ones are
+    written; the caller zeroes the gradient outside them."""
     b1, b2 = betas
     state.step += 1
     t = state.step
@@ -132,7 +131,6 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
         name = next(n for n, ok in layout_views(finite, params.layout).items() if not ok.all())
         raise NumericsError(f"non-finite gradient for {name!r} at optimizer step {t}")
     m, v, (s1, s2) = state.m, state.v, state.scratch
-    kept = None if mask is None else (m[mask.frozen], v[mask.frozen])
     # in place, with the same elementwise ops in the same order as
     # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); delta = lr*m_hat / (sqrt(v_hat) + eps)
     np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, grad, out=s1), out=m)
@@ -144,7 +142,6 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
     if mask is None:
         params.vector -= delta
     else:
-        m[mask.frozen], v[mask.frozen] = kept
         params.vector[mask.ones] -= delta[mask.ones]
     return params, state
 

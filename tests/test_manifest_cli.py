@@ -190,12 +190,16 @@ def test_shipped_manifests_train_masks_for_ft_epochs(path):
                  "kind = reverse\ntrain_pairs = 120\neval_pairs = 0", id="domain_eval_pairs_zero"),
     pytest.param("kind = sort\ntrain_pairs = 120", "kind = sort\ntrain_pairs = 0",
                  id="extension_train_pairs_zero"),
+    pytest.param("steps = 40", "steps = 40\nlearning_rate = nan", id="learning_rate_nan"),
+    pytest.param("steps = 40", "steps = 40\nlearning_rate = inf", id="learning_rate_inf"),
 ])
 def test_manifest_rejects_bad_eval_and_sweep_values(tmp_path, old, new):
-    # and pair counts below 1 in a [domain ...] or [extension ...] section
+    # and pair counts below 1 in a [domain ...] or [extension ...] section,
+    # and a learning rate that is not finite in a train section
     path = tmp_path / "v.ini"
     path.write_text(TINY.replace(old, new), encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"\[(eval|sweep|domain \w+|extension \w+)\]"):
+    with pytest.raises(ConfigError,
+                       match=r"\[(eval|sweep|pretrain|domain \w+|extension \w+)\]"):
         load_manifest(path)
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
@@ -334,6 +338,12 @@ def test_artifact_meta_roundtrip(tmp_path):
     assert not artifact_valid(art, "other")
     art.write_bytes(b"tampered")
     assert not artifact_valid(art, "k123")
+    # a sidecar that is not UTF-8 is corrupted: invalid, not an exception
+    art.write_bytes(b"payload")
+    meta = tmp_path / "x.bin.meta"
+    assert artifact_valid(art, "k123")
+    meta.write_bytes(meta.read_bytes().replace(b"stage=stage", b"stage=\xe9"))
+    assert not artifact_valid(art, "k123")
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +412,19 @@ def test_corrupted_artifact_reruns_only_its_stage(tiny_run):
     assert pipe.doss_ckpt.read_bytes() == doss_bytes  # bit-identical regeneration
     assert pipe2.evaluate() is False          # inputs identical again: cache hit
     assert pipe.base_ckpt.read_bytes() == base_bytes
+
+
+def test_undecodable_sidecar_reruns_its_stage(tiny_run):
+    man_path, pipe = tiny_run
+    meta = pipe.doss_ckpt.with_name("doss.ckpt.meta")
+    doss_bytes, meta_bytes = pipe.doss_ckpt.read_bytes(), meta.read_bytes()
+    meta.write_bytes(meta_bytes.replace(b"stage=", b"stage=\xe9", 1))
+    pipe2 = Pipeline(load_manifest(man_path), pipe.out)
+    assert pipe2.make_masks() is False
+    assert pipe2.train_doss() is True
+    assert pipe.doss_ckpt.read_bytes() == doss_bytes
+    assert meta.read_bytes() == meta_bytes
+    assert pipe2.evaluate() is False
 
 
 def test_rerun_into_fresh_dir_is_bit_identical(tiny_run):

@@ -1,5 +1,6 @@
 """Mask creation, pruning density, disjointness, overlay, and the file format."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,13 @@ def test_mask_file_errors(tmp_path):
         not_utf8.write_bytes(raw.replace(field, b"\x01\x00\xff"))
         with pytest.raises(FormatError, match="not UTF-8"):
             load_mask(not_utf8)
+    # an element count of 2**64 - 1 would ask for 2**61 bytes: truncated
+    count = b"\x01\x00w" + struct.pack("<Q", 5)
+    assert raw.count(count) == 1
+    huge = tmp_path / "h.mask"
+    huge.write_bytes(raw.replace(count, b"\x01\x00w" + struct.pack("<Q", 2**64 - 1)))
+    with pytest.raises(FormatError, match="truncated"):
+        load_mask(huge)
 
 
 def test_maskset_unique_ids_and_union():

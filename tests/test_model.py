@@ -1,5 +1,7 @@
 """Transformer construction, registry tagging, forward contracts, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,15 @@ def test_checkpoint_format_errors(tmp_path):
     not_utf8.write_bytes(raw.replace(name, b"\xff\xfe" + name[2:], 1))
     with pytest.raises(FormatError, match="not UTF-8"):
         load_checkpoint(not_utf8)
+    # extents whose product wraps in int64 and overflows the file: truncated
+    wname, w = next((n, t) for n, t in store.items() if t.data.ndim == 2)
+    head = struct.pack("<H", len(wname)) + wname.encode() + struct.pack("<B", 2)
+    assert raw.count(head + struct.pack("<2I", *w.data.shape)) == 1
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(raw.replace(head + struct.pack("<2I", *w.data.shape),
+                                 head + struct.pack("<2I", 2**32 - 1, 2**32 - 1)))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(huge)
 
 
 def test_registry_sidecar_roundtrip(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doss import autograd as ag
+from doss import training
 from doss.autograd import Tensor
 from doss.data import SyntheticTask, batch_iterator, gen_domain, make_batch
 from doss.errors import ConfigError, NumericsError
@@ -146,7 +147,8 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked):
             if masked else None)
     state = OptimizerState.zeros(store)
     for t in range(1, 6):
-        grads = {n: r.normal(size=s) * (bits[n] if masked and n in bits else 1.0)
+        # the caller's masking: 0 outside the ones, on unnamed tensors too
+        grads = {n: r.normal(size=s) * (1.0 if bits is None else bits.get(n, 0.0))
                  for n, s in shapes.items()}
         lr = float(r.uniform(1e-4, 1e-1))
         adam_step(store, np.concatenate([g.ravel() for g in grads.values()]), state,
@@ -154,9 +156,8 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked):
         _adam_reference(arrays, grads, m, v, t, lr, bits)
         for n in shapes:
             assert store.array(n).tobytes() == arrays[n].tobytes(), (t, n)
-            if not masked or n in bits:
-                assert layout_views(state.m, store.layout)[n].tobytes() == m[n].tobytes(), (t, n)
-                assert layout_views(state.v, store.layout)[n].tobytes() == v[n].tobytes(), (t, n)
+            assert layout_views(state.m, store.layout)[n].tobytes() == m[n].tobytes(), (t, n)
+            assert layout_views(state.v, store.layout)[n].tobytes() == v[n].tobytes(), (t, n)
 
 
 def test_clip_by_global_norm():
@@ -278,6 +279,37 @@ def test_masked_train_step_leaves_moments_zero_outside_the_mask():
         assert all(np.all(mom[name][off] == 0.0) for mom in moments), name
         moved += int(np.count_nonzero(moments[0][name][~off]))
     assert moved > 0
+
+
+def test_masked_train_step_clips_only_the_mask_ones(monkeypatch):
+    # the clip sees a gradient that is 0 outside the mask's ones, on the
+    # tensors the mask does not name too, so its norm covers only what the
+    # step trains
+    cfg, lam0, registry, mk = _tiny_setup()
+    mask = random_mask(registry, "copy", np.random.default_rng(7), 0.5)
+    tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=1, seed=3)
+    batch = next(batch_iterator([mk("copy", 1)], "round_robin", 64, 3))
+    seen = []
+
+    def spy(grads, max_norm):
+        copies = {n: g.copy() for n, g in grads.items()}
+        seen.append((copies, clip_by_global_norm(grads, max_norm)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(training, "clip_by_global_norm", spy)
+    for m in (None, on_store(mask, lam0)):
+        _train_step(lam0.copy(), cfg, batch, 1, tcfg, OptimizerState.zeros(lam0), m, None)
+    (full, _), (masked, norm) = seen
+    unnamed = [n for n in full if n not in mask.bits]
+    assert unnamed and any(np.any(full[n] != 0.0) for n in unnamed)
+    for name, g in masked.items():
+        bits = (mask.bits[name].reshape(g.shape) if name in mask.bits
+                else np.zeros(g.shape, bool))
+        assert np.all(g[~bits] == 0.0), name
+        assert np.array_equal(g[bits], full[name][bits]), name
+    ones = np.concatenate([full[n][mask.bits[n].reshape(full[n].shape)] for n in mask.bits])
+    assert norm == pytest.approx(np.sqrt(np.sum(ones * ones)), rel=1e-12)
+    assert norm < np.sqrt(sum(float(np.sum(g * g)) for g in full.values()))
 
 
 def test_train_doss_bit_reproducible():
