@@ -14,11 +14,13 @@ operations, one tape node each: `add` (residuals, equal shapes), `linear`
 (one 2-D GEMM), `attention` (head split to head merge), `relu`, `layer_norm`,
 `embedding` (scaled lookup plus positions), `dropout` and `cross_entropy`
 (over (N, V) logit rows). `attention` alone needs the grid: it
-scatters its rows into zero-padded (B, S, d) blocks, applies the additive
-mask, and gathers the live query rows back; its backward repeats the array
-expressions of the op-by-op chain it stands for. `linear`'s gradients are
-2-D products, and `layer_norm`'s input gradient is the compact
-ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
+scatters its rows into zero-padded (B, S, d) blocks, takes the softmax in
+place along the outer axis of one key-major (S_kv, B, H, S_q) buffer, writes
+each product into a (B, S, d) block, and gathers the rows back. `linear`'s
+gradients are 2-D products, and `layer_norm`'s input gradient is the compact
+ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)). The ops compute in
+place where they can, with the floating-point operations of the numpy chain
+each stands for, in its order: an op's bits are every artifact's bits.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = x.data @ w.data
     if b is None:
         return _node(y, "linear", (x, w), bw)
-    return _node(y + b.data, "linear", (x, w, b), bw)
+    y += b.data
+    return _node(y, "linear", (x, w, b), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None,
@@ -163,7 +166,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | 
     at `kv_rows`' positions of a (B, S_kv) grid. Scatters each into a
     zero-padded (B, S, D) block, splits D into `n_heads` heads, takes
     softmax(q k^T / sqrt(D / n_heads) + mask) v per head, merges the heads
-    back and gathers the query rows. `mask` is an additive constant that
+    back and gathers the query rows. `mask` is a 4-D additive constant that
     broadcasts against the (B, n_heads, S_q, S_kv) scores and must hide every
     key position without a row from every query row; no gradient flows into
     it."""
@@ -179,28 +182,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | 
     def heads(x: np.ndarray, rows: Rows) -> np.ndarray:
         return rows.scatter(x).reshape(b, rows.s, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray, rows: Rows) -> np.ndarray:
-        return rows.gather(x.transpose(0, 2, 1, 3).reshape(b, rows.s, d))
+    def merged(x: np.ndarray, y: np.ndarray, rows: Rows) -> np.ndarray:
+        """The rows of x @ y, per head, written into a (B, S, D) block."""
+        block = np.empty((b, rows.s, n_heads, dh))
+        np.matmul(x, y, out=block.transpose(0, 2, 1, 3))
+        return rows.gather(block.reshape(b, rows.s, d))
 
-    qh, vh = heads(q.data, q_rows), heads(v.data, kv_rows)
-    kt = heads(k.data, kv_rows).transpose(0, 1, 3, 2)
-    scores = (qh @ kt) * c
+    qh, kh, vh = heads(q.data, q_rows), heads(k.data, kv_rows), heads(v.data, kv_rows)
+    # scores, then probabilities, key-major: the softmax reduces over the outer
+    # axis, adding keys in order, as numpy's sum along an axis of up to 7 does
+    p = np.empty((s_kv, b, n_heads, s_q))
+    np.matmul(kh, qh.swapaxes(-1, -2), out=p.transpose(1, 2, 0, 3))
+    p *= c
     if mask is not None:
-        scores = scores + mask
-    # the row max, reduced over the outer axis of an (S_kv, rows) copy: the same
-    # bits as a reduction along the short contiguous key axis, several times faster
-    row_max = scores.reshape(-1, s_kv).T.copy().max(axis=0).reshape(scores.shape[:-1] + (1,))
-    e = np.exp(scores - row_max)
-    p = e / e.sum(axis=-1, keepdims=True)
+        p += mask.transpose(3, 0, 1, 2)
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    p /= p.sum(axis=0)
 
     def bw(g):
-        g = heads(g, q_rows)
-        gp = g @ vh.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
-        gkt = qh.swapaxes(-1, -2) @ gs
-        return (merge(gs @ kt.swapaxes(-1, -2), q_rows), merge(gkt.transpose(0, 1, 3, 2), kv_rows),
-                merge(p.swapaxes(-1, -2) @ g, kv_rows))
-    return _node(merge(p @ vh, q_rows), "attention", (q, k, v), bw)
+        gh = heads(g, q_rows)
+        gs = np.empty_like(p)
+        np.matmul(vh, gh.swapaxes(-1, -2), out=gs.transpose(1, 2, 0, 3))
+        gs -= (gs * p).sum(axis=0)
+        gs *= p
+        gs *= c
+        gst = gs.transpose(1, 2, 0, 3)
+        return (merged(np.ascontiguousarray(gst.swapaxes(-1, -2)), kh, q_rows),
+                merged(gst, qh, kv_rows), merged(p.transpose(1, 2, 0, 3), gh, kv_rows))
+    # query-major copies for the products over q rows: on a strided p, a product
+    # with one q row leaves BLAS's row-vector path, and its bits change
+    ctx = merged(np.ascontiguousarray(p.transpose(1, 2, 3, 0)), vh, q_rows)
+    return _node(ctx, "attention", (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -212,18 +225,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = xc * ivar
+    # each mean is np.mean's own sum and division, without its wrapper
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    out = xhat * xhat
+    ivar = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= ivar
+
     def bw(g):
         dxhat = g * gain.data
-        dx = ivar * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        t = dxhat * xhat
+        dxhat -= dxhat.sum(axis=-1, keepdims=True) / d
+        dxhat -= np.multiply(xhat, t.sum(axis=-1, keepdims=True) / d, out=t)
+        dxhat *= ivar
         lead = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
-    return _node(xhat * gain.data + bias.data, "layer_norm", (x, gain, bias), bw)
+        return dxhat, np.multiply(g, xhat, out=t).sum(axis=lead), g.sum(axis=lead)
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    return _node(out, "layer_norm", (x, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray, scale: float, offset) -> Tensor:
@@ -233,9 +251,10 @@ def embedding(table: Tensor, ids: np.ndarray, scale: float, offset) -> Tensor:
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.data.shape[0]:
         raise ShapeError("embedding id out of range")
     def bw(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.ravel(), (g * scale).reshape(-1, table.data.shape[1]))
-        return (dt,)
+        # one bin per table element: bincount adds in np.add.at's order from 0.0
+        rows, dim = table.data.shape
+        bins = (ids.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+        return (np.bincount(bins, (g * scale).ravel(), rows * dim).reshape(rows, dim),)
     return _node(table.data[ids] * scale + offset, "embedding", (table,), bw)
 
 
@@ -245,7 +264,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ShapeError(f"dropout rate must be in [0, 1): {rate}")
     if rate == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(a.data.shape)  # the values of (draw >= rate) / (1 - rate)
+    np.greater_equal(keep, rate, out=keep)
+    keep *= 1.0 / (1.0 - rate)
     return _node(a.data * keep, "dropout", (a,), lambda g: (g * keep,))
 
 

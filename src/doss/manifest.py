@@ -261,5 +261,6 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         eval_batch=evals["batch_size"])
     for stage, name in _STAGE_TRAIN.items():
         man.train[name] = _train_config(name, sections[name], man.stage_seed(stage))
-    man.train["extend_mask"] = replace(man.train["masks"], epochs=extend["ft_epochs"]).validate()
+    man.train["extend_mask"] = _train_config("extend", {**masks, "ft_epochs": extend["ft_epochs"]},
+                                             man.stage_seed("make_masks"))
     return man

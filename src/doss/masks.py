@@ -136,11 +136,13 @@ def pool_layout(registry: ParameterRegistry) -> tuple[tuple[str, int], ...]:
 def _keep_flags(finetuned: ParamStore, infos, fraction_pruned: float) -> np.ndarray:
     absvals = np.concatenate([np.abs(finetuned.array(i.name)).ravel() for i in infos])
     keep = int(round((1.0 - fraction_pruned) * absvals.size))
-    flags = np.zeros(absvals.size, dtype=bool)
-    if keep > 0:
-        # stable sort on the concatenated pool realizes the (name, index) tie-break
-        order = np.argsort(-absvals, kind="stable")
-        flags[order[:keep]] = True
+    # the keep largest, ties broken by (name, index): every value above the keep-th
+    # largest (the largest for keep 0), then that value's first ones in pool order
+    kth = absvals.size - max(keep, 1)
+    cut = np.partition(absvals, kth)[kth]
+    flags = absvals > cut
+    ties = np.flatnonzero(absvals == cut)
+    flags[ties[:keep - np.count_nonzero(flags)]] = True
     return flags
 
 

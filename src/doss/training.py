@@ -33,6 +33,7 @@ from .model import (DropCtx, ModelConfig, PAD_ID, ParameterRegistry, ParamStore,
 # ---------------------------------------------------------------------------
 
 GRAD_CLIP = 1.0  # every train step clips the gradient's global L2 norm to this
+_ADAM_CHUNK = 32768  # elements: adam_step's 6 vector chunks, 256 KB each, fit a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -106,14 +107,13 @@ def lr_schedule(step: int, warmup: int, base_lr: float) -> float:
     return base_lr * min(step / warmup, math.sqrt(warmup / step))
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place if their global L2 norm exceeds max_norm.
-    The norm sums per-tensor squares in the dict's order."""
+def clip_by_global_norm(grad: np.ndarray, grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale the gradient vector in place if its global L2 norm exceeds
+    max_norm. `grads` are views of `grad` that cover its nonzero elements; the
+    norm sums their squares in the dict's order, and one vector op scales."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm and total > 0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grad *= max_norm / total
     return total
 
 
@@ -130,18 +130,21 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
     if not finite.all():
         name = next(n for n, ok in layout_views(finite, params.layout).items() if not ok.all())
         raise NumericsError(f"non-finite gradient for {name!r} at optimizer step {t}")
-    m, v, (s1, s2) = state.m, state.v, state.scratch
-    # in place, with the same elementwise ops in the same order as
-    # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); delta = lr*m_hat / (sqrt(v_hat) + eps)
-    np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, grad, out=s1), out=m)
-    np.add(np.multiply(b2, v, out=v),
-           np.multiply(1.0 - b2, np.multiply(grad, grad, out=s1), out=s1), out=v)
-    delta = np.divide(np.multiply(lr, np.divide(m, 1.0 - b1 ** t, out=s1), out=s1),
-                      np.add(np.sqrt(np.divide(v, 1.0 - b2 ** t, out=s2), out=s2), eps, out=s2),
-                      out=s1)
-    if mask is None:
-        params.vector -= delta
-    else:
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    delta, scratch = state.scratch
+    for lo in range(0, grad.size, _ADAM_CHUNK):
+        part = slice(lo, lo + _ADAM_CHUNK)
+        g, m, v, s1, s2 = grad[part], state.m[part], state.v[part], delta[part], scratch[part]
+        # in place, with the same elementwise ops in the same order as
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); delta = lr*m_hat / (sqrt(v_hat) + eps)
+        np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, g, out=s1), out=m)
+        np.add(np.multiply(b2, v, out=v),
+               np.multiply(1.0 - b2, np.multiply(g, g, out=s1), out=s1), out=v)
+        np.divide(np.multiply(lr, np.divide(m, c1, out=s1), out=s1),
+                  np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2), out=s1)
+        if mask is None:
+            params.vector[part] -= s1
+    if mask is not None:
         params.vector[mask.ones] -= delta[mask.ones]
     return params, state
 
@@ -162,7 +165,7 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
     if mask is not None:
         grad *= mask.keep
     # backward's order: another summation order changes the norm's last bits
-    clip_by_global_norm(grads, GRAD_CLIP)
+    clip_by_global_norm(grad, grads, GRAD_CLIP)
     lr = lr_schedule(step, cfg.warmup_steps, cfg.learning_rate)
     adam_step(params, grad, state, lr, mask=mask)
     value = float(loss.data)

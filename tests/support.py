@@ -1,7 +1,7 @@
 """Model presets, sum, product and row-selection ops, the long-form layer-norm
-backward, a padded reference model and a full-prefix reference decoder over it,
-parameter names, dataset and mask measurements, and the capacity bound that
-only the tests use.
+backward, the former expressions of the rewritten kernels, a padded reference
+model and a full-prefix reference decoder over it, parameter names, dataset
+and mask measurements, and the capacity bound that only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
@@ -64,6 +64,97 @@ def layer_norm_backward_long_form(x: np.ndarray, gain: np.ndarray, g: np.ndarray
     dvar = (dxhat * xc * -0.5 * ivar ** 3).sum(axis=-1, keepdims=True)
     dmu = (-dxhat * ivar).sum(axis=-1, keepdims=True) + dvar * (-2.0 * xc).mean(axis=-1, keepdims=True)
     return dxhat * ivar + dvar * 2.0 * xc / d + dmu / d
+
+
+# ---------------------------------------------------------------------------
+# the kernels' former expressions: each rewrite must keep their bits
+# ---------------------------------------------------------------------------
+
+
+def attention_reference(q, k, v, n_heads, mask, q_rows, kv_rows, g):
+    """`ag.attention`'s output and (q, k, v) gradients for the upstream
+    gradient `g`, as the op computed them on query-major (B, H, S_q, S_kv)
+    scores over views of (B, S, D) blocks."""
+    b, d = q_rows.b, q.shape[-1]
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def heads(x, rows):
+        return rows.scatter(x).reshape(b, rows.s, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, rows):
+        return rows.gather(x.transpose(0, 2, 1, 3).reshape(b, rows.s, d))
+
+    qh, vh = heads(q, q_rows), heads(v, kv_rows)
+    kt = heads(k, kv_rows).transpose(0, 1, 3, 2)
+    scores = (qh @ kt) * c
+    if mask is not None:
+        scores = scores + mask
+    s_kv = kv_rows.s
+    row_max = scores.reshape(-1, s_kv).T.copy().max(axis=0).reshape(scores.shape[:-1] + (1,))
+    e = np.exp(scores - row_max)
+    p = e / e.sum(axis=-1, keepdims=True)
+    gh = heads(g, q_rows)
+    gp = gh @ vh.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+    gkt = qh.swapaxes(-1, -2) @ gs
+    return (merge(p @ vh, q_rows), merge(gs @ kt.swapaxes(-1, -2), q_rows),
+            merge(gkt.transpose(0, 1, 3, 2), kv_rows), merge(p.swapaxes(-1, -2) @ gh, kv_rows))
+
+
+def layer_norm_reference(x, gain, bias, g, eps=1e-6):
+    """`ag.layer_norm`'s output and (x, gain, bias) gradients through
+    `np.mean` and out-of-place expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = xc * ivar
+    dxhat = g * gain
+    dx = ivar * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(g.ndim - 1))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def dropout_keep_reference(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Inverted dropout's keep values from a bool draw."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def embedding_grad_reference(table_shape, ids, g, scale):
+    """The embedding table's gradient through `np.add.at`."""
+    dt = np.zeros(table_shape)
+    np.add.at(dt, np.asarray(ids).ravel(), (g * scale).reshape(-1, table_shape[1]))
+    return dt
+
+
+def adam_reference(vector, grad, m, v, t, lr, ones=None, betas=(0.9, 0.999), eps=1e-8):
+    """One in-place Adam update in single passes over whole vectors; under
+    `ones` (indices) only those elements of `vector` are written."""
+    b1, b2 = betas
+    s1, s2 = np.empty_like(grad), np.empty_like(grad)
+    np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, grad, out=s1), out=m)
+    np.add(np.multiply(b2, v, out=v),
+           np.multiply(1.0 - b2, np.multiply(grad, grad, out=s1), out=s1), out=v)
+    delta = np.divide(np.multiply(lr, np.divide(m, 1.0 - b1 ** t, out=s1), out=s1),
+                      np.add(np.sqrt(np.divide(v, 1.0 - b2 ** t, out=s2), out=s2), eps, out=s2),
+                      out=s1)
+    if ones is None:
+        vector -= delta
+    else:
+        vector[ones] -= delta[ones]
+
+
+def clip_reference(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Clip a name -> gradient dict in place by squaring each tensor, in the
+    dict's order; returns the norm before clipping."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm and total > 0:
+        factor = max_norm / total
+        for g in grads.values():
+            g *= factor
+    return total
 
 
 def mini_config(vocab_size: int = 32) -> ModelConfig:

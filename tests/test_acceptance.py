@@ -346,20 +346,10 @@ def test_criterion_9_bleu_oracle():
 def test_criterion_10_stage_reruns_bit_identical(tmp_path, trained):
     from doss.cli import Pipeline
 
-    man_text = MANIFEST.read_text().replace("steps = 7000", "steps = 120") \
-        .replace("steps = 4500", "steps = 60").replace("steps = 1200", "steps = 40") \
-        .replace("steps = 1500", "steps = 30") \
-        .replace("train_pairs = 3000", "train_pairs = 300") \
-        .replace("train_pairs = 1500", "train_pairs = 150") \
-        .replace("eval_pairs = 150", "eval_pairs = 24") \
-        .replace("ft_epochs = 5", "ft_epochs = 1") \
-        .replace("alphas = 0.4 0.5 0.6 0.8 0.9", "alphas = 0.6") \
-        .replace("betas = 0.4 0.5 0.6 0.8 0.9", "betas = 0.6")
-    man_path = tmp_path / "micro.ini"
-    man_path.write_text(man_text, encoding="utf-8")
+    micro = REPO / "configs" / "micro.ini"
     outs = []
     for sub in ("a", "b"):
-        p = Pipeline(load_manifest(man_path), tmp_path / sub)
+        p = Pipeline(load_manifest(micro), tmp_path / sub)
         p.run()
         p.sweep()
         outs.append(tmp_path / sub)

@@ -162,8 +162,8 @@ def test_manifest_errors(tmp_path):
     assert main(["run", "--config", str(dup), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("path", ["configs/desk.ini", "benchmarks/desk.ini",
-                                  "benchmarks/pipeline.ini"])
+@pytest.mark.parametrize("path", ["configs/desk.ini", "configs/micro.ini",
+                                  "benchmarks/desk.ini", "benchmarks/pipeline.ini"])
 def test_shipped_manifests_train_masks_for_ft_epochs(path):
     path = Path(__file__).resolve().parent.parent / path
     raw = configparser.ConfigParser(interpolation=None)
@@ -192,14 +192,17 @@ def test_shipped_manifests_train_masks_for_ft_epochs(path):
                  id="extension_train_pairs_zero"),
     pytest.param("steps = 40", "steps = 40\nlearning_rate = nan", id="learning_rate_nan"),
     pytest.param("steps = 40", "steps = 40\nlearning_rate = inf", id="learning_rate_inf"),
+    pytest.param("mode = new_only_disjoint", "mode = new_only_disjoint\nft_epochs = 0",
+                 id="extend_ft_epochs_zero"),
 ])
 def test_manifest_rejects_bad_eval_and_sweep_values(tmp_path, old, new):
     # and pair counts below 1 in a [domain ...] or [extension ...] section,
-    # and a learning rate that is not finite in a train section
+    # a learning rate that is not finite in a train section, and no
+    # extension-mask finetune epochs
     path = tmp_path / "v.ini"
     path.write_text(TINY.replace(old, new), encoding="utf-8")
     with pytest.raises(ConfigError,
-                       match=r"\[(eval|sweep|pretrain|domain \w+|extension \w+)\]"):
+                       match=r"\[(eval|sweep|pretrain|extend|domain \w+|extension \w+)\]"):
         load_manifest(path)
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2

@@ -123,6 +123,31 @@ def test_tie_break_by_name_then_index():
     assert mask.bits["enc.b"].tolist() == [False] * 4
 
 
+def stable_argsort_keep(absvals: np.ndarray, keep: int) -> np.ndarray:
+    """The former keep rule: the first `keep` of a stable descending argsort."""
+    flags = np.zeros(absvals.size, dtype=bool)
+    flags[np.argsort(-absvals, kind="stable")[:keep]] = True
+    return flags
+
+
+@pytest.mark.parametrize("keep", [0, 1, 137, 300])
+def test_prune_keeps_the_stable_argsort_rule_on_a_tie_heavy_pool(keep):
+    # one decimal gives ~20 distinct magnitudes in a pool of 300, signed zeros
+    # included; the ties at the cut must go to the first in pool order
+    r = np.random.default_rng(11)
+    values = {name: np.round(r.normal(size=shape), 1)
+              for name, shape in (("enc.b", (10, 12)), ("enc.a", (9, 20)), ("dec.w", (4, 5)))}
+    store, reg = make_store({name: (v, "decoder" if name.startswith("dec") else "encoder")
+                             for name, v in values.items()})
+    mask = magnitude_prune(store, reg, PruneSpec(1.0 - keep / 300, 0.5), "d")
+    pool = np.abs(np.concatenate([values["enc.a"].ravel(), values["enc.b"].ravel()]))
+    got = np.concatenate([mask.bits["enc.a"].ravel(), mask.bits["enc.b"].ravel()])
+    assert got.sum() == keep
+    assert np.array_equal(got, stable_argsort_keep(pool, keep))
+    assert np.array_equal(mask.bits["dec.w"].ravel(),
+                          stable_argsort_keep(np.abs(values["dec.w"].ravel()), 10))
+
+
 def test_prune_invariant_to_registry_order():
     r = np.random.default_rng(3)
     a, b, d = r.normal(size=(3, 3)), r.normal(size=(2, 5)), r.normal(size=(2, 2))

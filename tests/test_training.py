@@ -161,13 +161,13 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked):
 
 
 def test_clip_by_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    norm = clip_by_global_norm(grads, 1.0)
+    grad = np.array([3.0, 4.0])
+    norm = clip_by_global_norm(grad, {"b": grad[1:], "a": grad[:1]}, 1.0)
     assert norm == pytest.approx(5.0)
-    assert np.sqrt(sum(float((g * g).sum()) for g in grads.values())) == pytest.approx(1.0)
-    small = {"a": np.array([0.3])}
-    clip_by_global_norm(small, 1.0)
-    assert small["a"][0] == pytest.approx(0.3)
+    assert np.sqrt(np.sum(grad * grad)) == pytest.approx(1.0)
+    small = np.array([0.3])
+    clip_by_global_norm(small, {"a": small}, 1.0)
+    assert small[0] == pytest.approx(0.3)
 
 
 def test_train_config_validation():
@@ -291,9 +291,9 @@ def test_masked_train_step_clips_only_the_mask_ones(monkeypatch):
     batch = next(batch_iterator([mk("copy", 1)], "round_robin", 64, 3))
     seen = []
 
-    def spy(grads, max_norm):
+    def spy(grad, grads, max_norm):
         copies = {n: g.copy() for n, g in grads.items()}
-        seen.append((copies, clip_by_global_norm(grads, max_norm)))
+        seen.append((copies, clip_by_global_norm(grad, grads, max_norm)))
         return seen[-1][1]
 
     monkeypatch.setattr(training, "clip_by_global_norm", spy)
