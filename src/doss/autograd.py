@@ -4,8 +4,14 @@ Every operation builds a node that records its parent nodes and a backward
 rule, which maps the node's gradient to one gradient per parent; `backward`
 replays the tape in reverse topological order, sums the gradients reaching
 each node, and returns a name -> gradient map for the named leaves. All
-training math runs in float64. Forward values are checked for NaN/Inf after
-every op; a non-finite value is an error state, not something to propagate.
+training math runs in float64. A non-finite value is an error state, not
+something to propagate, but the ops do not check their outputs: the checks run
+at step boundaries. A train step checks its loss before `backward`
+(`check_finite`, which then names the first op in `topo_order` whose output is
+not finite, from the op name each node keeps), Adam checks the gradient
+vector, greedy decoding checks each step's logits, and checkpoints are checked
+when saved and loaded. A -inf that `relu`, an attention softmax or the loss
+maps to a finite value is not reported; only an overflow can make one.
 
 Activations are token-major: one (rows, d) array per layer, one row per live
 token of a batch, with no pad rows. A `Rows` map records where those rows sit
@@ -56,12 +62,13 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """A dense float64 value, optionally recorded on the autodiff tape."""
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "name", "op", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self.op: str | None = None  # the op that made the value; None for a leaf
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
 
@@ -74,11 +81,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
 
-def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericsError(f"non-finite values produced by {op}")
-
-
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
     """Wrap an op result; record parents/backward only when the tape is live.
@@ -86,8 +88,8 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor],
     `backward(g)` returns the gradient of each parent, in order. It must not
     close over the node it belongs to: that would make every node a reference
     cycle that only the cyclic garbage collector frees."""
-    _ensure_finite(data, op)
     out = Tensor(data)
+    out.op = op
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -315,6 +317,16 @@ def topo_order(root: Tensor) -> list[Tensor]:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def check_finite(root: Tensor) -> None:
+    """Raise NumericsError if `root`'s value is not finite, naming the first
+    op, in `topo_order` of its tape, whose output is not finite."""
+    if np.isfinite(root.data).all():
+        return
+    bad = next(node for node in topo_order(root)
+               if node.op is not None and not np.isfinite(node.data).all())
+    raise NumericsError(f"non-finite values produced by {bad.op}")
 
 
 def backward(loss: Tensor, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:

@@ -245,8 +245,13 @@ def _pad_stack(rows: list[list[int]]) -> np.ndarray:
     return out
 
 
+def pad_sources(pairs) -> np.ndarray:
+    """The (batch, len) source ids of `make_batch`, alone."""
+    return _pad_stack([list(map(int, s)) for s, _ in pairs])
+
+
 def make_batch(domain_id: str, pairs) -> Batch:
-    src = _pad_stack([list(map(int, s)) for s, _ in pairs])
+    src = pad_sources(pairs)
     tgt_in = _pad_stack([[BOS_ID] + list(map(int, t)) for _, t in pairs])
     tgt_out = _pad_stack([list(map(int, t)) + [EOS_ID] for _, t in pairs])
     return Batch(domain_id, src, tgt_in, tgt_out)

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from . import autograd as ag
-from .data import DomainDataset, make_batch
-from .errors import ConfigError, DossError
+from .data import DomainDataset, pad_sources
+from .errors import ConfigError, DossError, NumericsError
 from .masks import MaskSet, overlay
 from .model import (BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, encode,
                     keep_decoding)
@@ -58,6 +58,9 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
     row decoded in another batch. For products of two or more rows BLAS gave
     each row the bits of its own product in every case checked, but that is
     measured, not guaranteed, and a batch of one row takes another path.
+
+    Each step's logits are checked once: a non-finite value raises
+    NumericsError naming the step.
     """
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
@@ -73,6 +76,8 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
         state: dict = {}
         for step in range(steps):
             logits = decode_logits(effective, model_cfg, memory, src_live, last, state=state)
+            if not np.isfinite(logits.data).all():
+                raise NumericsError(f"non-finite logits at decode step {step}")
             tokens[rows, step] = logits.data.argmax(axis=1)
             done[rows] |= tokens[rows, step] == EOS_ID
             keep = rows_to_decode(done[rows])
@@ -88,12 +93,21 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
 
 
 def _ngrams(seq, n: int) -> Counter:
-    return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+    return Counter(zip(*(seq[i:] for i in range(n))))
 
 
-def corpus_bleu(hyps, refs, max_n: int = 4) -> float:
+def reference_ngrams(refs, max_n: int = 4) -> list[list[Counter]]:
+    """The n-gram counts of every reference, [n - 1][sentence], for
+    `corpus_bleu`'s `ref_counts`: an eval set's are counted once for all the
+    variants scored on it."""
+    return [[_ngrams(ref, n) for ref in refs] for n in range(1, max_n + 1)]
+
+
+def corpus_bleu(hyps, refs, max_n: int = 4,
+                ref_counts: list[list[Counter]] | None = None) -> float:
     """Corpus BLEU in [0, 100]: geometric mean of modified n-gram precisions
-    (add-one smoothed for n >= 2) times the brevity penalty."""
+    (add-one smoothed for n >= 2) times the brevity penalty. `ref_counts`,
+    when given, is `reference_ngrams(refs, max_n)`."""
     if len(hyps) != len(refs):
         raise DossError(f"hyp/ref counts differ: {len(hyps)} vs {len(refs)}")
     if not hyps:
@@ -102,14 +116,14 @@ def corpus_bleu(hyps, refs, max_n: int = 4) -> float:
     ref_len = sum(len(r) for r in refs)
     if hyp_len == 0:
         return 0.0
+    if ref_counts is None:
+        ref_counts = reference_ngrams(refs, max_n)
     log_p_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n, n_refs in zip(range(1, max_n + 1), ref_counts):
         matches = 0
         total = 0
-        for hyp, ref in zip(hyps, refs):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
-            matches += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        for hyp, ref in zip(hyps, n_refs):
+            matches += sum(min(c, ref[g]) for g, c in _ngrams(hyp, n).items())
             total += max(len(hyp) - n + 1, 0)
         smooth = 1 if n >= 2 else 0
         num, den = matches + smooth, total + smooth
@@ -222,7 +236,7 @@ def decode_dataset(effective: ParamStore, model_cfg: ModelConfig, ds: DomainData
     """Greedy-decode every source in dataset order with a fixed batch split."""
     hyps: list[list[int]] = []
     for ofs in range(0, ds.size, batch_size):
-        src = make_batch(ds.domain_id, ds.pairs[ofs:ofs + batch_size]).src
+        src = pad_sources(ds.pairs[ofs:ofs + batch_size])
         hyps.extend(greedy_decode(effective, model_cfg, src, max_len))
     return hyps
 
@@ -232,12 +246,15 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
     """Score every variant on every domain's held-out set.
 
     Sub-network variants are evaluated through overlay with that domain's
-    mask; a missing mask is an error.
+    mask; a missing mask is an error. Each domain's references and their
+    n-gram counts are built once, for every variant.
     """
+    refs = [[list(map(int, t)) for _, t in ds.pairs] for ds in eval_sets]
+    ref_counts = [reference_ngrams(r) for r in refs]
     rows = []
     for v in variants:
         cells: dict[str, EvalCell] = {}
-        for ds in eval_sets:
+        for ds, ds_refs, ds_counts in zip(eval_sets, refs, ref_counts):
             if v.masks is not None:
                 if v.base is None:
                     raise DossError(f"variant {v.name!r} has masks but no base store")
@@ -251,10 +268,9 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
                 effective = v.params
             hyps = [trim_eos(h) for h in
                     decode_dataset(effective, model_cfg, ds, max_len, batch_size)]
-            refs = [list(map(int, t)) for _, t in ds.pairs]
             cells[ds.domain_id] = EvalCell(
-                bleu=corpus_bleu(hyps, refs),
-                exact_match=exact_match(hyps, refs),
+                bleu=corpus_bleu(hyps, ds_refs, ref_counts=ds_counts),
+                exact_match=exact_match(hyps, ds_refs),
                 n_sentences=ds.size,
                 hyps=hyps,
             )

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, DossError, FormatError, RegistryMismatchError, ShapeError
+from .errors import (ConfigError, DossError, FormatError, NumericsError, RegistryMismatchError,
+                     ShapeError)
 
 PAD_ID = 0
 BOS_ID = 1
@@ -416,7 +417,10 @@ def keep_decoding(memory: Tensor, src_live: np.ndarray, state: dict,
     source live map of those rows."""
     for prefix, kv in state.items():
         state[prefix] = [x[keep] for x in kv]
-    return Tensor(memory.data[np.isin(np.nonzero(src_live)[0], keep)]), src_live[keep]
+    kept = np.zeros(src_live.shape[0], dtype=bool)
+    kept[keep] = True
+    # memory rows are row-major over the live positions: look up each one's batch row
+    return Tensor(memory.data[kept[np.nonzero(src_live)[0]]]), src_live[keep]
 
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,
@@ -436,7 +440,13 @@ def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.nd
 
 
 def save_checkpoint(store: ParamStore, path) -> None:
-    """Named-tensor file: magic, version, count, then name/rank/extents/f32 data."""
+    """Named-tensor file: magic, version, count, then name/rank/extents/f32 data.
+    A value that is not finite in float32 raises NumericsError naming its
+    tensor, before the file is opened."""
+    with np.errstate(over="ignore"):
+        for name, t in store.items():
+            if not np.isfinite(t.data.astype("<f4")).all():
+                raise NumericsError(f"tensor {name!r} holds a value that is not finite in float32")
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<HI", CKPT_VERSION, len(store)))
@@ -489,6 +499,8 @@ class FramedReader:
 
 
 def load_checkpoint(path) -> ParamStore:
+    """The store `save_checkpoint` wrote; a value that is not finite is a
+    FormatError naming its tensor."""
     with open(path, "rb") as fh:
         reader = FramedReader(fh, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
         (count,) = reader.unpack("<I")
@@ -498,6 +510,8 @@ def load_checkpoint(path) -> ParamStore:
             (rank,) = reader.unpack("<B")
             shape = reader.unpack(f"<{rank}I")
             data = np.frombuffer(reader.read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise FormatError(f"checkpoint tensor {name!r} holds a non-finite value")
             tensors[name] = Tensor(data.astype(np.float64), requires_grad=True, name=name)
         reader.end()
     return ParamStore(tensors)

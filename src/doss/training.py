@@ -7,7 +7,8 @@ its gradient only at the mask's ones: `_train_step` zeroes it everywhere
 else, on the tensors the mask does not name (biases, layer norms) too, in one
 op before the clip, so the clip norm covers only what the step trains. Then
 `adam_step` writes only the mask's ones, so every other element keeps its
-exact bit pattern.
+exact bit pattern. A step checks its loss for a non-finite value once, before
+`backward`, and `adam_step` checks the gradient vector; the ops check nothing.
 """
 
 from __future__ import annotations
@@ -66,17 +67,22 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments laid out like the store's vector, and two scratch vectors
-    so that an update allocates no temporaries."""
+    """Adam moments laid out like the store's vector, two scratch vectors so
+    that an update allocates no temporaries, and the train step's gradient
+    vector with a view per tensor, made once for the store's layout."""
     m: np.ndarray
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
+    grad: np.ndarray
+    grad_views: dict[str, np.ndarray]
     step: int = 0
 
     @classmethod
     def zeros(cls, params: ParamStore) -> "OptimizerState":
         n = params.vector.size
-        return cls(np.zeros(n), np.zeros(n), (np.empty(n), np.empty(n)))
+        grad = np.zeros(n)
+        return cls(np.zeros(n), np.zeros(n), (np.empty(n), np.empty(n)),
+                   grad, layout_views(grad, params.layout))
 
 
 class MetricsLog:
@@ -160,8 +166,10 @@ def _train_step(params: ParamStore, model_cfg: ModelConfig, batch: Batch, step: 
     drop = DropCtx(cfg.dropout, ag.derived_rng(cfg.seed, step)) if cfg.dropout > 0.0 else None
     logits = forward(params, model_cfg, batch.src, batch.tgt_in, drop=drop)
     loss = ag.cross_entropy(logits, batch.tgt_out[batch.tgt_in != PAD_ID])
-    grad = np.zeros(params.vector.size)  # tensors the tape does not reach keep 0
-    grads = ag.backward(loss, layout_views(grad, params.layout))
+    ag.check_finite(loss)
+    grad = state.grad
+    grad.fill(0.0)  # tensors the tape does not reach keep 0
+    grads = ag.backward(loss, state.grad_views)
     if mask is not None:
         grad *= mask.keep
     # backward's order: another summation order changes the norm's last bits

@@ -269,9 +269,19 @@ def test_cross_entropy_shape_mismatch_and_empty_targets_are_errors():
             ag.cross_entropy(ag.Tensor(np.zeros(shape)), np.array(targets, dtype=np.int64))
 
 
-def test_non_finite_forward_is_error():
-    with np.errstate(over="ignore"), pytest.raises(NumericsError):
-        ag.add(ag.Tensor([1e308]), ag.Tensor([1e308]))
+def test_check_finite_names_the_first_non_finite_op():
+    # the ops do not check their outputs; check_finite walks the tape from the
+    # root and names the first op, in topo_order, whose output is not finite
+    x = ag.Tensor([1e308, 1.0], requires_grad=True, name="x")
+    with np.errstate(over="ignore"):
+        big = ag.add(x, x)  # overflows to [inf, 2], and relu keeps the inf
+    loss = sum_all(mul(ag.relu(big), ag.Tensor([2.0, 1.0])))
+    assert (big.op, loss.op, x.op) == ("add", "sum_all", None)
+    with pytest.raises(NumericsError, match="produced by add$"):
+        ag.check_finite(loss)
+    # the caveat: a -inf that relu maps to 0 is not reported
+    with np.errstate(over="ignore"):
+        ag.check_finite(sum_all(ag.relu(ag.add(ag.Tensor([-1e308]), ag.Tensor([-1e308])))))
 
 
 # ---------------------------------------------------------------------------

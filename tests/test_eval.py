@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from doss import evaluation
 from doss.autograd import Tensor
 from doss.data import SyntheticTask, gen_domain, make_batch
-from doss.errors import ConfigError, DossError
+from doss.errors import ConfigError, DossError, NumericsError
 from doss.evaluation import (EvalCell, Variant, corpus_bleu, decode_dataset,
                              eval_matrix, exact_match, greedy_decode, pearson,
-                             rows_to_decode, trim_eos)
+                             reference_ngrams, rows_to_decode, trim_eos)
 from doss.masks import DomainMask, MaskSet, PruneSpec
 from doss.model import EOS_ID, PAD_ID, ModelConfig, ParamStore, build_model
 from support import full_prefix_decode
@@ -55,7 +55,11 @@ def test_bleu_identity_and_oracle_agreement(corpus):
     score = corpus_bleu(corpus, [list(s) for s in corpus])
     assert score == pytest.approx(100.0)
     hyps = [s[::-1] for s in corpus]
-    assert corpus_bleu(hyps, corpus) == pytest.approx(oracle_bleu(hyps, corpus), abs=1e-9)
+    # integer counts and one order of float operations: equal to the last bit,
+    # with the reference counts precomputed or not
+    expect = oracle_bleu(hyps, corpus)
+    assert corpus_bleu(hyps, corpus) == expect
+    assert corpus_bleu(hyps, corpus, ref_counts=reference_ngrams(corpus)) == expect
 
 
 def test_bleu_clipped_counts_hand_example():
@@ -63,8 +67,7 @@ def test_bleu_clipped_counts_hand_example():
     hyp = [["the", "the", "the"]]
     ref = [["the", "cat"]]
     got = corpus_bleu(hyp, ref)
-    expect = oracle_bleu(hyp, ref)
-    assert got == pytest.approx(expect, abs=1e-9)
+    assert got == oracle_bleu(hyp, ref) == corpus_bleu(hyp, ref, ref_counts=reference_ngrams(ref))
     # closed form: p = (1/3, 1/3, 1/2, 1), BP = 1
     assert got == pytest.approx(100 * (1 / 3 * 1 / 3 * 1 / 2) ** 0.25, abs=1e-9)
 
@@ -183,6 +186,30 @@ def test_decode_dataset_order_and_shapes():
                     10, domain_id="c")
     hyps = decode_dataset(store, cfg, ds, max_len=6, batch_size=4)
     assert len(hyps) == 10
+
+
+def test_decode_dataset_decodes_the_sources_of_make_batch(monkeypatch):
+    cfg, store, _ = _mini()
+    ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=1, max_len=6, seed=4),
+                    11, domain_id="c")
+    seen = []
+    real = evaluation.greedy_decode
+    monkeypatch.setattr(evaluation, "greedy_decode",
+                        lambda p, c, src, n: seen.append(src) or real(p, c, src, n))
+    decode_dataset(store, cfg, ds, max_len=3, batch_size=4)
+    want = [make_batch("c", ds.pairs[ofs:ofs + 4]).src for ofs in (0, 4, 8)]
+    assert len(seen) == 3 and len({a.shape[1] for a in want}) > 1
+    for got, src in zip(seen, want):
+        assert got.dtype == src.dtype and np.array_equal(got, src)
+
+
+@pytest.mark.parametrize("name", ["enc.L0.ffn.b1", "dec.out_proj"])
+def test_greedy_decode_refuses_non_finite_logits(name):
+    # no op checks its output; each decode step checks its logits once
+    cfg, store, _ = _mini()
+    store.array(name).flat[0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="decode step 0$"):
+        greedy_decode(store, cfg, np.array([[5, 6, 7], [8, 9, 0]]), max_len=6)
 
 
 @pytest.fixture(scope="module")

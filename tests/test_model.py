@@ -1,12 +1,14 @@
 """Transformer construction, registry tagging, forward contracts, checkpoints."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from doss import autograd as ag
-from doss.errors import ConfigError, DossError, FormatError, RegistryMismatchError, ShapeError
+from doss.errors import (ConfigError, DossError, FormatError, NumericsError,
+                         RegistryMismatchError, ShapeError)
 from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, ParamStore,
                         build_model, causal_mask, count_params, decode_logits, encode,
@@ -214,6 +216,23 @@ def test_keep_decoding_narrows_memory_and_state_to_the_kept_rows():
     np.testing.assert_allclose(narrowed, full.reshape(2, 2, -1)[:, 1], rtol=0, atol=1e-12)
 
 
+def test_keep_decoding_selects_the_memory_rows_of_the_isin_form():
+    # memory rows are row-major over the live source positions; the kept
+    # rows are those whose batch row is in `keep`
+    rng = np.random.default_rng(3)
+    src_live = np.arange(4) < np.array([3, 1, 4, 2, 4, 1])[:, None]
+    memory = ag.Tensor(rng.normal(size=(int(src_live.sum()), 5)))
+    for keep in ([0, 2, 5], [1, 3], [0, 1, 2, 3, 4, 5], [4, 5], [2], []):
+        keep = np.array(keep, dtype=np.int64)
+        state = {"dec.L0.sa": [rng.normal(size=(6, 2, 5)) for _ in range(2)]}
+        old = [x.copy() for x in state["dec.L0.sa"]]
+        got, live = keep_decoding(memory, src_live, state, keep)
+        want = memory.data[np.isin(np.nonzero(src_live)[0], keep)]
+        assert got.data.tobytes() == want.tobytes()
+        assert np.array_equal(live, src_live[keep])
+        assert all(np.array_equal(x, o[keep]) for x, o in zip(state["dec.L0.sa"], old))
+
+
 def test_causal_mask_offset_rows_are_the_full_masks_last_rows():
     full = causal_mask(6)
     assert full.shape == (1, 1, 6, 6)
@@ -336,6 +355,25 @@ def test_checkpoint_format_errors(tmp_path):
                                  head + struct.pack("<2I", 2**32 - 1, 2**32 - 1)))
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(huge)
+
+
+def test_checkpoint_refuses_values_that_are_not_finite(tmp_path):
+    cfg = mini_config()
+    store, _ = build_model(cfg, seed=8)
+    name = list(store.layout)[-1][0]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(store, path)
+    raw = path.read_bytes()
+    # the last float32 of the file is the last tensor's last value
+    inf = tmp_path / "inf.ckpt"
+    inf.write_bytes(raw[:-4] + np.array(np.inf, dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match=re.escape(repr(name))):
+        load_checkpoint(inf)
+    # a float64 value past float32's range would be written as inf
+    store.array(name).flat[0] = 1e39
+    with pytest.raises(NumericsError, match=re.escape(repr(name))):
+        save_checkpoint(store, tmp_path / "big.ckpt")
+    assert not (tmp_path / "big.ckpt").exists()
 
 
 def test_registry_sidecar_roundtrip(tmp_path):

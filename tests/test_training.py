@@ -1,5 +1,7 @@
 """Schedule, optimizer, masked-update guarantees, joint training, extension."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from doss.autograd import Tensor
 from doss.data import SyntheticTask, batch_iterator, gen_domain, make_batch
 from doss.errors import ConfigError, NumericsError
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, on_store, overlay
-from doss.model import (PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, forward,
+from doss.model import (EOS_ID, PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, forward,
                         layout_views)
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
@@ -310,6 +312,57 @@ def test_masked_train_step_clips_only_the_mask_ones(monkeypatch):
     ones = np.concatenate([full[n][mask.bits[n].reshape(full[n].shape)] for n in mask.bits])
     assert norm == pytest.approx(np.sqrt(np.sum(ones * ones)), rel=1e-12)
     assert norm < np.sqrt(sum(float(np.sum(g * g)) for g in full.values()))
+
+
+def _poison_loss(params):
+    # the final norm writes ones, and the logits are +-1.5e308, finite, but
+    # log-softmax overflows at EOS, a target of every row
+    params.array("dec.final_norm.g")[:] = 0.0
+    params.array("dec.final_norm.b")[:] = 1.0
+    w = params.array("dec.out_proj")
+    w[:] = 0.0
+    w[:, EOS_ID] = -1.5e308 / w.shape[0]
+    w[:, 5] = 1.5e308 / w.shape[0]
+
+
+@pytest.mark.parametrize("op, poison", [
+    ("embedding", lambda p: p.array("enc.embed").fill(1e308)),  # overflows at the scale
+    ("linear", lambda p: p.array("enc.L0.ffn.w1").fill(1e308)),
+    ("layer_norm", lambda p: p.array("enc.L0.sa_norm.g").fill(1e308)),
+    ("cross_entropy", _poison_loss),
+])
+def test_train_step_names_the_op_whose_output_turns_non_finite(op, poison):
+    # the forward ops check nothing; the step checks its loss before backward
+    # and walks the tape to the first op whose output is not finite
+    cfg, lam0, _, mk = _tiny_setup()
+    params = lam0.copy()
+    poison(params)
+    before = params.vector.copy()
+    state = OptimizerState.zeros(params)
+    batch = next(batch_iterator([mk("copy", 1)], "round_robin", 64, 3))
+    tcfg = TrainConfig(1e-3, 10, 64, 0.0, max_steps=1)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {op}$"):
+        _train_step(params, cfg, batch, 1, tcfg, state, None, None)
+    assert params.vector.tobytes() == before.tobytes() and state.step == 0
+
+
+def test_train_step_reuses_and_zeroes_one_gradient_vector():
+    # the optimizer state holds the step's gradient vector and its views, made
+    # once; each step zeroes the vector, so a tensor the tape does not reach
+    # gets a zero gradient however stale the vector is
+    cfg, lam0, _, mk = _tiny_setup()
+    ds = mk("copy", 1)
+    start = ParamStore(dict(lam0.items()) | {"enc.unused": Tensor(np.ones(3), name="enc.unused")})
+    params, state = start.copy(), OptimizerState.zeros(start)
+    grad, views = state.grad, state.grad_views
+    assert list(views) == [n for n, _ in start.layout]
+    assert all(np.shares_memory(v, grad) for v in views.values())
+    tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=3, seed=3)
+    for step, batch in enumerate(islice(batch_iterator([ds], "round_robin", 64, 3), 3), 1):
+        grad.fill(np.nan)
+        _train_step(params, cfg, batch, step, tcfg, state, None, None)
+    assert state.grad is grad and state.grad_views is views
+    assert params.checksum() == train_full(start, ds, tcfg, cfg).checksum()
 
 
 def test_train_doss_bit_reproducible():
