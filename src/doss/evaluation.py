@@ -3,13 +3,15 @@ scoring, and table-style evaluation matrices.
 
 BLEU here is token-level BLEU-4 with add-one smoothing on the n >= 2 counts
 and the standard brevity penalty; synthetic tokens have no surface forms, so
-there is no detokenization step.
+there is no detokenization step. Its statistics are integer arrays, one row
+per sentence (`bleu_stats`), counted with numpy sorts; a corpus score is the
+formula applied to their column sums.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -23,12 +25,11 @@ from .model import (BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, enco
 
 
 def trim_eos(seq, eos: int = EOS_ID) -> list[int]:
-    out = []
-    for tok in seq:
-        if tok == eos:
-            break
-        out.append(int(tok))
-    return out
+    """The tokens of `seq` before its first eos, as a list; a list without
+    an eos is returned as it is, any other sequence as a list of ints."""
+    if not isinstance(seq, list):
+        seq = np.asarray(seq).tolist()
+    return seq[:seq.index(eos)] if eos in seq else seq
 
 
 def rows_to_decode(finished: np.ndarray) -> np.ndarray:
@@ -92,41 +93,66 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
     return [row[:end].tolist() for row, end in zip(tokens, ends)]
 
 
-def _ngrams(seq, n: int) -> Counter:
-    return Counter(zip(*(seq[i:] for i in range(n))))
-
-
-def reference_ngrams(refs, max_n: int = 4) -> list[list[Counter]]:
-    """The n-gram counts of every reference, [n - 1][sentence], for
-    `corpus_bleu`'s `ref_counts`: an eval set's are counted once for all the
-    variants scored on it."""
-    return [[_ngrams(ref, n) for ref in refs] for n in range(1, max_n + 1)]
-
-
-def corpus_bleu(hyps, refs, max_n: int = 4,
-                ref_counts: list[list[Counter]] | None = None) -> float:
-    """Corpus BLEU in [0, 100]: geometric mean of modified n-gram precisions
-    (add-one smoothed for n >= 2) times the brevity penalty. `ref_counts`,
-    when given, is `reference_ngrams(refs, max_n)`."""
+def _check_corpus(hyps, refs) -> None:
     if len(hyps) != len(refs):
         raise DossError(f"hyp/ref counts differ: {len(hyps)} vs {len(refs)}")
     if not hyps:
         raise DossError("empty corpus")
-    hyp_len = sum(len(h) for h in hyps)
-    ref_len = sum(len(r) for r in refs)
+
+
+def bleu_stats(hyps, refs, max_n: int = 4) -> np.ndarray:
+    """Per-sentence BLEU statistics: an (N, 2 + 2 * max_n) int64 array whose
+    row i holds len(hyps[i]), len(refs[i]), then for n = 1..max_n the clipped
+    n-gram matches (column 2n) and the hypothesis n-gram count (column 2n + 1).
+
+    Tokens may be of any type numpy sorts (ints, strings). They are ranked to
+    dense ids, and an n-gram's id is the rank of its sentence and (n-1)-gram
+    id together with its last token id, so no code exceeds the square of the
+    token count. Hypothesis and reference n-grams of one sentence pair share
+    ids; a sentence's matches sum min(hypothesis count, reference count)
+    over its ids."""
+    _check_corpus(hyps, refs)
+    n_sent = len(hyps)
+    seqs = list(itertools.chain(hyps, refs))
+    lens = np.fromiter(map(len, seqs), np.int64, 2 * n_sent)
+    values, tok = np.unique(np.array(list(itertools.chain.from_iterable(seqs))),
+                            return_inverse=True)
+    vocab = values.size
+    sent = np.repeat(np.arange(2 * n_sent) % n_sent, lens)  # a token's sentence pair
+    left = np.repeat(np.cumsum(lens), lens) - np.arange(tok.size)  # tokens to its end
+    n_hyp = int(lens[:n_sent].sum())  # hypothesis tokens come first
+    stats = np.zeros((n_sent, 2 + 2 * max_n), np.int64)
+    stats[:, 0], stats[:, 1] = lens[:n_sent], lens[n_sent:]
+    start = np.arange(tok.size)  # the first token of each n-gram
+    code = sent * vocab + tok
+    for n in range(1, max_n + 1):
+        if n > 1:  # n-grams that fit in their sentence; extend by one token
+            fits = left[start] >= n
+            n_hyp = int(np.count_nonzero(fits[:n_hyp]))
+            start = start[fits]
+            code = gram[fits] * vocab + tok[start + n - 1]
+        keys, gram = np.unique(code, return_inverse=True)
+        clipped = np.minimum(np.bincount(gram[:n_hyp], minlength=keys.size),
+                             np.bincount(gram[n_hyp:], minlength=keys.size))
+        owner = np.empty(keys.size, np.int64)  # the sentence pair of each key
+        owner[gram] = sent[start]
+        stats[:, 2 * n] = np.bincount(owner, clipped, n_sent)  # float64 sums: exact below 2**53
+        stats[:, 2 * n + 1] = np.maximum(stats[:, 0] - n + 1, 0)
+    return stats
+
+
+def corpus_bleu(hyps, refs, max_n: int = 4) -> float:
+    """Corpus BLEU in [0, 100]: geometric mean of modified n-gram precisions
+    (add-one smoothed for n >= 2) times the brevity penalty, over the column
+    sums of `bleu_stats`."""
+    sums = [int(x) for x in bleu_stats(hyps, refs, max_n).sum(axis=0)]
+    hyp_len, ref_len = sums[0], sums[1]
     if hyp_len == 0:
         return 0.0
-    if ref_counts is None:
-        ref_counts = reference_ngrams(refs, max_n)
     log_p_sum = 0.0
-    for n, n_refs in zip(range(1, max_n + 1), ref_counts):
-        matches = 0
-        total = 0
-        for hyp, ref in zip(hyps, n_refs):
-            matches += sum(min(c, ref[g]) for g, c in _ngrams(hyp, n).items())
-            total += max(len(hyp) - n + 1, 0)
+    for n in range(1, max_n + 1):
         smooth = 1 if n >= 2 else 0
-        num, den = matches + smooth, total + smooth
+        num, den = sums[2 * n] + smooth, sums[2 * n + 1] + smooth
         if num == 0 or den == 0:
             return 0.0
         log_p_sum += math.log(num / den)
@@ -136,10 +162,7 @@ def corpus_bleu(hyps, refs, max_n: int = 4,
 
 def exact_match(hyps, refs) -> float:
     """Fraction of exactly equal sequences after eos-trimming both sides."""
-    if len(hyps) != len(refs):
-        raise DossError(f"hyp/ref counts differ: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise DossError("empty corpus")
+    _check_corpus(hyps, refs)
     hits = sum(trim_eos(h) == trim_eos(r) for h, r in zip(hyps, refs))
     return hits / len(hyps)
 
@@ -246,15 +269,14 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
     """Score every variant on every domain's held-out set.
 
     Sub-network variants are evaluated through overlay with that domain's
-    mask; a missing mask is an error. Each domain's references and their
-    n-gram counts are built once, for every variant.
+    mask; a missing mask is an error. Each domain's eos-trimmed references
+    are built once, for every variant.
     """
-    refs = [[list(map(int, t)) for _, t in ds.pairs] for ds in eval_sets]
-    ref_counts = [reference_ngrams(r) for r in refs]
+    refs = [[trim_eos(t) for _, t in ds.pairs] for ds in eval_sets]
     rows = []
     for v in variants:
         cells: dict[str, EvalCell] = {}
-        for ds, ds_refs, ds_counts in zip(eval_sets, refs, ref_counts):
+        for ds, ds_refs in zip(eval_sets, refs):
             if v.masks is not None:
                 if v.base is None:
                     raise DossError(f"variant {v.name!r} has masks but no base store")
@@ -269,7 +291,7 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
             hyps = [trim_eos(h) for h in
                     decode_dataset(effective, model_cfg, ds, max_len, batch_size)]
             cells[ds.domain_id] = EvalCell(
-                bleu=corpus_bleu(hyps, ds_refs, ref_counts=ds_counts),
+                bleu=corpus_bleu(hyps, ds_refs),
                 exact_match=exact_match(hyps, ds_refs),
                 n_sentences=ds.size,
                 hyps=hyps,

@@ -343,6 +343,9 @@ def _check_tokens(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
     return ids
 
 
+_SRC = "src"  # a decoder state's entry for the memory's rows and key mask
+
+
 def key_mask(live: np.ndarray) -> np.ndarray:
     """Additive (B, 1, 1, S) mask hiding the key positions that are not live."""
     return np.where(live, 0.0, _NEG_INF)[:, None, None, :]
@@ -385,14 +388,22 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
     them from every live position. With a `state` dict (under no_grad only),
     `tgt_in` holds just the positions after those of earlier calls, all live:
     the state caches each layer's self-attention keys and values, and its
-    cross-attention ones from the first call, as (B, S, d) blocks."""
+    cross-attention ones from the first call, as (B, S, d) blocks, and under
+    "src" the memory's rows and key mask until `keep_decoding` narrows the
+    batch."""
     if state is not None and ag._grad_enabled:
         raise DossError("a decoder state is valid only under no_grad")
     tgt_in = _check_tokens(tgt_in, cfg.vocab_size, "tgt_in")
     t = tgt_in.shape[1]
     start = state["dec.L0.sa"][0].shape[1] if state else 0  # positions cached so far
     live = np.ones(tgt_in.shape, dtype=bool) if state is not None else tgt_in != PAD_ID
-    rows, src_rows, src_mask = ag.Rows.where(live), ag.Rows.where(src_live), key_mask(src_live)
+    rows = ag.Rows.where(live)
+    if state is None:
+        src_rows, src_mask = ag.Rows.where(src_live), key_mask(src_live)
+    else:
+        if _SRC not in state:
+            state[_SRC] = ag.Rows.where(src_live), key_mask(src_live)
+        src_rows, src_mask = state[_SRC]
     # one newest position sees every key: no mask
     cmask = None if state is not None and t == 1 else causal_mask(t, start)
     x = _embed(params, "dec.embed", tgt_in, live, cfg, drop, start)
@@ -415,6 +426,7 @@ def keep_decoding(memory: Tensor, src_live: np.ndarray, state: dict,
     """Narrow an incremental decode to its batch rows `keep` (increasing):
     the state's cached keys and values in place; returns the memory and the
     source live map of those rows."""
+    state.pop(_SRC, None)  # decode_logits rebuilds it for the kept rows
     for prefix, kv in state.items():
         state[prefix] = [x[keep] for x in kv]
     kept = np.zeros(src_live.shape[0], dtype=bool)

@@ -1,13 +1,15 @@
 """Model presets, sum, product and row-selection ops, the long-form layer-norm
 backward, the former expressions of the rewritten kernels, a padded reference
-model and a full-prefix reference decoder over it, parameter names, dataset
-and mask measurements, and the capacity bound that only the tests use.
+model and a full-prefix reference decoder over it, an n-gram-counting BLEU
+oracle, parameter names, dataset and mask measurements, and the capacity
+bound that only the tests use.
 
 Test modules import this file by name (`from support import ...`); pytest puts
 the tests directory on sys.path because it has no __init__.py.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -268,6 +270,43 @@ def full_prefix_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.nd
     tokens = out[:, 1:]
     ends = np.where(done, (tokens == EOS_ID).argmax(axis=1) + 1, tokens.shape[1])
     return [row[:end].tolist() for row, end in zip(tokens, ends)], steps
+
+
+def oracle_sentence_stats(hyp, ref, max_n: int = 4) -> list[int]:
+    """One sentence's BLEU statistics, counted with Counters: hypothesis and
+    reference length, then per order n the clipped n-gram matches and the
+    hypothesis n-gram count."""
+    row = [len(hyp), len(ref)]
+    for n in range(1, max_n + 1):
+        hyp_ngrams = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
+        ref_ngrams = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+        row.append(sum(min(c, ref_ngrams.get(g, 0)) for g, c in hyp_ngrams.items()))
+        row.append(max(len(hyp) - n + 1, 0))
+    return row
+
+
+def oracle_bleu_from_sums(sums, max_n: int = 4) -> float:
+    """Corpus BLEU from the column sums of the per-sentence statistics,
+    written from the scoring formula: add-one smoothing for n >= 2 and the
+    brevity penalty."""
+    c, r = sums[0], sums[1]
+    precisions = []
+    for n in range(1, max_n + 1):
+        match, total = sums[2 * n], sums[2 * n + 1]
+        smooth = 1 if n >= 2 else 0
+        if match + smooth == 0 or total + smooth == 0:
+            return 0.0
+        precisions.append((match + smooth) / (total + smooth))
+    if c == 0:
+        return 0.0
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+
+
+def oracle_bleu(hyps, refs, max_n: int = 4) -> float:
+    """Independent n-gram-counting oracle for `corpus_bleu`."""
+    rows = [oracle_sentence_stats(h, r, max_n) for h, r in zip(hyps, refs)]
+    return oracle_bleu_from_sums([sum(col) for col in zip(*rows)], max_n)
 
 
 def param_names(store: ParamStore) -> list[str]:

@@ -1,46 +1,23 @@
 """BLEU/exact-match oracles, greedy decoding, and evaluation matrices."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doss import evaluation
+from doss import evaluation, model
 from doss.autograd import Tensor
 from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.errors import ConfigError, DossError, NumericsError
-from doss.evaluation import (EvalCell, Variant, corpus_bleu, decode_dataset,
+from doss.evaluation import (EvalCell, Variant, bleu_stats, corpus_bleu, decode_dataset,
                              eval_matrix, exact_match, greedy_decode, pearson,
-                             reference_ngrams, rows_to_decode, trim_eos)
+                             rows_to_decode, trim_eos)
 from doss.masks import DomainMask, MaskSet, PruneSpec
 from doss.model import EOS_ID, PAD_ID, ModelConfig, ParamStore, build_model
-from support import full_prefix_decode
-
-
-def oracle_bleu(hyps, refs, max_n=4):
-    """Independent n-gram-counting oracle, written from the scoring formula."""
-    precisions = []
-    for n in range(1, max_n + 1):
-        match = total = 0
-        for hyp, ref in zip(hyps, refs):
-            hyp_ngrams = Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
-            ref_ngrams = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
-            for g, c in hyp_ngrams.items():
-                match += min(c, ref_ngrams.get(g, 0))
-            total += max(len(hyp) - n + 1, 0)
-        smooth = 1 if n >= 2 else 0
-        if match + smooth == 0 or total + smooth == 0:
-            return 0.0
-        precisions.append((match + smooth) / (total + smooth))
-    c = sum(len(h) for h in hyps)
-    r = sum(len(r_) for r_ in refs)
-    if c == 0:
-        return 0.0
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+from support import (full_prefix_decode, oracle_bleu, oracle_bleu_from_sums,
+                     oracle_sentence_stats)
 
 
 def test_bleu_perfect_match_is_100():
@@ -55,11 +32,8 @@ def test_bleu_identity_and_oracle_agreement(corpus):
     score = corpus_bleu(corpus, [list(s) for s in corpus])
     assert score == pytest.approx(100.0)
     hyps = [s[::-1] for s in corpus]
-    # integer counts and one order of float operations: equal to the last bit,
-    # with the reference counts precomputed or not
-    expect = oracle_bleu(hyps, corpus)
-    assert corpus_bleu(hyps, corpus) == expect
-    assert corpus_bleu(hyps, corpus, ref_counts=reference_ngrams(corpus)) == expect
+    # integer counts and one order of float operations: equal to the last bit
+    assert corpus_bleu(hyps, corpus) == oracle_bleu(hyps, corpus)
 
 
 def test_bleu_clipped_counts_hand_example():
@@ -67,9 +41,62 @@ def test_bleu_clipped_counts_hand_example():
     hyp = [["the", "the", "the"]]
     ref = [["the", "cat"]]
     got = corpus_bleu(hyp, ref)
-    assert got == oracle_bleu(hyp, ref) == corpus_bleu(hyp, ref, ref_counts=reference_ngrams(ref))
+    assert got == oracle_bleu(hyp, ref)
     # closed form: p = (1/3, 1/3, 1/2, 1), BP = 1
     assert got == pytest.approx(100 * (1 / 3 * 1 / 3 * 1 / 2) ** 0.25, abs=1e-9)
+
+
+def _corpus_pairs(token):
+    """(hyps, refs) of 1-6 sentence pairs of 0-8 tokens drawn from `token`."""
+    sentence = st.lists(token, max_size=8)
+    return st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(sentence, min_size=n, max_size=n), st.lists(sentence, min_size=n, max_size=n)))
+
+
+# a few ids up to 2**62 per corpus, so that n-grams repeat and match
+_BIG_IDS = st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=4, unique=True)
+_CORPORA = {"ints": _BIG_IDS.flatmap(lambda ids: _corpus_pairs(st.sampled_from(ids))),
+            "strings": _corpus_pairs(st.sampled_from(["the", "cat", "a", "ab", ""]))}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORPORA))
+@settings(deadline=None)
+@given(data=st.data(), max_n=st.integers(1, 4))
+def test_bleu_stats_rows_match_the_counter_oracle(kind, data, max_n):
+    hyps, refs = data.draw(_CORPORA[kind])
+    stats = bleu_stats(hyps, refs, max_n)
+    assert stats.dtype == np.int64 and stats.shape == (len(hyps), 2 + 2 * max_n)
+    assert stats.tolist() == [oracle_sentence_stats(h, r, max_n) for h, r in zip(hyps, refs)]
+    # the corpus score is the formula over the column sums, as a Python float
+    score = corpus_bleu(hyps, refs, max_n)
+    assert type(score) is float
+    assert score == oracle_bleu_from_sums(stats.sum(axis=0).tolist(), max_n)
+    assert score == oracle_bleu(hyps, refs, max_n)
+
+
+def test_bleu_stats_of_a_vocabulary_whose_4_gram_codes_overflow_int64():
+    # ids 0..69,999 all occur, so each ranks as itself; a base-V code of a
+    # 4-gram reaches V**4 > 2**64, and the last pair's 4-grams have codes
+    # exactly 2**64 apart: equal after an int64 wrap, yet no match
+    n_ids = 70_000
+    rest, apart = 2 ** 64, []
+    for _ in range(4):
+        rest, digit = divmod(rest, n_ids)
+        apart.insert(0, digit)
+    ref_gram = [5, 6, 7, 8]
+    hyp_gram = [r + d for r, d in zip(ref_gram, apart)]
+    assert max(hyp_gram) < n_ids and rest == 0
+    rng = np.random.default_rng(9)
+    ids = rng.permutation(n_ids).tolist()
+    cuts = np.cumsum(rng.integers(1, 13, size=n_ids))
+    refs = [ids[a:b] for a, b in zip(np.r_[0, cuts], cuts) if a < n_ids] + [ref_gram]
+    hyps = [r[::-1] if i % 3 == 0 else r[:len(r) // 2] + ids[i:i + 3] if i % 3 == 1 else list(r)
+            for i, r in enumerate(refs[:-1])] + [hyp_gram]
+    stats = bleu_stats(hyps, refs)
+    assert len({t for seq in hyps + refs for t in seq}) == n_ids
+    assert stats[-1].tolist() == [4, 4, 0, 4, 0, 3, 0, 2, 0, 1]
+    assert stats.tolist() == [oracle_sentence_stats(h, r) for h, r in zip(hyps, refs)]
+    assert corpus_bleu(hyps, refs) == oracle_bleu(hyps, refs)
 
 
 def test_bleu_brevity_penalty():
@@ -107,7 +134,13 @@ def test_exact_match_fractions():
 
 def test_exact_match_trims_eos():
     assert exact_match([[5, 7, EOS_ID, 99]], [[5, 7]]) == 1.0
+    assert exact_match([[5, 7]], [np.array([5, 7, EOS_ID])]) == 1.0
+    assert type(exact_match([[5]], [[5]])) is float
     assert trim_eos([5, EOS_ID, 7]) == [5]
+    got = trim_eos(np.array([5, 6, EOS_ID, 7]))
+    assert got == [5, 6] and all(type(t) is int for t in got)
+    seq = [5, 6]
+    assert trim_eos(seq) is seq  # nothing to trim: no copy
 
 
 def test_pearson():
@@ -265,6 +298,33 @@ def test_greedy_decode_matches_full_prefix_reference(trained_copy, monkeypatch):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1))
     assert len(ref_steps) > 6
+
+
+def test_greedy_decode_builds_the_memory_mask_once_per_batch_composition(trained_copy,
+                                                                        monkeypatch):
+    # rows leave the batch at different steps; the memory's rows and key mask
+    # are built when the batch starts and again only after keep_decoding
+    cfg, _, _, lam, ds = trained_copy
+    src = make_batch("copy", ds.pairs[:24]).src
+    calls = {"key_mask": 0, "keep_decoding": 0, "decode_logits": 0}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(model, "key_mask")  # encode's and decode_logits'
+    spy(evaluation, "keep_decoding")
+    spy(evaluation, "decode_logits")
+    tokens = greedy_decode(lam, cfg, src, max_len=12)
+    assert len({len(row) for row in tokens}) > 2 and calls["keep_decoding"] > 1
+    assert calls["key_mask"] == 1 + (1 + calls["keep_decoding"])
+    assert calls["decode_logits"] > 1 + calls["keep_decoding"]
+    monkeypatch.undo()
+    assert tokens == full_prefix_decode(lam, cfg, src, max_len=12)[0]
 
 
 def test_greedy_decode_tokens_match_in_batches_of_2_and_64(trained_copy):

@@ -12,8 +12,8 @@ from doss.errors import (ConfigError, DossError, FormatError, NumericsError,
 from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, ParamStore,
                         build_model, causal_mask, count_params, decode_logits, encode,
-                        forward, keep_decoding, load_checkpoint, load_registry, param_shapes,
-                        save_checkpoint, save_registry)
+                        forward, keep_decoding, key_mask, load_checkpoint, load_registry,
+                        param_shapes, save_checkpoint, save_registry)
 from support import (full_scale_config, mini_config, padded_forward, param_names, pool_size,
                      region_ones, take_rows)
 
@@ -170,6 +170,10 @@ def test_decoder_state_in_chunks_matches_full_prefix():
     grid = (2, -1, cfg.vocab_size)
     chained = np.concatenate([p.data.reshape(grid) for p in parts], axis=1)
     np.testing.assert_allclose(chained.reshape(full.shape), full, rtol=0, atol=1e-12)
+    # the memory's rows and key mask, built by the first call for all three
+    src_rows, src_mask = state.pop("src")
+    assert src_rows.index.tolist() == [0, 1, 2, 4, 5]
+    assert np.array_equal(src_mask, key_mask(pad_mask))
     assert {k: tuple(x.shape for x in kv) for k, kv in state.items()} == {
         **{f"dec.L{i}.sa": ((2, 6, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)},
         **{f"dec.L{i}.ca": ((2, 4, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)}}
@@ -212,6 +216,10 @@ def test_keep_decoding_narrows_memory_and_state_to_the_kept_rows():
         sub_memory, sub_live = encode(store, cfg, src[keep])
         full = decode_logits(store, cfg, sub_memory, sub_live, tgt_in[keep]).data
     assert np.array_equal(memory.data, sub_memory.data) and np.array_equal(live, sub_live)
+    # the memory's rows and key mask, rebuilt for the kept rows
+    src_rows, src_mask = state.pop("src")
+    assert src_rows.index.tolist() == [0, 1, 2, 4, 5, 6, 7]
+    assert np.array_equal(src_mask, key_mask(sub_live))
     assert {k: [x.shape[0] for x in kv] for k, kv in state.items()} == {k: [2, 2] for k in state}
     np.testing.assert_allclose(narrowed, full.reshape(2, 2, -1)[:, 1], rtol=0, atol=1e-12)
 
