@@ -157,11 +157,12 @@ class Pipeline:
     # -- loading helpers ---------------------------------------------------
 
     def load_base(self):
+        """The base store, after checking its registry record against the rule."""
         from .model import load_checkpoint, load_registry
 
         store = load_checkpoint(self.base_ckpt)
-        registry = load_registry(self.base_reg, store)
-        return store, registry
+        load_registry(self.base_reg, store)
+        return store
 
     def load_masks(self):
         from .masks import MaskSet, load_mask
@@ -207,12 +208,12 @@ class Pipeline:
         metrics = self.out / "pretrain_metrics.csv"
 
         def compute(key):
-            store, registry = build_model(man.model, man.stage_seed("init"))
+            store, layout = build_model(man.model, man.stage_seed("init"))
             mlog = MetricsLog()
             lam0 = train_full(store, self.train_sets(), man.train["pretrain"],
                               man.model, log=mlog)
             save_checkpoint(lam0, self.base_ckpt)
-            save_registry(registry, self.base_reg)
+            save_registry(layout, self.base_reg)
             mlog.write_csv(metrics)
 
         return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute,
@@ -226,12 +227,12 @@ class Pipeline:
         stats_path = self.out / "mask_stats.csv"
 
         def compute(key):
-            lam0, registry = self.load_base()
+            lam0 = self.load_base()
             built = MaskSet([])
             for spec, ds in zip(man.domains, self.train_sets()):
                 log.info("make_masks: domain %s%s", spec.name, " (disjoint)" if disjoint else "")
-                mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], registry,
-                                          man.model, disjoint_against=built if disjoint else None)
+                mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], man.model,
+                                          disjoint_against=built if disjoint else None)
                 built = built.plus(mask)
                 save_mask(mask, self.mask_path(spec.name))
             stats = overlap_stats(built)
@@ -250,7 +251,7 @@ class Pipeline:
         metrics = self.out / "doss_metrics.csv"
 
         def compute(key):
-            lam0, _ = self.load_base()
+            lam0 = self.load_base()
             mlog = MetricsLog()
             lam = train_doss(lam0, self.load_masks(), self.train_sets(),
                              man.train["doss"], man.model, log=mlog)
@@ -267,7 +268,7 @@ class Pipeline:
         man = self.man
 
         def compute(key):
-            lam0, _ = self.load_base()
+            lam0 = self.load_base()
             sets = self.train_sets()
             for name, data in zip(self.ft_names, [[ds] for ds in sets] + [sets]):
                 log.info("finetune: %s", name)
@@ -306,13 +307,13 @@ class Pipeline:
         def compute(key):
             ext_train, ext_eval = self.ext_sets()
             log.info("extend[%s]: adding domain %s", mode, ext_train.domain_id)
-            lam0, registry = self.load_base()
+            lam0 = self.load_base()
             lam = load_checkpoint(self.doss_ckpt)
             maskset = self.load_masks()
             mlog = MetricsLog()
             lam2, maskset2 = extend_domain(
                 lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg,
-                model_cfg=man.model, registry=registry, mask_cfg=man.train["extend_mask"],
+                model_cfg=man.model, mask_cfg=man.train["extend_mask"],
                 existing_data=self.train_sets(), log=mlog)
             new_mask = maskset2.get(ext_train.domain_id)
             save_mask(new_mask, new_mask_path)
@@ -320,7 +321,7 @@ class Pipeline:
             lam2 = load_checkpoint(ext_ckpt)  # score the float32 model on disk
             mlog.write_csv(metrics)
 
-            trained_count = (count_params(registry, maskset2.union_mask())["masked_ones"]
+            trained_count = (count_params(lam0.layout, maskset2.union_mask())["masked_ones"]
                              if mode == "all_masks_joint" else new_mask.popcount())
             ext_variant = Variant(f"extended[{mode}]", lam2, base=lam0, masks=maskset2,
                                   trainable=trained_count)
@@ -361,16 +362,16 @@ class Pipeline:
         report_csv = self.out / "report.csv"
 
         def compute(key):
-            lam0, registry = self.load_base()
+            lam0 = self.load_base()
             maskset = self.load_masks()
-            total = count_params(registry)["total"]
+            total = count_params(lam0.layout)["total"]
             variants = [Variant("baseline", lam0, trainable=0)]
             for name in self.ft_names:
                 variants.append(Variant(f"ft_{name}", load_checkpoint(self.ft_ckpt(name)),
                                         trainable=total))
             variants.append(Variant(
                 "doss", load_checkpoint(self.doss_ckpt), base=lam0, masks=maskset,
-                trainable=count_params(registry, maskset.union_mask())["masked_ones"]))
+                trainable=count_params(lam0.layout, maskset.union_mask())["masked_ones"]))
             report = eval_matrix(variants, self.eval_sets(), man.model,
                                  man.eval_max_len, man.eval_batch)
             report_md.write_text(f"<!-- config_hash={key} -->\n"
@@ -396,7 +397,7 @@ class Pipeline:
         corr_csv = self.out / "correlations.csv"
 
         def compute(key):
-            lam0, registry = self.load_base()
+            lam0 = self.load_base()
             domain_ids = [d.name for d in man.domains]
             finetuned = {}  # domain -> its mask finetune, shared by every grid point
             rows = []
@@ -408,8 +409,8 @@ class Pipeline:
                         if ds.domain_id not in finetuned:
                             finetuned[ds.domain_id] = training.train_full(
                                 lam0, ds, man.train["masks"], man.model)
-                    masks = MaskSet([magnitude_prune(finetuned[ds.domain_id], registry, spec,
-                                                     ds.domain_id)
+                    masks = MaskSet([magnitude_prune(finetuned[ds.domain_id], lam0.layout,
+                                                     spec, ds.domain_id)
                                      for ds in self.train_sets()])
                     lam = training.train_doss(lam0, masks, self.train_sets(), doss_cfg,
                                               man.model)

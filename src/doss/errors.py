@@ -22,4 +22,4 @@ class FormatError(DossError, ValueError):
 
 
 class RegistryMismatchError(DossError, ValueError):
-    """A mask, store, or dataset does not match the parameter registry."""
+    """A mask, store, or record does not match the parameter layout and its rule."""

@@ -4,8 +4,10 @@ mask file format.
 
 A mask is one bool vector (1 = domain-specific and trainable, 0 = shared and
 frozen at the base values) over an ordered (tensor name, size) layout; every
-mask a registry yields has its pool layout, each region's maskable tensors in
-name order, encoder first. Non-maskable tensors have implicit all-zero masks.
+mask over a parameter layout has its pool layout, each region's maskable
+tensors in name order, encoder first. Region and maskability follow from a
+tensor's name and rank (`model.region`, `model.maskable`). Non-maskable tensors
+have implicit all-zero masks.
 Pruning is global within each region: the encoder's maskable pool is ranked
 as one vector and the top (1 - alpha) fraction by |value| is kept; same for
 the decoder with beta. Ties break by pool order, i.e. (tensor name, index).
@@ -13,15 +15,16 @@ the decoder with beta. Ties break by pool order, i.e. (tensor name, index).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, RegistryMismatchError
-from .model import (DECODER, ENCODER, FramedReader, ParameterRegistry, ParamStore,
-                    layout_views)
+from .errors import ConfigError, FormatError, RegistryMismatchError
+from .model import (DECODER, ENCODER, FramedReader, Layout, ParamStore, layout_views,
+                    maskable, region)
 
 MASK_MAGIC = b"DOSSMASK"
 MASK_VERSION = 1
@@ -53,10 +56,10 @@ class DomainMask:
     def popcount(self) -> int:
         return int(np.count_nonzero(self.vector))
 
-    def require_matches(self, registry: ParameterRegistry) -> None:
-        if self.layout != pool_layout(registry):
+    def require_matches(self, layout: Layout) -> None:
+        if self.layout != pool_layout(layout):
             raise RegistryMismatchError(
-                f"mask {self.domain_id!r} does not cover the registry's maskable pool")
+                f"mask {self.domain_id!r} does not cover the layout's maskable pool")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DomainMask):
@@ -119,22 +122,23 @@ class MaskSet:
 # ---------------------------------------------------------------------------
 
 
-def _region_pool(registry: ParameterRegistry, region: str):
-    """Maskable tensors of a region in lexicographic name order."""
-    infos = sorted(registry.maskable_infos(region), key=lambda i: i.name)
-    if not infos:
-        raise RegistryMismatchError(f"empty maskable pool in region {region!r}")
-    return infos
+def _region_pool(layout: Layout, pool: str) -> list[tuple[str, int]]:
+    """(name, size) of a region's maskable tensors in lexicographic name order."""
+    entries = sorted((name, math.prod(shape)) for name, shape in layout
+                     if maskable(shape) and region(name) == pool)
+    if not entries:
+        raise RegistryMismatchError(f"empty maskable pool in region {pool!r}")
+    return entries
 
 
-def pool_layout(registry: ParameterRegistry) -> tuple[tuple[str, int], ...]:
-    """The layout of every mask over `registry`: the region pools, encoder first."""
-    return tuple((i.name, i.size) for region in (ENCODER, DECODER)
-                 for i in _region_pool(registry, region))
+def pool_layout(layout: Layout) -> tuple[tuple[str, int], ...]:
+    """The layout of every mask over a parameter layout: the region pools,
+    encoder first."""
+    return tuple(entry for pool in (ENCODER, DECODER) for entry in _region_pool(layout, pool))
 
 
-def _keep_flags(finetuned: ParamStore, infos, fraction_pruned: float) -> np.ndarray:
-    absvals = np.concatenate([np.abs(finetuned.array(i.name)).ravel() for i in infos])
+def _keep_flags(finetuned: ParamStore, entries, fraction_pruned: float) -> np.ndarray:
+    absvals = np.concatenate([np.abs(finetuned.array(name)).ravel() for name, _ in entries])
     keep = int(round((1.0 - fraction_pruned) * absvals.size))
     # the keep largest, ties broken by (name, index): every value above the keep-th
     # largest (the largest for keep 0), then that value's first ones in pool order
@@ -146,32 +150,31 @@ def _keep_flags(finetuned: ParamStore, infos, fraction_pruned: float) -> np.ndar
     return flags
 
 
-def magnitude_prune(finetuned: ParamStore, registry: ParameterRegistry,
-                    spec: PruneSpec, domain_id: str = "") -> DomainMask:
-    """Keep the top (1-alpha)/(1-beta) fraction by |value| per region."""
+def magnitude_prune(finetuned: ParamStore, layout: Layout, spec: PruneSpec,
+                    domain_id: str = "") -> DomainMask:
+    """Keep the top (1-alpha)/(1-beta) fraction by |value| per region of
+    `layout`, which must be the store's."""
     spec.validate()
-    finetuned.require_matches(registry)
-    flags = np.concatenate([_keep_flags(finetuned, _region_pool(registry, region), frac)
-                            for region, frac in ((ENCODER, spec.alpha), (DECODER, spec.beta))])
-    return DomainMask(domain_id, layout_views(flags, pool_layout(registry)), spec)
+    if finetuned.layout != tuple(layout):
+        raise RegistryMismatchError("store does not match the layout's names and shapes")
+    flags = np.concatenate([_keep_flags(finetuned, _region_pool(layout, pool), frac)
+                            for pool, frac in ((ENCODER, spec.alpha), (DECODER, spec.beta))])
+    return DomainMask(domain_id, layout_views(flags, pool_layout(layout)), spec)
 
 
-def magnitude_prune_disjoint(finetuned: ParamStore, registry: ParameterRegistry,
-                             spec: PruneSpec, claimed: MaskSet,
-                             domain_id: str = "") -> DomainMask:
+def magnitude_prune_disjoint(finetuned: ParamStore, layout: Layout, spec: PruneSpec,
+                             claimed: MaskSet, domain_id: str = "") -> DomainMask:
     """Like magnitude_prune, but drop any element already claimed by another
     domain. The result is not padded back to the nominal fraction."""
-    mask = magnitude_prune(finetuned, registry, spec, domain_id)
+    mask = magnitude_prune(finetuned, layout, spec, domain_id)
     own, *others = _vectors([mask, *claimed])
     if others:
         own &= ~np.logical_or.reduce(others)
     return mask
 
 
-def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg,
-                       registry: ParameterRegistry, model_cfg,
-                       disjoint_against: MaskSet | None = None,
-                       log=None) -> DomainMask:
+def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg, model_cfg,
+                       disjoint_against: MaskSet | None = None, log=None) -> DomainMask:
     """Finetune a copy of the base on one domain with `train_cfg` (the
     manifest's mask-creation config), then magnitude-prune it; the base is
     never mutated."""
@@ -179,15 +182,15 @@ def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg
 
     finetuned = training.train_full(base, domain_data, train_cfg, model_cfg, log=log)
     if disjoint_against is not None:
-        return magnitude_prune_disjoint(finetuned, registry, spec, disjoint_against,
+        return magnitude_prune_disjoint(finetuned, base.layout, spec, disjoint_against,
                                         domain_id=domain_data.domain_id)
-    return magnitude_prune(finetuned, registry, spec, domain_id=domain_data.domain_id)
+    return magnitude_prune(finetuned, base.layout, spec, domain_id=domain_data.domain_id)
 
 
-def full_mask(registry: ParameterRegistry, domain_id: str) -> DomainMask:
+def full_mask(layout: Layout, domain_id: str) -> DomainMask:
     """All-ones mask over the maskable pool (alpha = beta = 0)."""
     return DomainMask(domain_id, {n: np.ones(size, dtype=bool)
-                                  for n, size in pool_layout(registry)}, PruneSpec(0.0, 0.0))
+                                  for n, size in pool_layout(layout)}, PruneSpec(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,8 @@ def load_mask(path) -> DomainMask:
             name = reader.string()
             (size,) = reader.unpack("<Q")
             packed = np.frombuffer(reader.read((size + 7) // 8), dtype=np.uint8)
+            if name in bits:
+                raise FormatError(f"mask holds tensor {name!r} twice")
             bits[name] = np.unpackbits(packed, count=size, bitorder="little").astype(bool)
         reader.end()
     return DomainMask(domain_id, bits, PruneSpec(alpha, beta))

@@ -1,11 +1,13 @@
 """Pre-layer-norm encoder-decoder transformer over the autograd core.
 
-Every parameter lives in a ParamStore keyed by a dotted name and is tagged in
-a ParameterRegistry with its region (encoder/decoder) and whether it is
-maskable. Weight matrices and embeddings are maskable; biases and layer-norm
-parameters are not (they stay shared across domains). A ParamStore's tensors
-are views, in insertion order, of one float64 vector, so optimizer updates and
-overlays are vector ops. Positional encodings are sinusoidal and parameter-free.
+Every parameter lives in a ParamStore keyed by a dotted name; its (name,
+shape) layout is the only description of the parameters. A tensor's region
+follows its name (`enc.` is the encoder, `dec.` the decoder) and its
+maskability its rank: weight matrices and embeddings are maskable, biases and
+layer-norm parameters are not (they stay shared across domains). A
+ParamStore's tensors are views, in insertion order, of one float64 vector, so
+optimizer updates and overlays are vector ops. Positional encodings are
+sinusoidal and parameter-free.
 
 Activations are token-major: the encoder and decoder embed and compute only
 live positions, one row per token. A source position is live where its token
@@ -18,6 +20,7 @@ target position, so `tgt_out[tgt_in != PAD_ID]` are their targets, in order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -45,8 +48,12 @@ CKPT_MAGIC = b"DOSSCKPT"
 CKPT_VERSION = 1
 
 
+# (name, shape) of every tensor, in store order
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+
 # ---------------------------------------------------------------------------
-# configuration / registry
+# configuration / layout
 # ---------------------------------------------------------------------------
 
 
@@ -73,84 +80,58 @@ class ModelConfig:
         return self
 
 
-@dataclass(frozen=True)
-class ParamInfo:
-    name: str
-    shape: tuple[int, ...]
-    region: str
-    maskable: bool
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
+def region(name: str) -> str:
+    """The pool a tensor joins: ENCODER for an `enc.` name, DECODER for `dec.`."""
+    if name.startswith("enc."):
+        return ENCODER
+    if name.startswith("dec."):
+        return DECODER
+    raise RegistryMismatchError(f"tensor {name!r} is in neither region: no enc. or dec. prefix")
 
 
-class ParameterRegistry:
-    """Ordered per-tensor metadata: name, shape, region, maskable flag."""
-
-    def __init__(self, infos: list[ParamInfo]):
-        self.infos = list(infos)
-        self.by_name = {i.name: i for i in self.infos}
-        if len(self.by_name) != len(self.infos):
-            raise RegistryMismatchError("duplicate tensor names in registry")
-        for info in self.infos:
-            if info.region not in (ENCODER, DECODER):
-                raise RegistryMismatchError(f"bad region for {info.name}: {info.region}")
-
-    def maskable_infos(self, region: str | None = None) -> list[ParamInfo]:
-        return [i for i in self.infos
-                if i.maskable and (region is None or i.region == region)]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ParameterRegistry) and self.infos == other.infos
+def maskable(shape: tuple[int, ...]) -> bool:
+    """Weight matrices and embeddings are maskable; biases and norms are not."""
+    return len(shape) == 2
 
 
-def param_shapes(cfg: ModelConfig) -> list[ParamInfo]:
-    """Canonical parameter list for a config, without allocating values."""
+def param_shapes(cfg: ModelConfig) -> Layout:
+    """Canonical (name, shape) layout for a config, without allocating values."""
     cfg.validate()
     d, f, v = cfg.d_model, cfg.ffn_dim, cfg.vocab_size
-    infos: list[ParamInfo] = []
+    layout: list[tuple[str, tuple[int, ...]]] = []
 
-    def w(name: str, shape: tuple[int, ...], region: str) -> None:
-        infos.append(ParamInfo(name, shape, region, maskable=len(shape) == 2))
-
-    def attn(prefix: str, region: str) -> None:
-        for part in ("wq", "wk", "wv", "wo"):
-            w(f"{prefix}.{part}", (d, d), region)
+    def attn(prefix: str) -> None:
+        layout.extend((f"{prefix}.{part}", (d, d)) for part in ("wq", "wk", "wv", "wo"))
         # no key bias: q . bk is the same for every key of a query, and softmax
         # ignores a per-query constant, so its gradient is zero
-        for part in ("bq", "bv", "bo"):
-            w(f"{prefix}.{part}", (d,), region)
+        layout.extend((f"{prefix}.{part}", (d,)) for part in ("bq", "bv", "bo"))
 
-    def norm(prefix: str, region: str) -> None:
-        w(f"{prefix}.g", (d,), region)
-        w(f"{prefix}.b", (d,), region)
+    def norm(prefix: str) -> None:
+        layout.extend([(f"{prefix}.g", (d,)), (f"{prefix}.b", (d,))])
 
-    def ffn(prefix: str, region: str) -> None:
-        w(f"{prefix}.w1", (d, f), region)
-        w(f"{prefix}.b1", (f,), region)
-        w(f"{prefix}.w2", (f, d), region)
-        w(f"{prefix}.b2", (d,), region)
+    def ffn(prefix: str) -> None:
+        layout.extend([(f"{prefix}.w1", (d, f)), (f"{prefix}.b1", (f,)),
+                       (f"{prefix}.w2", (f, d)), (f"{prefix}.b2", (d,))])
 
-    w("enc.embed", (v, d), ENCODER)
+    layout.append(("enc.embed", (v, d)))
     for i in range(cfg.n_enc_layers):
-        norm(f"enc.L{i}.sa_norm", ENCODER)
-        attn(f"enc.L{i}.sa", ENCODER)
-        norm(f"enc.L{i}.ffn_norm", ENCODER)
-        ffn(f"enc.L{i}.ffn", ENCODER)
-    norm("enc.final_norm", ENCODER)
+        norm(f"enc.L{i}.sa_norm")
+        attn(f"enc.L{i}.sa")
+        norm(f"enc.L{i}.ffn_norm")
+        ffn(f"enc.L{i}.ffn")
+    norm("enc.final_norm")
 
-    w("dec.embed", (v, d), DECODER)
+    layout.append(("dec.embed", (v, d)))
     for i in range(cfg.n_dec_layers):
-        norm(f"dec.L{i}.sa_norm", DECODER)
-        attn(f"dec.L{i}.sa", DECODER)
-        norm(f"dec.L{i}.ca_norm", DECODER)
-        attn(f"dec.L{i}.ca", DECODER)
-        norm(f"dec.L{i}.ffn_norm", DECODER)
-        ffn(f"dec.L{i}.ffn", DECODER)
-    norm("dec.final_norm", DECODER)
-    w("dec.out_proj", (d, v), DECODER)
-    return infos
+        norm(f"dec.L{i}.sa_norm")
+        attn(f"dec.L{i}.sa")
+        norm(f"dec.L{i}.ca_norm")
+        attn(f"dec.L{i}.ca")
+        norm(f"dec.L{i}.ffn_norm")
+        ffn(f"dec.L{i}.ffn")
+    norm("dec.final_norm")
+    layout.append(("dec.out_proj", (d, v)))
+    return tuple(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -210,47 +191,41 @@ class ParamStore:
         if self.layout != other.layout:
             raise RegistryMismatchError("parameter stores have different layouts")
 
-    def require_matches(self, registry: ParameterRegistry) -> None:
-        if self.layout != tuple((i.name, tuple(i.shape)) for i in registry.infos):
-            raise RegistryMismatchError("store does not match the registry's names and shapes")
 
-
-def _init_array(info: ParamInfo, d_model: int, rng: np.random.Generator) -> np.ndarray:
-    if info.name.endswith(".embed"):
+def _init_array(name: str, shape: tuple[int, ...], d_model: int,
+                rng: np.random.Generator) -> np.ndarray:
+    if name.endswith(".embed"):
         lim = math.sqrt(3.0 / d_model)
-        return rng.uniform(-lim, lim, size=info.shape)
-    if len(info.shape) == 2:
-        gain = math.sqrt(2.0) if info.name.endswith("ffn.w1") else 1.0
-        fan_in, fan_out = info.shape
+        return rng.uniform(-lim, lim, size=shape)
+    if len(shape) == 2:
+        gain = math.sqrt(2.0) if name.endswith("ffn.w1") else 1.0
+        fan_in, fan_out = shape
         lim = gain * math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=info.shape)
-    if info.name.endswith("norm.g"):
-        return np.ones(info.shape)
-    return np.zeros(info.shape)
+        return rng.uniform(-lim, lim, size=shape)
+    if name.endswith("norm.g"):
+        return np.ones(shape)
+    return np.zeros(shape)
 
 
-def build_model(cfg: ModelConfig, seed: int) -> tuple[ParamStore, ParameterRegistry]:
-    """Initialize parameters (scaled uniform) and the matching registry."""
-    infos = param_shapes(cfg)
+def build_model(cfg: ModelConfig, seed: int) -> tuple[ParamStore, Layout]:
+    """Initialize parameters (scaled uniform); returns the store and its layout."""
     rng = np.random.Generator(np.random.PCG64(ag.derive_seed("init", seed)))
-    tensors = {
-        info.name: Tensor(_init_array(info, cfg.d_model, rng),
-                          requires_grad=True, name=info.name)
-        for info in infos
-    }
-    return ParamStore(tensors), ParameterRegistry(infos)
+    store = ParamStore({name: Tensor(_init_array(name, shape, cfg.d_model, rng), name=name)
+                        for name, shape in param_shapes(cfg)})
+    return store, store.layout
 
 
-def count_params(registry: ParameterRegistry, mask=None) -> dict[str, int]:
+def count_params(layout: Layout, mask=None) -> dict[str, int]:
     """Exact integer counts; with a mask, adds its popcount as masked_ones."""
+    sizes = [(region(name), maskable(shape), math.prod(shape)) for name, shape in layout]
     counts = {
-        "total": sum(i.size for i in registry.infos),
-        "encoder": sum(i.size for i in registry.infos if i.region == ENCODER),
-        "decoder": sum(i.size for i in registry.infos if i.region == DECODER),
-        "maskable": sum(i.size for i in registry.infos if i.maskable),
+        "total": sum(size for _, _, size in sizes),
+        "encoder": sum(size for r, _, size in sizes if r == ENCODER),
+        "decoder": sum(size for r, _, size in sizes if r == DECODER),
+        "maskable": sum(size for _, m, size in sizes if m),
     }
     if mask is not None:
-        mask.require_matches(registry)
+        mask.require_matches(layout)
         counts["masked_ones"] = mask.popcount()
     return counts
 
@@ -447,7 +422,7 @@ def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.nd
 
 
 # ---------------------------------------------------------------------------
-# checkpoint + registry serialization
+# checkpoint and registry-record serialization
 # ---------------------------------------------------------------------------
 
 
@@ -524,33 +499,36 @@ def load_checkpoint(path) -> ParamStore:
             data = np.frombuffer(reader.read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
             if not np.isfinite(data).all():
                 raise FormatError(f"checkpoint tensor {name!r} holds a non-finite value")
+            if name in tensors:
+                raise FormatError(f"checkpoint holds tensor {name!r} twice")
             tensors[name] = Tensor(data.astype(np.float64), requires_grad=True, name=name)
         reader.end()
     return ParamStore(tensors)
 
 
-def save_registry(registry: ParameterRegistry, path) -> None:
+def _registry_lines(layout: Layout) -> list[str]:
+    return [f"{name} {region(name)} {int(maskable(shape))}" for name, shape in layout]
+
+
+def save_registry(layout: Layout, path) -> None:
+    """Text record of the region and maskability rule: `name region 0|1` lines."""
     with open(path, "w", encoding="utf-8") as fh:
-        for info in registry.infos:
-            fh.write(f"{info.name} {info.region} {1 if info.maskable else 0}\n")
+        fh.writelines(line + "\n" for line in _registry_lines(layout))
 
 
-def load_registry(path, store: ParamStore) -> ParameterRegistry:
-    """Rebuild a registry from its text sidecar, taking shapes from `store`."""
-    infos = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                name, region, maskable = line.split()
-            except ValueError as exc:
-                raise FormatError(f"bad registry line: {line!r}") from exc
-            if name not in store:
-                raise RegistryMismatchError(f"registry names unknown tensor {name}")
-            infos.append(ParamInfo(name, tuple(store.array(name).shape),
-                                   region, maskable == "1"))
-    registry = ParameterRegistry(infos)
-    store.require_matches(registry)
-    return registry
+def load_registry(path, store: ParamStore) -> None:
+    """Check a `save_registry` record against the rule for `store`: a line
+    that is not UTF-8 or not `name region 0|1` is a FormatError, lines that
+    differ from the rule's a RegistryMismatchError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.split() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"registry file {path} is not UTF-8") from exc
+    for fields in lines:
+        if len(fields) != 3 or fields[2] not in ("0", "1"):
+            raise FormatError(f"bad registry line: {' '.join(fields)!r}")
+    expect = [line.split() for line in _registry_lines(store.layout)]
+    for got, want in itertools.zip_longest(lines, expect):
+        if got != want:
+            raise RegistryMismatchError(f"registry line {got} differs from the rule's {want}")

@@ -25,8 +25,7 @@ from . import autograd as ag
 from .data import Batch, DomainDataset, batch_iterator, concat_datasets, epoch_batches
 from .errors import ConfigError, NumericsError
 from .masks import MaskSet, StoreMask, create_domain_mask, full_mask, on_store
-from .model import (DropCtx, ModelConfig, PAD_ID, ParameterRegistry, ParamStore, forward,
-                    layout_views)
+from .model import DropCtx, ModelConfig, PAD_ID, ParamStore, forward, layout_views
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ class ExtensionMode(str, Enum):
 def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
                   new_data: DomainDataset, mode: ExtensionMode | str, spec,
                   cfg: TrainConfig, *, model_cfg: ModelConfig,
-                  registry: ParameterRegistry, mask_cfg: TrainConfig | None = None,
+                  mask_cfg: TrainConfig | None = None,
                   existing_data: Sequence[DomainDataset] | None = None,
                   log: MetricsLog | None = None) -> tuple[ParamStore, MaskSet]:
     """Adapt a jointly trained model to one new domain.
@@ -259,13 +258,13 @@ def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
     if new_data.domain_id in maskset.ids():
         raise ConfigError(f"domain {new_data.domain_id!r} already has a mask")
     if mode is ExtensionMode.FT_ALL_ONES:
-        new_mask = full_mask(registry, new_data.domain_id)
+        new_mask = full_mask(base.layout, new_data.domain_id)
     else:
         if mask_cfg is None:
             raise ConfigError(f"mode {mode.value} needs a mask-creation train config")
         disjoint_against = maskset if mode is ExtensionMode.NEW_ONLY_DISJOINT else None
-        new_mask = create_domain_mask(base, new_data, spec, mask_cfg, registry,
-                                      model_cfg, disjoint_against=disjoint_against)
+        new_mask = create_domain_mask(base, new_data, spec, mask_cfg, model_cfg,
+                                      disjoint_against=disjoint_against)
     if mode is ExtensionMode.ALL_MASKS_JOINT:
         if existing_data is None:
             raise ConfigError("all_masks_joint needs the existing domains' data")

@@ -18,8 +18,8 @@ from doss.data import DomainDataset
 from doss.errors import ConfigError
 from doss.evaluation import rows_to_decode
 from doss.masks import DomainMask, MaskSet, PruneSpec, pool_layout
-from doss.model import (BOS_ID, EOS_ID, PAD_ID, ModelConfig, ParameterRegistry, ParamStore,
-                        layout_views, positional_encoding)
+from doss.model import (BOS_ID, EOS_ID, PAD_ID, Layout, ModelConfig, ParamStore, layout_views,
+                        maskable, positional_encoding, region)
 
 
 def sum_all(a: ag.Tensor) -> ag.Tensor:
@@ -324,23 +324,30 @@ def checksum_bytes(ds: DomainDataset) -> bytes:
     return b"".join(chunks)
 
 
-def pool_size(registry: ParameterRegistry, region: str) -> int:
-    """Elements in a region's maskable pool."""
-    return sum(i.size for i in registry.maskable_infos(region))
+def region_pool(layout: Layout, pool: str | None = None) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of the maskable tensors of a region (of both when None),
+    in layout order."""
+    return [(name, shape) for name, shape in layout
+            if maskable(shape) and pool in (None, region(name))]
 
 
-def region_ones(mask: DomainMask, registry: ParameterRegistry, region: str) -> int:
+def pool_size(layout: Layout, pool: str | None = None) -> int:
+    """Elements in a region's maskable pool (in both pools when None)."""
+    return sum(math.prod(shape) for _, shape in region_pool(layout, pool))
+
+
+def region_ones(mask: DomainMask, layout: Layout, pool: str) -> int:
     """Ones of a mask inside one region's maskable pool."""
-    return int(sum(mask.bits[i.name].sum() for i in registry.maskable_infos(region)))
+    return int(sum(mask.bits[name].sum() for name, _ in region_pool(layout, pool)))
 
 
-def random_mask(registry: ParameterRegistry, domain_id: str, rng: np.random.Generator,
+def random_mask(layout: Layout, domain_id: str, rng: np.random.Generator,
                 density: float) -> DomainMask:
-    """A mask in the registry's pool layout with each element 1 with
+    """A mask in the layout's pool layout with each element 1 with
     probability `density`."""
-    layout = pool_layout(registry)
-    vector = rng.random(sum(n for _, n in layout)) < density
-    return DomainMask(domain_id, layout_views(vector, layout),
+    pool = pool_layout(layout)
+    vector = rng.random(sum(n for _, n in pool)) < density
+    return DomainMask(domain_id, layout_views(vector, pool),
                       PruneSpec(1 - density, 1 - density))
 
 

@@ -24,7 +24,7 @@ from doss.masks import MaskSet, PruneSpec, create_domain_mask, load_mask, magnit
 from doss.model import (ModelConfig, PAD_ID, build_model, count_params, forward,
                         load_checkpoint)
 from doss.training import TrainConfig
-from support import capacity, is_pairwise_disjoint, pool_size, region_ones
+from support import capacity, is_pairwise_disjoint, pool_size, region_ones, region_pool
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFEST = REPO / "configs" / "desk.ini"
@@ -116,21 +116,19 @@ def test_criterion_1_gradients_match_finite_differences():
 
 
 def test_criterion_2_mask_density_grid():
-    from doss.model import ParamInfo, ParameterRegistry, ParamStore
+    from doss.model import ParamStore
 
     r = np.random.default_rng(2024)
-    tensors = {"enc.a": ((17, 9), "encoder"), "enc.b": ((31,  7), "encoder"),
-               "dec.a": ((23, 5), "decoder"), "dec.b": ((13, 11), "decoder")}
-    infos = [ParamInfo(n, s, reg, True) for n, (s, reg) in tensors.items()]
-    registry = ParameterRegistry(infos)
-    store = ParamStore({n: ag.Tensor(r.normal(size=s), name=n)
-                        for n, (s, _) in tensors.items()})
+    # every tensor is a matrix, so maskable; its region follows its prefix
+    tensors = {"enc.a": (17, 9), "enc.b": (31,  7), "dec.a": (23, 5), "dec.b": (13, 11)}
+    store = ParamStore({n: ag.Tensor(r.normal(size=s), name=n) for n, s in tensors.items()})
+    layout = store.layout
 
     def oracle(region, frac):
         entries = []
-        for info in sorted(registry.maskable_infos(region), key=lambda i: i.name):
-            for idx, v in enumerate(np.abs(store.array(info.name)).ravel()):
-                entries.append((-v, info.name, idx))
+        for name, _ in sorted(region_pool(layout, region)):
+            for idx, v in enumerate(np.abs(store.array(name)).ravel()):
+                entries.append((-v, name, idx))
         entries.sort()
         return {(n, i) for _, n, i in entries[:int(round((1 - frac) * len(entries)))]}
 
@@ -138,13 +136,13 @@ def test_criterion_2_mask_density_grid():
     checked = 0
     for alpha in grid:
         for beta in grid:
-            mask = magnitude_prune(store, registry, PruneSpec(alpha, beta), "d")
+            mask = magnitude_prune(store, layout, PruneSpec(alpha, beta), "d")
             for region, frac in (("encoder", alpha), ("decoder", beta)):
-                pool = pool_size(registry, region)
-                ones = region_ones(mask, registry, region)
+                pool = pool_size(layout, region)
+                ones = region_ones(mask, layout, region)
                 assert abs(ones - round((1 - frac) * pool)) <= 1
-                got = {(i.name, int(j)) for i in registry.maskable_infos(region)
-                       for j in np.flatnonzero(mask.bits[i.name])}
+                got = {(name, int(j)) for name, _ in region_pool(layout, region)
+                       for j in np.flatnonzero(mask.bits[name])}
                 assert got == oracle(region, frac)
                 checked += 1
     report(2, True, f"{checked} region/fraction cells match round((1-f)*pool) "
@@ -158,11 +156,11 @@ def test_criterion_2_mask_density_grid():
 
 def test_criterion_3_disjointness(trained):
     man = trained.man
-    lam0, registry = trained.load_base()
+    lam0 = trained.load_base()
     built = MaskSet([])
     for ds in trained.train_sets():
-        mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], registry,
-                                  man.model, disjoint_against=built)
+        mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], man.model,
+                                  disjoint_against=built)
         built = built.plus(mask)
     assert is_pairwise_disjoint(built)
     inter = [int((a.bits[n] & b.bits[n]).sum())
@@ -189,7 +187,7 @@ def test_criterion_3_disjointness(trained):
 
 
 def test_criterion_4_frozen_share_bit_identical(trained):
-    lam0, _ = trained.load_base()
+    lam0 = trained.load_base()
     lam = load_checkpoint(trained.doss_ckpt)
     union = trained.load_masks().union_bits()
     frozen_elems = 0
@@ -226,7 +224,7 @@ def test_criterion_5_disjoint_extension_preserves_decodes(trained):
 
 def test_criterion_6_multi_domain_separation(trained):
     man = trained.man
-    total = count_params(trained.load_base()[1])["total"]
+    total = count_params(trained.load_base().layout)["total"]
     assert 100_000 <= total <= 1_000_000
     assert man.prune.alpha == 0.6 and man.prune.beta == 0.6
     trained.finetune()
@@ -294,7 +292,7 @@ def test_criterion_7_extension_quality(trained):
 
 
 def test_criterion_8_trainable_counts(trained):
-    _, registry = trained.load_base()
+    layout = trained.load_base().layout
     man = trained.man
     new_dom = man.extension.name
 
@@ -304,7 +302,7 @@ def test_criterion_8_trainable_counts(trained):
         mask = load_mask(trained.extend_dir(mode) / f"mask_{new_dom}.mask")
         # independent popcount: sum of per-bitset integer sums
         independent = int(sum(int(b.astype(np.int64).sum()) for b in mask.bits.values()))
-        counted = count_params(registry, mask)["masked_ones"]
+        counted = count_params(layout, mask)["masked_ones"]
         reported = int(read_report(trained.extend_dir(mode) / "report.csv")
                        [(f"extended[{mode}]", new_dom)]["trainable"])
         popcounts[mode] = independent

@@ -7,7 +7,8 @@ the decoder positions of greedy decoding, one per row still decoding and
 step, from the token array passed as the fifth argument of
 `evaluation.decode_logits`. A rename, or a train loop that
 pulls batches some other way, breaks only the traced benchmark run, so it is
-pinned here.
+pinned here. So are the calls benchmarks/workloads.py makes outside the probe:
+its manifests, `build_model`'s (store, layout) pair and `magnitude_prune`.
 """
 
 import importlib
@@ -18,11 +19,14 @@ import numpy as np
 
 from doss import evaluation, training
 from doss.data import SyntheticTask, epoch_batches, gen_domain
-from doss.masks import MaskSet, full_mask
-from doss.model import ModelConfig, build_model
+from doss.manifest import load_manifest
+from doss.masks import MaskSet, full_mask, on_store
+from doss.model import DECODER, ENCODER, ModelConfig, build_model
 from doss.training import TrainConfig
+from support import pool_size
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 MODULES = ("autograd", "model", "training", "data", "masks", "evaluation", "manifest", "cli")
 
 
@@ -42,12 +46,12 @@ def test_probe_opens_one_step_span_per_train_step_and_uninstalls():
     spans = _load_spans()
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    lam0, registry = build_model(cfg, seed=4)
+    lam0, layout = build_model(cfg, seed=4)
     copy, rev = (gen_domain(SyntheticTask(kind, content_hi=14, min_len=3, max_len=5, seed=s),
                             40, domain_id=kind) for kind, s in (("copy", 1), ("reverse", 2)))
     by_epochs = TrainConfig(1e-3, 10, 64, 0.1, epochs=2, seed=3)
     by_steps = TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, seed=3)
-    masks = MaskSet([full_mask(registry, "copy"), full_mask(registry, "reverse")])
+    masks = MaskSet([full_mask(layout, "copy"), full_mask(layout, "reverse")])
     expect = sum(len(epoch_batches(copy, 64, 3, e)) for e in range(2)) + 5 + 5
 
     before = [dict(vars(ns)) for ns in _namespaces()]
@@ -88,3 +92,34 @@ def test_probe_counts_one_decoder_position_per_row_and_step():
     assert len(set(ends)) == 3
     assert probe.counts["decoder_positions"] == sum(
         max(sum(end >= step for end in ends), 2) for step in range(1, steps + 1))
+
+
+def test_workloads_untraced_api_on_a_tiny_store(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # workloads imports its siblings by name
+    workloads = importlib.import_module("workloads")
+    for template in (workloads.DESK, workloads.PIPELINE):
+        assert load_manifest(template).domains
+        rendered = tmp_path / template.name
+        workloads.render_manifest(template, 3, rendered)
+        assert load_manifest(rendered).seed == 3
+
+    man = load_manifest(workloads.DESK)
+    cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=16)
+    base, layout = build_model(cfg, seed=4)
+    masks = workloads.jittered_masks(base, layout, man, 1)
+    assert masks.ids() == [d.name for d in man.domains]
+    ones = (round((1 - man.prune.alpha) * pool_size(layout, ENCODER))
+            + round((1 - man.prune.beta) * pool_size(layout, DECODER)))
+    for mask in masks:
+        mask.require_matches(layout)
+        assert mask.popcount() == ones
+    assert len({m.vector.tobytes() for m in masks}) == len(masks)  # jittered per domain
+
+    union = masks.union_bits()
+    trained = base.copy()
+    trained.vector[on_store(masks.union_mask(), trained).ones] += 1.0
+    assert workloads.frozen_mismatches(trained, base, union) == []
+    trained.array("enc.embed").flat[np.flatnonzero(~union["enc.embed"])[0]] += 1.0
+    trained.array("enc.final_norm.b")[0] += 1.0
+    assert workloads.frozen_mismatches(trained, base, union) == ["enc.embed", "enc.final_norm.b"]

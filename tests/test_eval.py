@@ -14,10 +14,10 @@ from doss.errors import ConfigError, DossError, NumericsError
 from doss.evaluation import (EvalCell, Variant, bleu_stats, corpus_bleu, decode_dataset,
                              eval_matrix, exact_match, greedy_decode, pearson,
                              rows_to_decode, trim_eos)
-from doss.masks import DomainMask, MaskSet, PruneSpec
+from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask
 from doss.model import EOS_ID, PAD_ID, ModelConfig, ParamStore, build_model
 from support import (full_prefix_decode, oracle_bleu, oracle_bleu_from_sums,
-                     oracle_sentence_stats)
+                     oracle_sentence_stats, region_pool)
 
 
 def test_bleu_perfect_match_is_100():
@@ -155,8 +155,8 @@ def test_pearson():
 def _mini():
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    store, registry = build_model(cfg, seed=11)
-    return cfg, store, registry
+    store, layout = build_model(cfg, seed=11)
+    return cfg, store, layout
 
 
 def test_greedy_decode_reproducible():
@@ -249,11 +249,11 @@ def test_greedy_decode_refuses_non_finite_logits(name):
 def trained_copy():
     from doss.training import TrainConfig, train_full
 
-    cfg, store, registry = _mini()
+    cfg, store, layout = _mini()
     ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=2, max_len=4, seed=5),
                     120, domain_id="copy")
     lam = train_full(store, ds, TrainConfig(3e-3, 30, 96, 0.1, max_steps=1500, seed=7), cfg)
-    return cfg, store, registry, lam, ds
+    return cfg, store, layout, lam, ds
 
 
 def test_trained_copy_model_decodes_with_eos(trained_copy):
@@ -344,7 +344,7 @@ def test_greedy_decode_tokens_match_in_batches_of_2_and_64(trained_copy):
 
 
 def test_eval_matrix_single_cell_and_averages(trained_copy):
-    cfg, store, registry, lam, ds = trained_copy
+    cfg, store, layout, lam, ds = trained_copy
     report = eval_matrix([Variant("m", lam, trainable=123)], [ds], cfg, max_len=6)
     assert report.domain_ids == ["copy"]
     cell = report.cell("m", "copy")
@@ -359,7 +359,7 @@ def test_eval_matrix_single_cell_and_averages(trained_copy):
 
 
 def test_eval_matrix_average_is_mean_over_domains(trained_copy):
-    cfg, store, registry, lam, ds = trained_copy
+    cfg, store, layout, lam, ds = trained_copy
     other = gen_domain(SyntheticTask("reverse", content_hi=14, min_len=2, max_len=4,
                                      seed=6), 20, domain_id="reverse")
     report = eval_matrix([Variant("m", lam)], [ds, other], cfg, max_len=6)
@@ -370,10 +370,11 @@ def test_eval_matrix_average_is_mean_over_domains(trained_copy):
 
 
 def test_eval_matrix_uses_matching_mask_per_domain(trained_copy):
-    cfg, lam0, registry, lam, ds = trained_copy
+    cfg, lam0, layout, lam, ds = trained_copy
     r = np.random.default_rng(2)
-    bits_a = {i.name: r.random(i.size) < 0.5 for i in registry.maskable_infos()}
-    bits_b = {i.name: ~bits_a[i.name] for i in registry.maskable_infos()}
+    pool = region_pool(layout)
+    bits_a = {name: r.random(math.prod(shape)) < 0.5 for name, shape in pool}
+    bits_b = {name: ~bits_a[name] for name, _ in pool}
     masks = MaskSet([DomainMask("copy", bits_a, PruneSpec(0.5, 0.5)),
                      DomainMask("other", bits_b, PruneSpec(0.5, 0.5))])
     v = Variant("doss", lam, base=lam0, masks=masks)
@@ -389,10 +390,8 @@ def test_eval_matrix_uses_matching_mask_per_domain(trained_copy):
 
 
 def test_eval_matrix_missing_mask_is_error(trained_copy):
-    cfg, lam0, registry, lam, ds = trained_copy
-    masks = MaskSet([DomainMask("other", {i.name: np.ones(i.size, dtype=bool)
-                                          for i in registry.maskable_infos()},
-                                PruneSpec(0, 0))])
+    cfg, lam0, layout, lam, ds = trained_copy
+    masks = MaskSet([full_mask(layout, "other")])
     with pytest.raises(DossError):
         eval_matrix([Variant("doss", lam, base=lam0, masks=masks)], [ds], cfg, max_len=6)
     with pytest.raises(DossError):

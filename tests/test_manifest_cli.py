@@ -12,7 +12,7 @@ import pytest
 
 from doss import cli, evaluation, masks, training
 from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
-from doss.errors import ConfigError, FormatError, NumericsError
+from doss.errors import ConfigError, FormatError, NumericsError, RegistryMismatchError
 from doss.evaluation import decode_dataset, trim_eos
 from doss.manifest import load_manifest
 from doss.model import load_checkpoint
@@ -440,6 +440,30 @@ def test_rerun_into_fresh_dir_is_bit_identical(tiny_run):
     assert files1 == files2
     for rel in files1:
         assert (pipe.out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (lambda raw: b"\xff" + raw, FormatError, "is not UTF-8"),
+    (lambda raw: raw.replace(b"enc.embed encoder 1", b"enc.embed encoder 0", 1),
+     RegistryMismatchError, "differs from the rule"),
+], ids=["not_utf8", "flag_flipped"])
+def test_edited_registry_record_fails_make_masks(tiny_run, tmp_path, caplog, edit, error,
+                                                message):
+    # base.reg is a record of the region and maskability rule, not an input:
+    # an edit must fail the stage before it writes a mask
+    man_path, pipe = tiny_run
+    out = shutil.copytree(pipe.out, tmp_path / "run")
+    reg = out / "base.reg"
+    assert reg.read_bytes().startswith(b"enc.embed encoder 1\n")
+    reg.write_bytes(edit(reg.read_bytes()))
+    (out / "mask_copy.mask").unlink()
+    other = (out / "mask_reverse.mask").read_bytes()
+    assert main(["make-masks", "--config", str(man_path), "--out", str(out)]) == 2
+    assert message in caplog.text
+    with pytest.raises(error, match=message):
+        Pipeline(load_manifest(man_path), out).make_masks()
+    assert not (out / "mask_copy.mask").exists()
+    assert (out / "mask_reverse.mask").read_bytes() == other
 
 
 @pytest.mark.parametrize("edit,stage", [

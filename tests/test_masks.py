@@ -1,5 +1,6 @@
 """Mask creation, pruning density, disjointness, overlay, and the file format."""
 
+import re
 import struct
 from fractions import Fraction
 
@@ -13,36 +14,36 @@ from doss.errors import ConfigError, FormatError, RegistryMismatchError
 from doss.masks import (DomainMask, MaskSet, PruneSpec, full_mask,
                         load_mask, magnitude_prune, magnitude_prune_disjoint,
                         overlap_stats, overlay, save_mask)
-from doss.model import ParamInfo, ParameterRegistry, ParamStore
-from support import capacity, is_pairwise_disjoint, pool_size, region_ones
+from doss.model import ParamStore, region
+from support import capacity, is_pairwise_disjoint, pool_size, region_ones, region_pool
 
 
 def make_store(tensors: dict[str, tuple[np.ndarray, str]]):
-    """tensors: name -> (values, region). Rank-2 arrays are maskable."""
-    infos = [ParamInfo(name, tuple(arr.shape), region, maskable=arr.ndim == 2)
-             for name, (arr, region) in tensors.items()]
+    """tensors: name -> (values, region); returns the store and its layout.
+    The region must be the one the name gives; rank-2 arrays are maskable."""
+    assert all(region(name) == pool for name, (_, pool) in tensors.items())
     store = ParamStore({name: Tensor(arr, requires_grad=True, name=name)
                         for name, (arr, _) in tensors.items()})
-    return store, ParameterRegistry(infos)
+    return store, store.layout
 
 
-def sort_oracle_keep(store, registry, region, fraction_pruned):
+def sort_oracle_keep(store, layout, pool, fraction_pruned):
     """Independent oracle: full sort of (|w|, name, index) tuples."""
     entries = []
-    for info in sorted(registry.maskable_infos(region), key=lambda i: i.name):
-        flat = np.abs(store.array(info.name)).ravel()
+    for name, _ in sorted(region_pool(layout, pool)):
+        flat = np.abs(store.array(name)).ravel()
         for idx, v in enumerate(flat):
-            entries.append((-v, info.name, idx))
+            entries.append((-v, name, idx))
     entries.sort()
     keep = int(round((1 - fraction_pruned) * len(entries)))
     return {(name, idx) for _, name, idx in entries[:keep]}
 
 
-def mask_ones_set(mask, registry, region):
+def mask_ones_set(mask, layout, pool):
     out = set()
-    for info in registry.maskable_infos(region):
-        for idx in np.flatnonzero(mask.bits[info.name]):
-            out.add((info.name, int(idx)))
+    for name, _ in region_pool(layout, pool):
+        for idx in np.flatnonzero(mask.bits[name]):
+            out.add((name, int(idx)))
     return out
 
 
@@ -54,23 +55,23 @@ def two_region_store(enc_vals, dec_vals):
 
 
 def test_prune_alpha_zero_keeps_everything():
-    store, reg = two_region_store([1, 2, 3, 4], [5, 6])
-    mask = magnitude_prune(store, reg, PruneSpec(0.0, 0.0), "d")
+    store, layout = two_region_store([1, 2, 3, 4], [5, 6])
+    mask = magnitude_prune(store, layout, PruneSpec(0.0, 0.0), "d")
     assert mask.popcount() == 6
 
 
 def test_prune_alpha_one_drops_everything():
-    store, reg = two_region_store([1, 2, 3, 4], [5, 6])
-    mask = magnitude_prune(store, reg, PruneSpec(1.0, 1.0), "d")
+    store, layout = two_region_store([1, 2, 3, 4], [5, 6])
+    mask = magnitude_prune(store, layout, PruneSpec(1.0, 1.0), "d")
     assert mask.popcount() == 0
 
 
 def test_prune_keeps_four_largest_of_ten():
     vals = [3, -1, 10, 2, -7, 4, -9, 5, 6, -8]  # |v| = 1..10
-    store, reg = two_region_store(vals, [1, 2])
-    mask = magnitude_prune(store, reg, PruneSpec(0.6, 0.0), "d")
-    kept = mask_ones_set(mask, reg, "encoder")
-    assert kept == sort_oracle_keep(store, reg, "encoder", 0.6)
+    store, layout = two_region_store(vals, [1, 2])
+    mask = magnitude_prune(store, layout, PruneSpec(0.6, 0.0), "d")
+    kept = mask_ones_set(mask, layout, "encoder")
+    assert kept == sort_oracle_keep(store, layout, "encoder", 0.6)
     kept_vals = sorted(abs(vals[i]) for _, i in kept)
     assert kept_vals == [7, 8, 9, 10]
 
@@ -79,19 +80,20 @@ def test_prune_keeps_four_largest_of_ten():
 @pytest.mark.parametrize("beta", [0.4, 0.5, 0.6, 0.8, 0.9])
 def test_density_on_standard_grid(alpha, beta):
     r = np.random.default_rng(101)
-    store, reg = make_store({
+    store, layout = make_store({
         "enc.a": (r.normal(size=(13, 7)), "encoder"),
         "enc.b": (r.normal(size=(5, 9)), "encoder"),
         "dec.a": (r.normal(size=(11, 6)), "decoder"),
         "dec.b": (r.normal(size=(4,)), "decoder"),
         "dec.c": (r.normal(size=(8, 8)), "decoder"),
     })
-    mask = magnitude_prune(store, reg, PruneSpec(alpha, beta), "d")
+    mask = magnitude_prune(store, layout, PruneSpec(alpha, beta), "d")
     for region, frac in (("encoder", alpha), ("decoder", beta)):
-        pool = pool_size(reg, region)
-        ones = region_ones(mask, reg, region)
+        pool = pool_size(layout, region)
+        ones = region_ones(mask, layout, region)
         assert abs(ones - round((1 - frac) * pool)) <= 1
-        assert mask_ones_set(mask, reg, region) == sort_oracle_keep(store, reg, region, frac)
+        assert (mask_ones_set(mask, layout, region)
+                == sort_oracle_keep(store, layout, region, frac))
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,25 +102,25 @@ def test_density_on_standard_grid(alpha, beta):
        seed=st.integers(min_value=0, max_value=2**16))
 def test_density_invariant_any_fraction(alpha, beta, seed):
     r = np.random.default_rng(seed)
-    store, reg = make_store({
+    store, layout = make_store({
         "enc.a": (r.normal(size=(6, 5)), "encoder"),
         "dec.a": (r.normal(size=(7, 4)), "decoder"),
     })
-    mask = magnitude_prune(store, reg, PruneSpec(alpha, beta), "d")
+    mask = magnitude_prune(store, layout, PruneSpec(alpha, beta), "d")
     for region, frac in (("encoder", alpha), ("decoder", beta)):
-        pool = pool_size(reg, region)
-        assert abs(region_ones(mask, reg, region) - round((1 - frac) * pool)) <= 1
+        pool = pool_size(layout, region)
+        assert abs(region_ones(mask, layout, region) - round((1 - frac) * pool)) <= 1
 
 
 def test_tie_break_by_name_then_index():
     # equal magnitudes everywhere: the keep set must be the lexicographically
     # first (name, index) pairs
-    store, reg = make_store({
+    store, layout = make_store({
         "enc.b": (np.ones((1, 4)), "encoder"),
         "enc.a": (np.ones((1, 4)), "encoder"),
         "dec.w": (np.ones((1, 2)), "decoder"),
     })
-    mask = magnitude_prune(store, reg, PruneSpec(0.5, 0.0), "d")
+    mask = magnitude_prune(store, layout, PruneSpec(0.5, 0.0), "d")
     assert mask.bits["enc.a"].tolist() == [True] * 4
     assert mask.bits["enc.b"].tolist() == [False] * 4
 
@@ -137,9 +139,9 @@ def test_prune_keeps_the_stable_argsort_rule_on_a_tie_heavy_pool(keep):
     r = np.random.default_rng(11)
     values = {name: np.round(r.normal(size=shape), 1)
               for name, shape in (("enc.b", (10, 12)), ("enc.a", (9, 20)), ("dec.w", (4, 5)))}
-    store, reg = make_store({name: (v, "decoder" if name.startswith("dec") else "encoder")
+    store, layout = make_store({name: (v, "decoder" if name.startswith("dec") else "encoder")
                              for name, v in values.items()})
-    mask = magnitude_prune(store, reg, PruneSpec(1.0 - keep / 300, 0.5), "d")
+    mask = magnitude_prune(store, layout, PruneSpec(1.0 - keep / 300, 0.5), "d")
     pool = np.abs(np.concatenate([values["enc.a"].ravel(), values["enc.b"].ravel()]))
     got = np.concatenate([mask.bits["enc.a"].ravel(), mask.bits["enc.b"].ravel()])
     assert got.sum() == keep
@@ -161,37 +163,37 @@ def test_prune_invariant_to_registry_order():
 
 
 def test_empty_region_pool_is_error():
-    store, reg = make_store({"enc.w": (np.ones((2, 2)), "encoder"),
+    store, layout = make_store({"enc.w": (np.ones((2, 2)), "encoder"),
                              "dec.b": (np.ones(3), "decoder")})
     with pytest.raises(RegistryMismatchError):
-        magnitude_prune(store, reg, PruneSpec(0.5, 0.5), "d")
+        magnitude_prune(store, layout, PruneSpec(0.5, 0.5), "d")
 
 
 def test_disjoint_with_no_claims_equals_unconstrained():
-    store, reg = two_region_store([3, -1, 10, 2, -7, 4, -9, 5, 6, -8], [1, 2])
+    store, layout = two_region_store([3, -1, 10, 2, -7, 4, -9, 5, 6, -8], [1, 2])
     spec = PruneSpec(0.6, 0.0)
-    assert magnitude_prune_disjoint(store, reg, spec, MaskSet([]), "d") == \
-        magnitude_prune(store, reg, spec, "d")
+    assert magnitude_prune_disjoint(store, layout, spec, MaskSet([]), "d") == \
+        magnitude_prune(store, layout, spec, "d")
 
 
 def test_disjoint_with_full_claim_is_empty():
-    store, reg = two_region_store([1, 2, 3, 4], [1, 2])
+    store, layout = two_region_store([1, 2, 3, 4], [1, 2])
     spec = PruneSpec(0.0, 0.0)
-    claimed = MaskSet([magnitude_prune(store, reg, spec, "a")])
-    mask = magnitude_prune_disjoint(store, reg, spec, claimed, "b")
+    claimed = MaskSet([magnitude_prune(store, layout, spec, "a")])
+    mask = magnitude_prune_disjoint(store, layout, spec, claimed, "b")
     assert mask.popcount() == 0
 
 
 def test_disjoint_skips_claimed_top_positions():
     vals = [3, -1, 10, 2, -7, 4, -9, 5, 6, -8]  # |v| = 1..10
-    store, reg = two_region_store(vals, [1, 2])
+    store, layout = two_region_store(vals, [1, 2])
     claimed_bits = {
         "enc.w": np.isin(np.abs(np.asarray(vals, dtype=float)), [10.0, 9.0]),
         "dec.w": np.zeros(2, dtype=bool),
     }
     claimed = MaskSet([DomainMask("a", claimed_bits, PruneSpec(0.6, 0.0))])
-    mask = magnitude_prune_disjoint(store, reg, PruneSpec(0.6, 0.0), claimed, "b")
-    kept_vals = sorted(abs(vals[i]) for _, i in mask_ones_set(mask, reg, "encoder"))
+    mask = magnitude_prune_disjoint(store, layout, PruneSpec(0.6, 0.0), claimed, "b")
+    kept_vals = sorted(abs(vals[i]) for _, i in mask_ones_set(mask, layout, "encoder"))
     assert kept_vals == [7.0, 8.0]  # no padding back to the nominal four
 
 
@@ -227,7 +229,7 @@ def test_overlap_stats_cases():
 
 
 def test_overlay_elementwise():
-    base, reg = make_store({"enc.w": (np.array([[1.0, 1.0, 1.0, 1.0]]), "encoder"),
+    base, layout = make_store({"enc.w": (np.array([[1.0, 1.0, 1.0, 1.0]]), "encoder"),
                             "dec.w": (np.array([[2.0, 2.0]]), "decoder")})
     trained, _ = make_store({"enc.w": (np.array([[9.0, 9.0, 9.0, 9.0]]), "encoder"),
                              "dec.w": (np.array([[7.0, 7.0]]), "decoder")})
@@ -240,11 +242,11 @@ def test_overlay_elementwise():
 
 def test_overlay_all_ones_and_all_zeros():
     r = np.random.default_rng(5)
-    base, reg = make_store({"enc.w": (r.normal(size=(3, 3)), "encoder"),
+    base, layout = make_store({"enc.w": (r.normal(size=(3, 3)), "encoder"),
                             "enc.b": (r.normal(size=(3,)), "encoder"),
                             "dec.w": (r.normal(size=(2, 2)), "decoder")})
     trained = ParamStore({n: Tensor(t.data + 1.0, name=n) for n, t in base.items()})
-    ones = overlay(base, trained, full_mask(reg, "d"))
+    ones = overlay(base, trained, full_mask(layout, "d"))
     assert np.array_equal(ones.array("enc.w"), trained.array("enc.w"))
     assert np.array_equal(ones.array("enc.b"), base.array("enc.b"))  # non-maskable
     zeros_mask = DomainMask("z", {"enc.w": np.zeros(9, dtype=bool),
@@ -258,7 +260,7 @@ def test_overlay_all_ones_and_all_zeros():
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_overlay_idempotent_on_base(seed):
     r = np.random.default_rng(seed)
-    base, reg = make_store({"enc.w": (r.normal(size=(4, 3)), "encoder"),
+    base, layout = make_store({"enc.w": (r.normal(size=(4, 3)), "encoder"),
                             "dec.w": (r.normal(size=(2, 5)), "decoder")})
     bits = {"enc.w": r.random(12) < 0.5, "dec.w": r.random(10) < 0.5}
     mask = DomainMask("d", bits, PruneSpec(0.5, 0.5))
@@ -269,9 +271,9 @@ def test_overlay_idempotent_on_base(seed):
 
 def test_mask_file_roundtrip(tmp_path):
     r = np.random.default_rng(9)
-    store, reg = make_store({"enc.w": (r.normal(size=(4, 5)), "encoder"),
+    store, layout = make_store({"enc.w": (r.normal(size=(4, 5)), "encoder"),
                              "dec.w": (r.normal(size=(3, 3)), "decoder")})
-    mask = magnitude_prune(store, reg, PruneSpec(0.35, 0.6), "mydomain")
+    mask = magnitude_prune(store, layout, PruneSpec(0.35, 0.6), "mydomain")
     path = tmp_path / "m.mask"
     save_mask(mask, path)
     loaded = load_mask(path)
@@ -285,9 +287,9 @@ def test_mask_file_rewrite_is_byte_identical(tmp_path):
 
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    store, registry = build_model(cfg, seed=4)
-    for mask in (magnitude_prune(store, registry, PruneSpec(0.6, 0.4), "pruned"),
-                 full_mask(registry, "full")):
+    store, layout = build_model(cfg, seed=4)
+    for mask in (magnitude_prune(store, layout, PruneSpec(0.6, 0.4), "pruned"),
+                 full_mask(layout, "full")):
         first, second = tmp_path / "a.mask", tmp_path / "b.mask"
         save_mask(mask, first)
         loaded = load_mask(first)
@@ -295,10 +297,10 @@ def test_mask_file_rewrite_is_byte_identical(tmp_path):
         save_mask(loaded, second)
         assert second.read_bytes() == first.read_bytes()
     # equality ignores layout order, the file keeps it
-    reordered = DomainMask("full", dict(reversed(full_mask(registry, "full").bits.items())),
+    reordered = DomainMask("full", dict(reversed(full_mask(layout, "full").bits.items())),
                            PruneSpec(0.0, 0.0))
-    assert reordered == full_mask(registry, "full")
-    assert reordered.layout != full_mask(registry, "full").layout
+    assert reordered == full_mask(layout, "full")
+    assert reordered.layout != full_mask(layout, "full").layout
 
 
 def test_masks_with_different_layouts_do_not_combine():
@@ -357,6 +359,20 @@ def test_mask_file_errors(tmp_path):
         load_mask(huge)
 
 
+def test_mask_file_refuses_a_repeated_tensor_name(tmp_path):
+    spec = PruneSpec(0.5, 0.5)
+    mask = DomainMask("x", {"enc.a": np.ones(256, dtype=bool),
+                            "enc.b": np.ones(256, dtype=bool)}, spec)
+    path = tmp_path / "m.mask"
+    save_mask(mask, path)
+    raw = path.read_bytes()
+    assert raw.count(b"enc.b") == 1
+    twice = tmp_path / "twice.mask"
+    twice.write_bytes(raw.replace(b"enc.b", b"enc.a"))
+    with pytest.raises(FormatError, match=re.escape("'enc.a' twice")):
+        load_mask(twice)
+
+
 def test_maskset_unique_ids_and_union():
     spec = PruneSpec(0.5, 0.5)
     a = DomainMask("a", {"w": np.array([1, 0], dtype=bool)}, spec)
@@ -379,16 +395,16 @@ def test_create_domain_mask_behaviour():
 
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    lam0, registry = build_model(cfg, seed=4)
+    lam0, layout = build_model(cfg, seed=4)
     data = gen_domain(SyntheticTask("reverse", content_hi=14, min_len=3, max_len=5,
                                     seed=2), 40, domain_id="rev")
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, epochs=2, seed=6)
     before = lam0.checksum()
     spec = PruneSpec(0.5, 0.5)
-    m1 = create_domain_mask(lam0, data, spec, tcfg, registry, cfg)
-    m2 = create_domain_mask(lam0, data, spec, tcfg, registry, cfg)
+    m1 = create_domain_mask(lam0, data, spec, tcfg, cfg)
+    m2 = create_domain_mask(lam0, data, spec, tcfg, cfg)
     assert lam0.checksum() == before  # the base is never mutated
     assert m1 == m2                   # same seed -> identical masks
-    all_ones = create_domain_mask(lam0, data, PruneSpec(0.0, 0.0), tcfg, registry, cfg)
-    assert all_ones.popcount() == sum(i.size for i in registry.maskable_infos())
-    m1.require_matches(registry)
+    all_ones = create_domain_mask(lam0, data, PruneSpec(0.0, 0.0), tcfg, cfg)
+    assert all_ones.popcount() == pool_size(layout)
+    m1.require_matches(layout)

@@ -1,5 +1,6 @@
-"""Transformer construction, registry tagging, forward contracts, checkpoints."""
+"""Transformer construction, the region and maskability rule, forward contracts, checkpoints."""
 
+import math
 import re
 import struct
 
@@ -13,7 +14,7 @@ from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, ParamStore,
                         build_model, causal_mask, count_params, decode_logits, encode,
                         forward, keep_decoding, key_mask, load_checkpoint, load_registry,
-                        param_shapes, save_checkpoint, save_registry)
+                        maskable, param_shapes, region, save_checkpoint, save_registry)
 from support import (full_scale_config, mini_config, padded_forward, param_names, pool_size,
                      region_ones, take_rows)
 
@@ -35,38 +36,42 @@ def analytic_count(cfg: ModelConfig) -> dict[str, int]:
 
 def test_mini_registry_counts_match_analytic_formula():
     cfg = mini_config()
-    store, registry = build_model(cfg, seed=3)
-    counts = count_params(registry)
+    store, layout = build_model(cfg, seed=3)
+    counts = count_params(layout)
     expect = analytic_count(cfg)
     assert counts["total"] == expect["total"]
     assert counts["encoder"] == expect["encoder"]
     assert counts["decoder"] == expect["decoder"]
     assert counts["encoder"] + counts["decoder"] == counts["total"]
-    # every tensor tagged exactly once, and the store matches the registry
-    assert sorted(param_names(store)) == sorted(i.name for i in registry.infos)
-    store.require_matches(registry)
+    # the returned layout is the store's and the config's
+    assert layout == store.layout == param_shapes(cfg)
+    assert param_names(store) == [name for name, _ in layout]
 
 
 def test_registry_maskability_rule():
-    _, registry = build_model(mini_config(), seed=3)
-    for info in registry.infos:
-        assert info.maskable == (len(info.shape) == 2)
-        if info.name.startswith("enc."):
-            assert info.region == ENCODER
-        else:
-            assert info.region == DECODER
+    _, layout = build_model(mini_config(), seed=3)
+    weights = re.compile(r"\.(embed|w[qkvo]|w[12]|out_proj)$")
+    for name, shape in layout:
+        # weight matrices and embeddings are maskable, biases and norms are not
+        assert maskable(shape) == bool(weights.search(name)) == (len(shape) == 2)
+        assert region(name) == (ENCODER if name.startswith("enc.") else DECODER)
+    for name in ("embed", "encoder.w", "decx.w"):
+        with pytest.raises(RegistryMismatchError, match="neither region"):
+            region(name)
+    with pytest.raises(RegistryMismatchError):
+        count_params(layout + (("w", (2, 2)),))
 
 
 def test_full_scale_counts():
     cfg = full_scale_config()
-    infos = param_shapes(cfg)  # counting only; never allocated
-    total = sum(i.size for i in infos)
+    layout = param_shapes(cfg)  # counting only; never allocated
+    total = sum(math.prod(shape) for _, shape in layout)
     expect = analytic_count(cfg)
     assert total == expect["total"]
     # the conventional ~270M size for this architecture matches the
     # non-embedding count; a sanity bound, not an exact target
-    non_embed = sum(i.size for i in infos
-                    if not (i.name.endswith(".embed") or i.name == "dec.out_proj"))
+    non_embed = sum(math.prod(shape) for name, shape in layout
+                    if not (name.endswith(".embed") or name == "dec.out_proj"))
     assert non_embed == expect["non_embedding"]
     assert abs(non_embed - 270e6) / 270e6 <= 0.05
 
@@ -292,23 +297,23 @@ def test_tape_op_nodes_match_analytic_count():
 def test_count_params_with_mask_roundtrip():
     from doss.masks import full_mask
 
-    _, registry = build_model(mini_config(), seed=3)
-    mask = full_mask(registry, "d")
-    counts = count_params(registry, mask)
+    _, layout = build_model(mini_config(), seed=3)
+    mask = full_mask(layout, "d")
+    counts = count_params(layout, mask)
     assert counts["masked_ones"] == counts["maskable"]
-    assert "masked_ones" not in count_params(registry)
+    assert "masked_ones" not in count_params(layout)
 
 
 def test_count_params_masked_ones_at_point_six():
     from doss.masks import PruneSpec, magnitude_prune
 
-    store, registry = build_model(mini_config(), seed=3)
-    mask = magnitude_prune(store, registry, PruneSpec(0.6, 0.6), "d")
-    counts = count_params(registry, mask)
+    store, layout = build_model(mini_config(), seed=3)
+    mask = magnitude_prune(store, layout, PruneSpec(0.6, 0.6), "d")
+    counts = count_params(layout, mask)
     expect = 0
-    for region in (ENCODER, DECODER):
-        pool = pool_size(registry, region)
-        ones = region_ones(mask, registry, region)
+    for pool_region in (ENCODER, DECODER):
+        pool = pool_size(layout, pool_region)
+        ones = region_ones(mask, layout, pool_region)
         assert abs(ones - round(0.4 * pool)) <= 1
         expect += ones
     assert counts["masked_ones"] == expect
@@ -316,7 +321,7 @@ def test_count_params_masked_ones_at_point_six():
 
 def test_checkpoint_roundtrip(tmp_path):
     cfg = mini_config()
-    store, registry = build_model(cfg, seed=8)
+    store, _ = build_model(cfg, seed=8)
     path = tmp_path / "m.ckpt"
     save_checkpoint(store, path)
     loaded = load_checkpoint(path)
@@ -365,6 +370,19 @@ def test_checkpoint_format_errors(tmp_path):
         load_checkpoint(huge)
 
 
+def test_checkpoint_refuses_a_repeated_tensor_name(tmp_path):
+    store = ParamStore({n: ag.Tensor(np.full((2, 3), v), name=n)
+                        for n, v in (("enc.a", 1.0), ("enc.b", 2.0))})
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(store, path)
+    raw = path.read_bytes()
+    assert raw.count(b"enc.b") == 1
+    twice = tmp_path / "twice.ckpt"
+    twice.write_bytes(raw.replace(b"enc.b", b"enc.a"))
+    with pytest.raises(FormatError, match=re.escape("'enc.a' twice")):
+        load_checkpoint(twice)
+
+
 def test_checkpoint_refuses_values_that_are_not_finite(tmp_path):
     cfg = mini_config()
     store, _ = build_model(cfg, seed=8)
@@ -386,34 +404,67 @@ def test_checkpoint_refuses_values_that_are_not_finite(tmp_path):
 
 def test_registry_sidecar_roundtrip(tmp_path):
     cfg = mini_config()
-    store, registry = build_model(cfg, seed=8)
+    store, layout = build_model(cfg, seed=8)
     path = tmp_path / "m.reg"
-    save_registry(registry, path)
-    loaded = load_registry(path, store)
-    assert loaded == registry
+    save_registry(layout, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:3] == ["enc.embed encoder 1", "enc.L0.sa_norm.g encoder 0",
+                         "enc.L0.sa_norm.b encoder 0"]
+    assert lines[-1] == "dec.out_proj decoder 1"
+    assert lines == [f"{n} {region(n)} {int(len(s) == 2)}" for n, s in layout]
+    load_registry(path, store)  # the record agrees with the rule: no error
 
 
 def test_registry_sidecar_rejects_unknown_tensor(tmp_path):
     cfg = mini_config()
-    store, registry = build_model(cfg, seed=8)
+    store, layout = build_model(cfg, seed=8)
     path = tmp_path / "m.reg"
-    save_registry(registry, path)
+    save_registry(layout, path)
     text = path.read_text() + "ghost.tensor encoder 1\n"
     path.write_text(text)
     with pytest.raises(RegistryMismatchError):
         load_registry(path, store)
 
 
+def test_registry_sidecar_that_differs_from_the_rule_is_an_error(tmp_path):
+    store, layout = build_model(mini_config(), seed=8)
+    path = tmp_path / "m.reg"
+    save_registry(layout, path)
+    good = path.read_text(encoding="utf-8")
+    lines = good.splitlines(keepends=True)
+    assert lines[0] == "enc.embed encoder 1\n"
+    mismatched = {"flag": good.replace("enc.embed encoder 1", "enc.embed encoder 0", 1),
+                  "region": good.replace("enc.embed encoder", "enc.embed decoder", 1),
+                  "missing line": "".join(lines[1:]),
+                  "reordered": "".join([lines[1], lines[0]] + lines[2:])}
+    for text in mismatched.values():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(RegistryMismatchError, match="differs from the rule"):
+            load_registry(path, store)
+    for text in ("enc.embed encoder\n" + good, good + "enc.embed encoder yes\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="bad registry line"):
+            load_registry(path, store)
+    path.write_bytes(b"\xff" + good.encode())
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_registry(path, store)
+    # blank lines and spacing are not part of the record
+    path.write_text("\n" + good.replace(" ", "  ") + "\n", encoding="utf-8")
+    load_registry(path, store)
+
+
 def test_store_structure_checks():
+    from doss.masks import PruneSpec, magnitude_prune
+
     cfg = mini_config()
-    s1, registry = build_model(cfg, seed=1)
+    s1, layout = build_model(cfg, seed=1)
     s2, _ = build_model(cfg, seed=2)
     s1.require_same_structure(s2)
     partial = ParamStore(dict(list(s2.items())[:-1]))
     with pytest.raises(RegistryMismatchError):
         s1.require_same_structure(partial)
     with pytest.raises(RegistryMismatchError):
-        partial.require_matches(registry)
+        magnitude_prune(partial, layout, PruneSpec(0.5, 0.5))
 
 
 def test_store_tensors_are_views_of_one_vector():
@@ -423,7 +474,7 @@ def test_store_tensors_are_views_of_one_vector():
 
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    built, registry = build_model(cfg, seed=4)
+    built, layout = build_model(cfg, seed=4)
     store = ParamStore(dict(built.items()))  # copies into a new vector
     assert not np.shares_memory(store.vector, built.vector)
     assert store.checksum() == built.checksum()
@@ -438,7 +489,7 @@ def test_store_tensors_are_views_of_one_vector():
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=3, seed=2)
     state = OptimizerState.zeros(store)
     batches = batch_iterator([data], "round_robin", 64, 2)
-    mask = on_store(full_mask(registry, "copy"), store)
+    mask = on_store(full_mask(layout, "copy"), store)
     for step in range(1, 5):  # unmasked, then masked steps
         _train_step(store, cfg, next(batches), step, tcfg, state,
                     mask if step > 2 else None, None)

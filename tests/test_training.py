@@ -18,7 +18,7 @@ from doss.model import (EOS_ID, PAD_ID, DropCtx, ModelConfig, ParamStore, build_
 from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
-from support import padded_forward, param_names, random_mask
+from support import padded_forward, param_names, pool_size, random_mask
 
 
 def test_lr_schedule_shape():
@@ -186,11 +186,11 @@ def test_train_config_validation():
 def _tiny_setup(seed=4):
     cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
                       n_dec_layers=1, n_heads=2, max_len=16)
-    lam0, registry = build_model(cfg, seed=seed)
+    lam0, layout = build_model(cfg, seed=seed)
     mk = lambda kind, s, **kw: gen_domain(
         SyntheticTask(kind, content_hi=14, min_len=3, max_len=5, seed=s, **kw),
         40, domain_id=kind)
-    return cfg, lam0, registry, mk
+    return cfg, lam0, layout, mk
 
 
 def test_train_full_zero_steps_returns_start_unchanged():
@@ -225,8 +225,8 @@ def test_metrics_csv_format(tmp_path):
 
 
 def test_train_doss_requires_matching_ids():
-    cfg, lam0, registry, mk = _tiny_setup()
-    mask = full_mask(registry, "other")
+    cfg, lam0, layout, mk = _tiny_setup()
+    mask = full_mask(layout, "other")
     with pytest.raises(ConfigError):
         train_doss(lam0, MaskSet([mask]), [mk("copy", 1)],
                    TrainConfig(1e-3, 10, 64, 0.1, max_steps=2), cfg)
@@ -235,7 +235,7 @@ def test_train_doss_requires_matching_ids():
 def test_train_doss_total_mask_degenerates_to_train_full():
     # a hand-built mask covering every tensor (including biases/norms) makes
     # masked training reduce to full training, bit for bit
-    cfg, lam0, registry, mk = _tiny_setup()
+    cfg, lam0, layout, mk = _tiny_setup()
     ds = mk("copy", 1)
     bits = {name: np.ones(t.data.size, dtype=bool) for name, t in lam0.items()}
     total_mask = DomainMask("copy", bits, PruneSpec(0.0, 0.0))
@@ -246,10 +246,10 @@ def test_train_doss_total_mask_degenerates_to_train_full():
 
 
 def test_train_doss_freezes_never_masked_elements():
-    cfg, lam0, registry, mk = _tiny_setup()
+    cfg, lam0, layout, mk = _tiny_setup()
     datasets = [mk("copy", 1), mk("reverse", 2)]
     r = np.random.default_rng(0)
-    ms = MaskSet([random_mask(registry, ds.domain_id, r, 0.4) for ds in datasets])
+    ms = MaskSet([random_mask(layout, ds.domain_id, r, 0.4) for ds in datasets])
     lam = train_doss(lam0, ms, datasets,
                      TrainConfig(1e-3, 10, 64, 0.1, max_steps=30, seed=5), cfg)
     union = ms.union_bits()
@@ -265,9 +265,9 @@ def test_train_doss_freezes_never_masked_elements():
 def test_masked_train_step_leaves_moments_zero_outside_the_mask():
     # the only gradient masking is in _train_step: Adam never sees a gradient
     # where the mask is 0, nor on a non-maskable tensor
-    cfg, lam0, registry, mk = _tiny_setup()
+    cfg, lam0, layout, mk = _tiny_setup()
     ds = mk("copy", 1)
-    mask = random_mask(registry, "copy", np.random.default_rng(7), 0.5)
+    mask = random_mask(layout, "copy", np.random.default_rng(7), 0.5)
     params, state = lam0.copy(), OptimizerState.zeros(lam0)
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=1, seed=3)
     batch = next(batch_iterator([ds], "round_robin", 64, 3))
@@ -287,8 +287,8 @@ def test_masked_train_step_clips_only_the_mask_ones(monkeypatch):
     # the clip sees a gradient that is 0 outside the mask's ones, on the
     # tensors the mask does not name too, so its norm covers only what the
     # step trains
-    cfg, lam0, registry, mk = _tiny_setup()
-    mask = random_mask(registry, "copy", np.random.default_rng(7), 0.5)
+    cfg, lam0, layout, mk = _tiny_setup()
+    mask = random_mask(layout, "copy", np.random.default_rng(7), 0.5)
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=1, seed=3)
     batch = next(batch_iterator([mk("copy", 1)], "round_robin", 64, 3))
     seen = []
@@ -366,10 +366,10 @@ def test_train_step_reuses_and_zeroes_one_gradient_vector():
 
 
 def test_train_doss_bit_reproducible():
-    cfg, lam0, registry, mk = _tiny_setup()
+    cfg, lam0, layout, mk = _tiny_setup()
     datasets = [mk("copy", 1), mk("reverse", 2)]
     spec = PruneSpec(0.5, 0.5)
-    masks = MaskSet([full_mask(registry, ds.domain_id) for ds in datasets])
+    masks = MaskSet([full_mask(layout, ds.domain_id) for ds in datasets])
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=20, seed=6)
     a = train_doss(lam0, masks, datasets, tcfg, cfg)
     b = train_doss(lam0, masks, datasets, tcfg, cfg)
@@ -432,22 +432,22 @@ def test_train_step_loss_is_the_mean_over_live_targets():
 
 
 def _extension_setup():
-    cfg, lam0, registry, mk = _tiny_setup()
+    cfg, lam0, layout, mk = _tiny_setup()
     datasets = [mk("copy", 1), mk("reverse", 2)]
     r = np.random.default_rng(1)
-    masks = MaskSet([random_mask(registry, ds.domain_id, r, 0.4) for ds in datasets])
+    masks = MaskSet([random_mask(layout, ds.domain_id, r, 0.4) for ds in datasets])
     tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=20, seed=7)
     lam = train_doss(lam0, masks, datasets, tcfg, cfg)
     new_data = mk("sort", 9)
     mask_cfg = TrainConfig(1e-3, 10, 64, 0.3, epochs=1, seed=8)
-    return cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg
+    return cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg
 
 
 def test_extend_disjoint_mask_and_preservation():
-    cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
                               PruneSpec(0.2, 0.2), tcfg,
-                              model_cfg=cfg, registry=registry, mask_cfg=mask_cfg)
+                              model_cfg=cfg, mask_cfg=mask_cfg)
     new_mask = ms2.get("sort")
     union = masks.union_bits()
     for name, bits in new_mask.bits.items():
@@ -462,42 +462,39 @@ def test_extend_disjoint_mask_and_preservation():
 
 
 def test_extend_ft_all_ones_records_full_mask():
-    cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     lam2, ms2 = extend_domain(lam, lam0, masks, new_data, ExtensionMode.FT_ALL_ONES,
                               PruneSpec(0.6, 0.6), tcfg,
-                              model_cfg=cfg, registry=registry)
-    maskable = sum(i.size for i in registry.maskable_infos())
-    assert ms2.get("sort").popcount() == maskable
+                              model_cfg=cfg)
+    assert ms2.get("sort").popcount() == pool_size(layout)
     assert lam2.checksum() != lam.checksum()
 
 
 def test_extend_all_masks_joint_needs_existing_data():
-    cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     with pytest.raises(ConfigError):
         extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
                       PruneSpec(0.6, 0.6), tcfg,
-                      model_cfg=cfg, registry=registry, mask_cfg=mask_cfg)
+                      model_cfg=cfg, mask_cfg=mask_cfg)
     lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
                               PruneSpec(0.6, 0.6), tcfg,
-                              model_cfg=cfg, registry=registry, mask_cfg=mask_cfg,
+                              model_cfg=cfg, mask_cfg=mask_cfg,
                               existing_data=datasets)
     assert len(ms2) == 3
 
 
 def test_extend_unconstrained_trains_more_than_disjoint():
-    cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     spec = PruneSpec(0.5, 0.5)
     _, ms_unc = extend_domain(lam, lam0, masks, new_data, "new_only_unconstrained",
-                              spec, tcfg, model_cfg=cfg, registry=registry,
-                              mask_cfg=mask_cfg)
+                              spec, tcfg, model_cfg=cfg, mask_cfg=mask_cfg)
     _, ms_dis = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
-                              spec, tcfg, model_cfg=cfg, registry=registry,
-                              mask_cfg=mask_cfg)
+                              spec, tcfg, model_cfg=cfg, mask_cfg=mask_cfg)
     assert ms_dis.get("sort").popcount() < ms_unc.get("sort").popcount()
 
 
 def test_extend_rejects_duplicate_domain():
-    cfg, registry, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
     with pytest.raises(ConfigError):
         extend_domain(lam, lam0, masks, datasets[0], "ft_all_ones",
-                      PruneSpec(0.6, 0.6), tcfg, model_cfg=cfg, registry=registry)
+                      PruneSpec(0.6, 0.6), tcfg, model_cfg=cfg)
