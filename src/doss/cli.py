@@ -26,6 +26,9 @@ from .errors import ConfigError, DossError
 
 log = logging.getLogger("doss")
 
+# `doss run`'s stages in their default order; `--stages` may also name sweep
+RUN_STAGES = ("pretrain", "make_masks", "train_doss", "finetune", "extend", "eval")
+
 
 # ---------------------------------------------------------------------------
 # artifact metadata / caching
@@ -447,12 +450,14 @@ class Pipeline:
             **self._upstream("base"))
 
     def run(self, stages: list[str] | None = None) -> None:
-        order = stages or ["pretrain", "make_masks", "train_doss", "finetune",
-                           "extend", "eval"]
-        for stage in order:
-            if stage == "extend" and self.man.extension is None:
+        """Run `stages` in order; by default every stage of RUN_STAGES, but
+        extend only when the manifest has an extension domain."""
+        if stages is None:
+            stages = list(RUN_STAGES)
+            if self.man.extension is None:
                 log.info("run: no extension domain configured, skipping extend")
-                continue
+                stages.remove("extend")
+        for stage in stages:
             getattr(self, stage if stage != "eval" else "evaluate")()
 
 
@@ -510,8 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute the full pipeline with caching")
     common(p)
     p.add_argument("--stages", nargs="+",
-                   choices=["pretrain", "make_masks", "train_doss", "finetune",
-                            "extend", "eval", "sweep"],
+                   choices=RUN_STAGES + ("sweep",),
                    help="run a subset of stages in order")
     return parser
 

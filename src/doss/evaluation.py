@@ -50,7 +50,7 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
     Each step feeds the newest token of every row still decoding to
     `decode_logits`, against one decoder state per call that caches the
     attention keys and values. A row that emits eos leaves the batch, with
-    its memory and cached keys and values (see `rows_to_decode`). Ties at
+    everything the state caches for it (see `rows_to_decode`). Ties at
     the argmax break toward the lowest token id. The returned sequences
     include the terminating eos when one was emitted.
 
@@ -85,7 +85,7 @@ def greedy_decode(effective: ParamStore, model_cfg: ModelConfig, src: np.ndarray
             if keep.size == 0:
                 break
             if keep.size < rows.size:
-                memory, src_live = keep_decoding(memory, src_live, state, keep)
+                keep_decoding(state, keep)
                 rows = rows[keep]
             last = tokens[rows, step:step + 1]
     tokens = tokens[:, :step + 1]

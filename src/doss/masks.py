@@ -174,13 +174,13 @@ def magnitude_prune_disjoint(finetuned: ParamStore, layout: Layout, spec: PruneS
 
 
 def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg, model_cfg,
-                       disjoint_against: MaskSet | None = None, log=None) -> DomainMask:
+                       disjoint_against: MaskSet | None = None) -> DomainMask:
     """Finetune a copy of the base on one domain with `train_cfg` (the
     manifest's mask-creation config), then magnitude-prune it; the base is
     never mutated."""
     from . import training  # circular at module level: training drives the finetune
 
-    finetuned = training.train_full(base, domain_data, train_cfg, model_cfg, log=log)
+    finetuned = training.train_full(base, domain_data, train_cfg, model_cfg)
     if disjoint_against is not None:
         return magnitude_prune_disjoint(finetuned, base.layout, spec, disjoint_against,
                                         domain_id=domain_data.domain_id)

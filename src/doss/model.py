@@ -267,21 +267,21 @@ def _drop(x: Tensor, drop: DropCtx | None) -> Tensor:
 def _attention(params: ParamStore, prefix: str, q_in: Tensor, kv_in: Tensor,
                n_heads: int, mask: np.ndarray | None, q_rows: ag.Rows, kv_rows: ag.Rows,
                state: dict | None = None, grow: bool = False) -> Tensor:
-    """With a decoder `state`, keys and values are kept under `prefix` as
-    (B, S, d) blocks: `grow` appends those of `kv_in`, otherwise they are
-    projected once and reused."""
+    """With a decoder `state`, keys and values are kept under `prefix.k` and
+    `prefix.v` as (B, S, d) blocks: `grow` appends those of `kv_in`,
+    otherwise they are projected on the first call and reused."""
     q = ag.linear(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    kv = None if state is None else state.get(prefix)
-    if kv is None or grow:
+    cached = state is not None and f"{prefix}.k" in state
+    if not cached or grow:
         k = ag.linear(kv_in, params[f"{prefix}.wk"])
         v = ag.linear(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
         if state is not None:
-            new = [kv_rows.scatter(x.data) for x in (k, v)]
-            state[prefix] = new if kv is None else [np.concatenate((old, x), axis=1)
-                                                    for old, x in zip(kv, new)]
+            for key, x in ((f"{prefix}.k", k), (f"{prefix}.v", v)):
+                new = kv_rows.scatter(x.data)
+                state[key] = np.concatenate((state[key], new), axis=1) if cached else new
     if state is not None:
-        b, s, d = state[prefix][0].shape
-        k, v = (Tensor(x.reshape(b * s, d)) for x in state[prefix])
+        b, s, d = state[f"{prefix}.k"].shape
+        k, v = (Tensor(state[f"{prefix}.{x}"].reshape(b * s, d)) for x in "kv")
         kv_rows = ag.Rows(b, s)
     ctx = ag.attention(q, k, v, n_heads, mask, q_rows, kv_rows)
     return ag.linear(ctx, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
@@ -318,7 +318,7 @@ def _check_tokens(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
     return ids
 
 
-_SRC = "src"  # a decoder state's entry for the memory's rows and key mask
+_SRC_MASK = "src_mask"  # a decoder state's entry for the memory's key mask
 
 
 def key_mask(live: np.ndarray) -> np.ndarray:
@@ -326,10 +326,9 @@ def key_mask(live: np.ndarray) -> np.ndarray:
     return np.where(live, 0.0, _NEG_INF)[:, None, None, :]
 
 
-def causal_mask(t: int, start: int = 0) -> np.ndarray:
-    """Additive (1, 1, t, start + t) mask: query i sees keys 0..start + i."""
-    m = np.triu(np.full((t, start + t), _NEG_INF), k=start + 1)
-    return m[None, None, :, :]
+def causal_mask(t: int) -> np.ndarray:
+    """Additive (1, 1, t, t) mask: query i sees keys 0..i."""
+    return np.triu(np.full((t, t), _NEG_INF), k=1)[None, None, :, :]
 
 
 def encode(params: ParamStore, cfg: ModelConfig, src: np.ndarray,
@@ -361,26 +360,29 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
     Positions of `tgt_in` that hold PAD_ID are pads and get no rows; a batch
     pads tgt_in where it pads tgt_out, at row ends, so the causal mask hides
     them from every live position. With a `state` dict (under no_grad only),
-    `tgt_in` holds just the positions after those of earlier calls, all live:
-    the state caches each layer's self-attention keys and values, and its
-    cross-attention ones from the first call, as (B, S, d) blocks, and under
-    "src" the memory's rows and key mask until `keep_decoding` narrows the
-    batch."""
+    `tgt_in` holds one live position per row, the one after those of earlier
+    calls; more is a ShapeError. The state caches each layer's self-attention
+    keys and values, and from its first call the cross-attention ones and the
+    memory's key mask, as arrays whose first axis is the batch row
+    (`keep_decoding` narrows them). Only that first call reads `memory` and
+    `src_live`."""
     if state is not None and ag._grad_enabled:
         raise DossError("a decoder state is valid only under no_grad")
     tgt_in = _check_tokens(tgt_in, cfg.vocab_size, "tgt_in")
-    t = tgt_in.shape[1]
-    start = state["dec.L0.sa"][0].shape[1] if state else 0  # positions cached so far
-    live = np.ones(tgt_in.shape, dtype=bool) if state is not None else tgt_in != PAD_ID
-    rows = ag.Rows.where(live)
     if state is None:
+        live, start, cmask = tgt_in != PAD_ID, 0, causal_mask(tgt_in.shape[1])
+    elif tgt_in.shape[1] != 1:
+        raise ShapeError(f"a decoder state takes one position per call, got {tgt_in.shape[1]}")
+    else:  # one newest position sees every cached key: no mask
+        live, cmask = np.ones(tgt_in.shape, dtype=bool), None
+        start = state["dec.L0.sa.k"].shape[1] if state else 0  # positions cached so far
+    rows = ag.Rows.where(live)
+    if not state:  # no state, or its first call
         src_rows, src_mask = ag.Rows.where(src_live), key_mask(src_live)
+        if state is not None:
+            state[_SRC_MASK] = src_mask
     else:
-        if _SRC not in state:
-            state[_SRC] = ag.Rows.where(src_live), key_mask(src_live)
-        src_rows, src_mask = state[_SRC]
-    # one newest position sees every key: no mask
-    cmask = None if state is not None and t == 1 else causal_mask(t, start)
+        src_rows, src_mask = None, state[_SRC_MASK]  # cross keys and values are cached
     x = _embed(params, "dec.embed", tgt_in, live, cfg, drop, start)
     for i in range(cfg.n_dec_layers):
         p = f"dec.L{i}"
@@ -396,18 +398,11 @@ def decode_logits(params: ParamStore, cfg: ModelConfig, memory: Tensor,
     return ag.linear(x, params["dec.out_proj"])
 
 
-def keep_decoding(memory: Tensor, src_live: np.ndarray, state: dict,
-                  keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
+def keep_decoding(state: dict, keep: np.ndarray) -> None:
     """Narrow an incremental decode to its batch rows `keep` (increasing):
-    the state's cached keys and values in place; returns the memory and the
-    source live map of those rows."""
-    state.pop(_SRC, None)  # decode_logits rebuilds it for the kept rows
-    for prefix, kv in state.items():
-        state[prefix] = [x[keep] for x in kv]
-    kept = np.zeros(src_live.shape[0], dtype=bool)
-    kept[keep] = True
-    # memory rows are row-major over the live positions: look up each one's batch row
-    return Tensor(memory.data[kept[np.nonzero(src_live)[0]]]), src_live[keep]
+    every array the decoder state caches, in place."""
+    for key, x in state.items():
+        state[key] = x[keep]
 
 
 def forward(params: ParamStore, cfg: ModelConfig, src: np.ndarray, tgt_in: np.ndarray,

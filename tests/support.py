@@ -1,5 +1,6 @@
 """Model presets, sum, product and row-selection ops, the long-form layer-norm
-backward, the former expressions of the rewritten kernels, a padded reference
+backward, the former expressions of the rewritten kernels, a causal mask at
+an offset, a padded reference
 model and a full-prefix reference decoder over it, an n-gram-counting BLEU
 oracle, parameter names, dataset and mask measurements, and the capacity
 bound that only the tests use.
@@ -102,6 +103,12 @@ def attention_reference(q, k, v, n_heads, mask, q_rows, kv_rows, g):
     gkt = qh.swapaxes(-1, -2) @ gs
     return (merge(p @ vh, q_rows), merge(gs @ kt.swapaxes(-1, -2), q_rows),
             merge(gkt.transpose(0, 1, 3, 2), kv_rows), merge(p.swapaxes(-1, -2) @ gh, kv_rows))
+
+
+def offset_causal_mask(t: int, start: int) -> np.ndarray:
+    """Additive (1, 1, t, start + t) mask of t queries after `start` earlier
+    positions: query i sees keys 0..start + i."""
+    return np.triu(np.full((t, start + t), -1e30), k=start + 1)[None, None]
 
 
 def layer_norm_reference(x, gain, bias, g, eps=1e-6):

@@ -300,28 +300,34 @@ def test_greedy_decode_matches_full_prefix_reference(trained_copy, monkeypatch):
     assert len(ref_steps) > 6
 
 
-def test_greedy_decode_builds_the_memory_mask_once_per_batch_composition(trained_copy,
-                                                                        monkeypatch):
-    # rows leave the batch at different steps; the memory's rows and key mask
-    # are built when the batch starts and again only after keep_decoding
+def test_greedy_decode_builds_the_memory_mask_once_per_batch(trained_copy, monkeypatch):
+    # rows leave the batch at different steps; the memory's key mask is built
+    # by encode and by the first decode step only, and each narrowing keeps
+    # the kept rows of every cached array, that mask with the keys and values
     cfg, _, _, lam, ds = trained_copy
     src = make_batch("copy", ds.pairs[:24]).src
     calls = {"key_mask": 0, "keep_decoding": 0, "decode_logits": 0}
 
-    def spy(owner, name):
+    def spy(owner, name, check=None):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            return real(*args, **kwargs) if check is None else check(real, *args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(model, "key_mask")  # encode's and decode_logits'
-    spy(evaluation, "keep_decoding")
+    def narrows(real, state, keep):
+        old = dict(state)
+        assert real(state, keep) is None
+        assert "src_mask" in state and state.keys() == old.keys()
+        assert all(np.array_equal(state[k], x[keep]) for k, x in old.items())
+
+    spy(model, "key_mask")
+    spy(evaluation, "keep_decoding", narrows)
     spy(evaluation, "decode_logits")
     tokens = greedy_decode(lam, cfg, src, max_len=12)
     assert len({len(row) for row in tokens}) > 2 and calls["keep_decoding"] > 1
-    assert calls["key_mask"] == 1 + (1 + calls["keep_decoding"])
+    assert calls["key_mask"] == 2
     assert calls["decode_logits"] > 1 + calls["keep_decoding"]
     monkeypatch.undo()
     assert tokens == full_prefix_decode(lam, cfg, src, max_len=12)[0]

@@ -8,10 +8,11 @@ import pytest
 from doss import autograd as ag
 from doss import training
 from doss.masks import StoreMask
-from doss.model import ParamStore, causal_mask, key_mask, layout_views
+from doss.model import ParamStore, key_mask, layout_views
 from doss.training import OptimizerState, adam_step, clip_by_global_norm
 from support import (adam_reference, attention_reference, clip_reference,
-                     dropout_keep_reference, embedding_grad_reference, layer_norm_reference)
+                     dropout_keep_reference, embedding_grad_reference, layer_norm_reference,
+                     offset_causal_mask)
 
 
 def bits(arrays) -> list[bytes]:
@@ -48,7 +49,8 @@ def test_attention_with_key_masks():
 @pytest.mark.parametrize("start", [0, 3])
 def test_attention_with_a_causal_mask_at_an_offset(start):
     r = np.random.default_rng(1)
-    args = attention_case(r, ag.Rows(5, 4), ag.Rows(5, start + 4), causal_mask(4, start))
+    args = attention_case(r, ag.Rows(5, 4), ag.Rows(5, start + 4),
+                          offset_causal_mask(4, start))
     assert bits(attention_and_grads(*args)) == bits(attention_reference(*args))
 
 
@@ -68,7 +70,7 @@ def test_attention_over_eight_or_more_keys_is_close(s_q):
     # pairwise partial sums, so the sums' last bits may differ
     r = np.random.default_rng(3)
     args = attention_case(r, ag.Rows(6, s_q), ag.Rows(6, 9),
-                          causal_mask(s_q, 9 - s_q))
+                          offset_causal_mask(s_q, 9 - s_q))
     for got, want in zip(attention_and_grads(*args), attention_reference(*args)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

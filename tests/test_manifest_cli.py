@@ -544,6 +544,25 @@ def test_extend_bad_steps_fails_before_any_training(tiny_run, tmp_path, monkeypa
     assert calls == []
 
 
+def test_run_skips_extend_only_in_its_default_stages(tmp_path, monkeypatch):
+    # without an [extension] section, the default `run` leaves extend out, but
+    # asking for extend is the same ConfigError as `doss extend`
+    text = TINY[:TINY.index("[extension sort]")] + TINY[TINY.index("[pretrain]"):]
+    path = tmp_path / "no_ext.ini"
+    path.write_text(text.replace("domain = sort\n", ""), encoding="utf-8")
+    ran = []
+    for stage in cli.RUN_STAGES:
+        if stage != "extend":
+            method = "evaluate" if stage == "eval" else stage
+            monkeypatch.setattr(Pipeline, method, lambda self, s=stage: ran.append(s))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert ran == ["pretrain", "make_masks", "train_doss", "finetune", "eval"]
+    for argv in (["run", "--stages", "extend"], ["extend"]):
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert not list(out.glob("extend_*"))
+
+
 def test_ft_all_ones_preservation_diff_matches_fresh_decodes(tiny_run, tmp_path, monkeypatch):
     man_path, pipe = tiny_run
     for name in ("base.ckpt", "base.reg", "doss.ckpt", "mask_copy.mask", "mask_reverse.mask"):

@@ -15,8 +15,8 @@ from doss.model import (BOS_ID, DECODER, ENCODER, PAD_ID, DropCtx, ModelConfig, 
                         build_model, causal_mask, count_params, decode_logits, encode,
                         forward, keep_decoding, key_mask, load_checkpoint, load_registry,
                         maskable, param_shapes, region, save_checkpoint, save_registry)
-from support import (full_scale_config, mini_config, padded_forward, param_names, pool_size,
-                     region_ones, take_rows)
+from support import (full_scale_config, mini_config, offset_causal_mask, padded_forward,
+                     param_names, pool_size, region_ones, take_rows)
 
 
 def analytic_count(cfg: ModelConfig) -> dict[str, int]:
@@ -159,8 +159,8 @@ def test_dropout_ctx_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_decoder_state_in_chunks_matches_full_prefix():
-    # chunks of 3, 2 and 1 positions: the first two use offset causal masks
+def test_decoder_state_one_position_per_call_matches_full_prefix():
+    # only the first call reads the memory and its live map: later calls get None
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src = np.array([[5, 6, 7, 0], [8, 9, 0, 0]])
@@ -169,19 +169,17 @@ def test_decoder_state_in_chunks_matches_full_prefix():
         memory, pad_mask = encode(store, cfg, src)
         full = decode_logits(store, cfg, memory, pad_mask, tgt_in).data
         state = {}
-        parts = [decode_logits(store, cfg, memory, pad_mask, tgt_in[:, a:b], state=state)
-                 for a, b in ((0, 3), (3, 5), (5, 6))]
+        parts = [decode_logits(store, cfg, memory, pad_mask, tgt_in[:, :1], state=state)]
+        parts += [decode_logits(store, cfg, None, None, tgt_in[:, i:i + 1], state=state)
+                  for i in range(1, tgt_in.shape[1])]
     assert all(not part.requires_grad and not part._parents for part in parts)
-    grid = (2, -1, cfg.vocab_size)
-    chained = np.concatenate([p.data.reshape(grid) for p in parts], axis=1)
+    chained = np.stack([p.data for p in parts], axis=1)
     np.testing.assert_allclose(chained.reshape(full.shape), full, rtol=0, atol=1e-12)
-    # the memory's rows and key mask, built by the first call for all three
-    src_rows, src_mask = state.pop("src")
-    assert src_rows.index.tolist() == [0, 1, 2, 4, 5]
-    assert np.array_equal(src_mask, key_mask(pad_mask))
-    assert {k: tuple(x.shape for x in kv) for k, kv in state.items()} == {
-        **{f"dec.L{i}.sa": ((2, 6, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)},
-        **{f"dec.L{i}.ca": ((2, 4, cfg.d_model),) * 2 for i in range(cfg.n_dec_layers)}}
+    # the memory's key mask, built by the first call for all six
+    assert np.array_equal(state.pop("src_mask"), key_mask(pad_mask))
+    assert {k: x.shape for k, x in state.items()} == {
+        **{f"dec.L{i}.sa.{x}": (2, 6, cfg.d_model) for i in range(cfg.n_dec_layers) for x in "kv"},
+        **{f"dec.L{i}.ca.{x}": (2, 4, cfg.d_model) for i in range(cfg.n_dec_layers) for x in "kv"}}
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -210,48 +208,33 @@ def test_keep_decoding_narrows_memory_and_state_to_the_kept_rows():
     cfg = mini_config()
     store, _ = build_model(cfg, seed=5)
     src = np.array([[5, 6, 7, 0], [8, 9, 0, 0], [4, 4, 4, 4]])
-    tgt_in = np.array([[BOS_ID, 5], [BOS_ID, 8], [BOS_ID, 4]])
+    tgt_in = np.array([[BOS_ID, 5, 6], [BOS_ID, 8, 9], [BOS_ID, 4, 4]])
     keep = np.array([0, 2])
     with ag.no_grad():
         memory, live = encode(store, cfg, src)
         state = {}
         decode_logits(store, cfg, memory, live, tgt_in[:, :1], state=state)
-        memory, live = keep_decoding(memory, live, state, keep)
-        narrowed = decode_logits(store, cfg, memory, live, tgt_in[keep, 1:], state=state).data
+        old = {k: x.copy() for k, x in state.items()}
+        assert keep_decoding(state, keep) is None
+        # every cached array keeps the rows of `keep`: the key mask with the
+        # keys and values
+        assert state.keys() == old.keys()
+        assert all(np.array_equal(state[k], x[keep]) for k, x in old.items())
         sub_memory, sub_live = encode(store, cfg, src[keep])
+        assert np.array_equal(state["src_mask"], key_mask(sub_live))
+        narrowed = np.stack([decode_logits(store, cfg, None, None, tgt_in[keep, i:i + 1],
+                                           state=state).data for i in (1, 2)], axis=1)
         full = decode_logits(store, cfg, sub_memory, sub_live, tgt_in[keep]).data
-    assert np.array_equal(memory.data, sub_memory.data) and np.array_equal(live, sub_live)
-    # the memory's rows and key mask, rebuilt for the kept rows
-    src_rows, src_mask = state.pop("src")
-    assert src_rows.index.tolist() == [0, 1, 2, 4, 5, 6, 7]
-    assert np.array_equal(src_mask, key_mask(sub_live))
-    assert {k: [x.shape[0] for x in kv] for k, kv in state.items()} == {k: [2, 2] for k in state}
-    np.testing.assert_allclose(narrowed, full.reshape(2, 2, -1)[:, 1], rtol=0, atol=1e-12)
-
-
-def test_keep_decoding_selects_the_memory_rows_of_the_isin_form():
-    # memory rows are row-major over the live source positions; the kept
-    # rows are those whose batch row is in `keep`
-    rng = np.random.default_rng(3)
-    src_live = np.arange(4) < np.array([3, 1, 4, 2, 4, 1])[:, None]
-    memory = ag.Tensor(rng.normal(size=(int(src_live.sum()), 5)))
-    for keep in ([0, 2, 5], [1, 3], [0, 1, 2, 3, 4, 5], [4, 5], [2], []):
-        keep = np.array(keep, dtype=np.int64)
-        state = {"dec.L0.sa": [rng.normal(size=(6, 2, 5)) for _ in range(2)]}
-        old = [x.copy() for x in state["dec.L0.sa"]]
-        got, live = keep_decoding(memory, src_live, state, keep)
-        want = memory.data[np.isin(np.nonzero(src_live)[0], keep)]
-        assert got.data.tobytes() == want.tobytes()
-        assert np.array_equal(live, src_live[keep])
-        assert all(np.array_equal(x, o[keep]) for x, o in zip(state["dec.L0.sa"], old))
+    np.testing.assert_allclose(narrowed, full.reshape(2, 3, -1)[:, 1:], rtol=0, atol=1e-12)
 
 
 def test_causal_mask_offset_rows_are_the_full_masks_last_rows():
+    # the offset masks the attention kernel tests use
     full = causal_mask(6)
     assert full.shape == (1, 1, 6, 6)
     for start in range(6):
-        assert np.array_equal(causal_mask(6 - start, start), full[:, :, start:, :])
-    assert not causal_mask(1, 5).any()  # the newest position sees every key
+        assert np.array_equal(offset_causal_mask(6 - start, start), full[:, :, start:, :])
+    assert not offset_causal_mask(1, 5).any()  # the newest position sees every key
 
 
 def test_decoder_state_guards():
@@ -266,12 +249,16 @@ def test_decoder_state_guards():
     with ag.no_grad():
         memory, pad_mask = encode(store, cfg, src)
         state = {}
-        decode_logits(store, cfg, memory, pad_mask, np.array([[BOS_ID, 5, 6]]), state=state)
-        decode_logits(store, cfg, memory, pad_mask, np.array([[7]]), state=state)
+        with pytest.raises(ShapeError):  # a state takes one position per call
+            decode_logits(store, cfg, memory, pad_mask, np.array([[BOS_ID, 5]]), state=state)
+        for token in (BOS_ID, 5):
+            decode_logits(store, cfg, memory, pad_mask, np.array([[token]]), state=state)
+        with pytest.raises(ShapeError):  # after the first call too
+            decode_logits(store, cfg, memory, pad_mask, np.array([[6, 7]]), state=state)
+        for token in (6, 7):
+            decode_logits(store, cfg, memory, pad_mask, np.array([[token]]), state=state)
         with pytest.raises(ShapeError):  # position 4 is past max_len
             decode_logits(store, cfg, memory, pad_mask, np.array([[8]]), state=state)
-        with pytest.raises(ShapeError):
-            decode_logits(store, cfg, memory, pad_mask, np.ones((1, 5), dtype=int), state={})
 
 
 def test_tape_op_nodes_match_analytic_count():
