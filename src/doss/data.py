@@ -237,24 +237,31 @@ class Batch:
     tgt_out: np.ndarray  # (B, T+1) ends with EOS_ID before padding
 
 
-def _pad_stack(rows: list[list[int]]) -> np.ndarray:
-    width = max(len(r) for r in rows)
-    out = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
+def _pad_stack(seqs, first: int | None = None, last: int | None = None) -> np.ndarray:
+    """PAD-filled int64 rows, one per sequence: `first` (when given), the
+    sequence's ids, then `last` (when given), each row written by one numpy
+    assignment."""
+    lead = int(first is not None)
+    width = max(map(len, seqs)) + lead + (last is not None)
+    out = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
+    if lead:
+        out[:, 0] = first
+    for row, s in zip(out, seqs):
+        row[lead:lead + len(s)] = s
+        if last is not None:
+            row[lead + len(s)] = last
     return out
 
 
 def pad_sources(pairs) -> np.ndarray:
     """The (batch, len) source ids of `make_batch`, alone."""
-    return _pad_stack([list(map(int, s)) for s, _ in pairs])
+    return _pad_stack([s for s, _ in pairs])
 
 
 def make_batch(domain_id: str, pairs) -> Batch:
-    src = pad_sources(pairs)
-    tgt_in = _pad_stack([[BOS_ID] + list(map(int, t)) for _, t in pairs])
-    tgt_out = _pad_stack([list(map(int, t)) + [EOS_ID] for _, t in pairs])
-    return Batch(domain_id, src, tgt_in, tgt_out)
+    tgts = [t for _, t in pairs]
+    return Batch(domain_id, pad_sources(pairs), _pad_stack(tgts, first=BOS_ID),
+                 _pad_stack(tgts, last=EOS_ID))
 
 
 def _pack_indices(ds: DomainDataset, order: np.ndarray, batch_tokens: int):

@@ -23,3 +23,7 @@ class FormatError(DossError, ValueError):
 
 class RegistryMismatchError(DossError, ValueError):
     """A mask, store, or record does not match the parameter layout and its rule."""
+
+
+class WorkerError(DossError, RuntimeError):
+    """A decode worker process died or broke off its reply."""

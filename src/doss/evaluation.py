@@ -11,17 +11,23 @@ formula applied to their column sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import atexit
+import contextlib
 import itertools
 import math
+import os
+import pickle
+import signal
+import sys
 
 import numpy as np
 
 from . import autograd as ag
 from .data import DomainDataset, pad_sources
-from .errors import ConfigError, DossError, NumericsError
+from .errors import ConfigError, DossError, NumericsError, WorkerError
 from .masks import MaskSet, overlay
 from .model import (BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, encode,
-                    keep_decoding)
+                    keep_decoding, layout_views)
 
 
 def trim_eos(seq, eos: int = EOS_ID) -> list[int]:
@@ -254,14 +260,149 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def decode_dataset(effective: ParamStore, model_cfg: ModelConfig, ds: DomainDataset,
                    max_len: int, batch_size: int = 64) -> list[list[int]]:
-    """Greedy-decode every source in dataset order with a fixed batch split."""
-    hyps: list[list[int]] = []
-    for ofs in range(0, ds.size, batch_size):
-        src = pad_sources(ds.pairs[ofs:ofs + batch_size])
-        hyps.extend(greedy_decode(effective, model_cfg, src, max_len))
-    return hyps
+    """Greedy-decode every source in dataset order with a fixed batch split.
+
+    P = min(usable_cpus(), batch count) participants share the batches:
+    batch i goes to participant i mod P, where 0 is the caller and the others
+    are worker processes that outlive the call (`_decoders`). Each decodes
+    whole batches with `greedy_decode` and the results merge in batch order,
+    so the hypotheses have the same bits for every P. A set of one batch, or
+    a process with one CPU, starts no worker. Each participant stops at its
+    first failing batch, and the error of the lowest failing batch is raised,
+    as by one loop over the batches; a worker that dies raises WorkerError.
+    """
+    if batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    batches = [pad_sources(ds.pairs[ofs:ofs + batch_size])
+               for ofs in range(0, ds.size, batch_size)]
+    n = max(1, min(usable_cpus(), len(batches)))
+    workers = _decoders(n - 1)
+    try:
+        for k, worker in enumerate(workers, 1):
+            worker.send((effective.layout, effective.vector, model_cfg, max_len,
+                         batches[k::n]))
+        shares = [_decode_share(effective, model_cfg, batches[::n], max_len)]
+        shares += [worker.receive() for worker in workers]
+    except BaseException:
+        close_decoders()  # a worker may still owe a reply
+        raise
+    decoded: list = [None] * len(batches)
+    failures = []
+    for k, (done, exc) in enumerate(shares):
+        decoded[k:k + n * len(done):n] = done
+        if exc is not None:
+            failures.append((k + n * len(done), exc))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [h for hyps in decoded for h in hyps]
+
+
+def _decode_share(effective: ParamStore, model_cfg: ModelConfig, batches: list,
+                  max_len: int) -> tuple[list, Exception | None]:
+    """The decodes of `batches`, in order, up to the first that raises, and
+    that error (None when every batch decoded)."""
+    done = []
+    try:
+        for src in batches:
+            done.append(greedy_decode(effective, model_cfg, src, max_len))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+# A worker is a new interpreter, not a fork: it imports this package afresh
+# from the caller's source tree, so nothing set in the caller's memory (a
+# patched function included) reaches its decodes. It inherits the caller's
+# environment, and with it the BLAS thread variables that --threads sets.
+_WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); "
+           "from doss.evaluation import _serve; _serve()")
+_DECODERS: list["_Decoder"] = []  # this process's decode workers, started on demand
+
+
+class _Decoder:
+    """A decode worker process (`_serve`): one pickled task in on its stdin,
+    one pickled reply out on its stdout."""
+
+    def __init__(self):
+        import subprocess
+
+        self.parent = os.getpid()
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        self.proc = subprocess.Popen([sys.executable, "-c", _WORKER, root],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+    def send(self, task) -> None:
+        try:
+            pickle.dump(task, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+        except OSError as exc:
+            raise self.died() from exc
+
+    def receive(self) -> tuple[list, Exception | None]:
+        try:
+            return pickle.load(self.proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError) as exc:
+            raise self.died() from exc
+
+    def died(self) -> WorkerError:
+        return WorkerError(f"decode worker {self.proc.pid} stopped "
+                           f"(exit code {self.proc.poll()})")
+
+
+def _decoders(count: int) -> list[_Decoder]:
+    """The first `count` decode workers of this process, started on first use.
+    They stop when this process exits or calls `close_decoders`, and on their
+    own when this process dies, since their stdin then ends."""
+    if _DECODERS and _DECODERS[0].parent != os.getpid():
+        _DECODERS.clear()  # a forked child's copies; the workers are its parent's
+    _DECODERS.extend(_Decoder() for _ in range(count - len(_DECODERS)))
+    return _DECODERS[:count]
+
+
+def close_decoders() -> None:
+    """Stop this process's decode workers; the next call starts new ones."""
+    while _DECODERS:
+        worker = _DECODERS.pop()
+        if worker.parent == os.getpid():
+            worker.proc.kill()
+            worker.proc.wait()
+        for pipe in (worker.proc.stdin, worker.proc.stdout):
+            with contextlib.suppress(OSError):
+                pipe.close()
+
+
+atexit.register(close_decoders)
+
+
+def _serve() -> None:
+    """A decode worker's loop: decode each task's batches with `_decode_share`
+    and reply with its result, until stdin ends or a reply cannot be sent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when a worker stops
+    tasks, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
+    while True:
+        try:
+            layout, vector, model_cfg, max_len, batches = pickle.load(tasks)
+        except (EOFError, pickle.UnpicklingError):
+            return
+        effective = ParamStore({n: ag.Tensor(v) for n, v in layout_views(vector, layout).items()})
+        reply = _decode_share(effective, model_cfg, batches, max_len)
+        try:
+            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+        except BrokenPipeError:  # the caller is gone; drop the unsent reply
+            with contextlib.suppress(OSError):
+                replies.close()
+            return
 
 
 def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig,

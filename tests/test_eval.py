@@ -222,18 +222,35 @@ def test_decode_dataset_order_and_shapes():
 
 
 def test_decode_dataset_decodes_the_sources_of_make_batch(monkeypatch):
+    # the caller decodes batch i when i mod P == 0: with one participant it
+    # sees every batch's sources, with two the even batches, and the decodes
+    # are the same either way
     cfg, store, _ = _mini()
     ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=1, max_len=6, seed=4),
                     11, domain_id="c")
-    seen = []
-    real = evaluation.greedy_decode
-    monkeypatch.setattr(evaluation, "greedy_decode",
-                        lambda p, c, src, n: seen.append(src) or real(p, c, src, n))
-    decode_dataset(store, cfg, ds, max_len=3, batch_size=4)
     want = [make_batch("c", ds.pairs[ofs:ofs + 4]).src for ofs in (0, 4, 8)]
-    assert len(seen) == 3 and len({a.shape[1] for a in want}) > 1
-    for got, src in zip(seen, want):
-        assert got.dtype == src.dtype and np.array_equal(got, src)
+    assert len({a.shape[1] for a in want}) > 1
+    real = evaluation.greedy_decode
+    decodes = []
+    for cpus in (1, 2):
+        seen = []
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(evaluation, "greedy_decode",
+                            lambda p, c, src, n: seen.append(src) or real(p, c, src, n))
+        decodes.append(decode_dataset(store, cfg, ds, max_len=3, batch_size=4))
+        assert len(seen) == len(want[::cpus])
+        for got, src in zip(seen, want[::cpus]):
+            assert got.dtype == src.dtype and np.array_equal(got, src)
+    assert decodes[0] == decodes[1] and len(decodes[0]) == ds.size
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_decode_dataset_refuses_a_batch_size_below_1(batch_size):
+    cfg, store, _ = _mini()
+    ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=1, max_len=6, seed=4),
+                    3, domain_id="c")
+    with pytest.raises(ConfigError, match="batch_size"):
+        decode_dataset(store, cfg, ds, max_len=3, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("name", ["enc.L0.ffn.b1", "dec.out_proj"])
