@@ -19,6 +19,7 @@ import os
 import pickle
 import signal
 import sys
+import traceback
 
 import numpy as np
 
@@ -267,24 +268,39 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads() -> int:
+    """The threads one process's BLAS runs: the largest count that a BLAS
+    thread variable sets (`--threads` sets them all), or `usable_cpus()`
+    when none sets one, since BLAS then sizes its pool to the CPUs."""
+    counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+              if v is not None and v.strip().isdigit() and int(v) > 0]
+    return max(counts, default=usable_cpus())
+
+
 def decode_dataset(effective: ParamStore, model_cfg: ModelConfig, ds: DomainDataset,
                    max_len: int, batch_size: int = 64) -> list[list[int]]:
     """Greedy-decode every source in dataset order with a fixed batch split.
 
-    P = min(usable_cpus(), batch count) participants share the batches:
-    batch i goes to participant i mod P, where 0 is the caller and the others
-    are worker processes that outlive the call (`_decoders`). Each decodes
-    whole batches with `greedy_decode` and the results merge in batch order,
-    so the hypotheses have the same bits for every P. A set of one batch, or
-    a process with one CPU, starts no worker. Each participant stops at its
-    first failing batch, and the error of the lowest failing batch is raised,
-    as by one loop over the batches; a worker that dies raises WorkerError.
+    P = min(usable_cpus() // blas_threads(), batch count) participants
+    share the batches, so that P processes of blas_threads() BLAS threads
+    each fit on the CPUs: batch i goes to participant i mod P, where 0 is the
+    caller and the others are worker processes that outlive the call
+    (`_decoders`). Each decodes whole batches with `greedy_decode` and the
+    results merge in batch order, so the hypotheses have the same bits for
+    every P. A set of one batch, or a process whose BLAS may use every CPU,
+    starts no worker. Each participant stops at its first failing batch, and
+    the error of the lowest failing batch is raised, as by one loop over the
+    batches, with a note naming that batch and the process that decoded it;
+    a worker that dies raises WorkerError.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     batches = [pad_sources(ds.pairs[ofs:ofs + batch_size])
                for ofs in range(0, ds.size, batch_size)]
-    n = max(1, min(usable_cpus(), len(batches)))
+    n = max(1, min(usable_cpus() // blas_threads(), len(batches)))
     workers = _decoders(n - 1)
     try:
         for k, worker in enumerate(workers, 1):
@@ -300,9 +316,12 @@ def decode_dataset(effective: ParamStore, model_cfg: ModelConfig, ds: DomainData
     for k, (done, exc) in enumerate(shares):
         decoded[k:k + n * len(done):n] = done
         if exc is not None:
-            failures.append((k + n * len(done), exc))
+            failures.append((k + n * len(done), k, exc))
     if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        batch, k, exc = min(failures, key=lambda f: f[0])
+        where = f"decode worker {workers[k - 1].proc.pid}" if k else "the calling process"
+        exc.add_note(f"decode_dataset: batch {batch} of {len(batches)}, decoded in {where}")
+        raise exc
     return [h for hyps in decoded for h in hyps]
 
 
@@ -335,7 +354,6 @@ class _Decoder:
     def __init__(self):
         import subprocess
 
-        self.parent = os.getpid()
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         self.proc = subprocess.Popen([sys.executable, "-c", _WORKER, root],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -362,8 +380,6 @@ def _decoders(count: int) -> list[_Decoder]:
     """The first `count` decode workers of this process, started on first use.
     They stop when this process exits or calls `close_decoders`, and on their
     own when this process dies, since their stdin then ends."""
-    if _DECODERS and _DECODERS[0].parent != os.getpid():
-        _DECODERS.clear()  # a forked child's copies; the workers are its parent's
     _DECODERS.extend(_Decoder() for _ in range(count - len(_DECODERS)))
     return _DECODERS[:count]
 
@@ -372,9 +388,8 @@ def close_decoders() -> None:
     """Stop this process's decode workers; the next call starts new ones."""
     while _DECODERS:
         worker = _DECODERS.pop()
-        if worker.parent == os.getpid():
-            worker.proc.kill()
-            worker.proc.wait()
+        worker.proc.kill()
+        worker.proc.wait()
         for pipe in (worker.proc.stdin, worker.proc.stdout):
             with contextlib.suppress(OSError):
                 pipe.close()
@@ -396,6 +411,9 @@ def _serve() -> None:
             return
         effective = ParamStore({n: ag.Tensor(v) for n, v in layout_views(vector, layout).items()})
         reply = _decode_share(effective, model_cfg, batches, max_len)
+        if reply[1] is not None:  # a pickled error loses its traceback; keep it as text
+            reply[1].add_note("worker traceback (most recent call last):\n"
+                              + "".join(traceback.format_tb(reply[1].__traceback__)).rstrip())
         try:
             pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
             replies.flush()

@@ -43,11 +43,16 @@ def trained():
     return cfg, store, layout, lam, [ds, other]
 
 
+ONE_BLAS_THREAD = {var: "1" for var in evaluation._BLAS_THREAD_VARS}
+
+
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the participant count's CPU term: `cpus(P)`."""
+    """Set the participant count P: `cpus(P)` gives P CPUs and one BLAS thread."""
     def set_cpus(n):
         monkeypatch.setattr(evaluation, "usable_cpus", lambda: n)
+        for var, value in ONE_BLAS_THREAD.items():
+            monkeypatch.setenv(var, value)
     return set_cpus
 
 
@@ -101,6 +106,29 @@ def test_one_batch_or_one_cpu_starts_no_worker(cpus):
     assert len(evaluation._DECODERS) == 2
 
 
+@pytest.mark.parametrize("threads, want", [
+    ({}, 1),  # BLAS sizes its pool to the CPUs: no worker
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "x"}, 1),
+    (ONE_BLAS_THREAD, 4),  # capped by the batch count
+])
+def test_participants_times_blas_threads_never_exceed_the_cpus(monkeypatch, threads, want):
+    cfg, store, _ = _mini()
+    ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=1, max_len=6, seed=4),
+                    8, domain_id="c")
+    close_decoders()
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 5)
+    for var in evaluation._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in threads.items():
+        monkeypatch.setenv(var, value)
+    try:
+        decode_dataset(store, cfg, ds, max_len=4, batch_size=2)  # 4 batches
+        assert len(evaluation._DECODERS) == want - 1
+    finally:
+        close_decoders()
+
+
 def _five_batches(marks=None):
     """Ten pairs in batches of two; the first source of batch i starts with
     token marks[i] where `marks` has one."""
@@ -123,8 +151,15 @@ def test_a_workers_numerics_error_reaches_the_caller(cpus):
     for n in (1, 2, 3):
         cpus(n)
         with np.errstate(invalid="ignore"), \
-                pytest.raises(NumericsError, match="decode step 0$"):
+                pytest.raises(NumericsError) as caught:
             decode_dataset(broken, cfg, ds, max_len=4, batch_size=2)
+        assert str(caught.value) == "non-finite logits at decode step 0"
+        where = (f"decode worker {evaluation._DECODERS[0].proc.pid}" if n > 1
+                 else "the calling process")
+        notes = caught.value.__notes__
+        assert notes[-1] == f"decode_dataset: batch 1 of 5, decoded in {where}"
+        if n > 1:  # the worker's own frames come back as text
+            assert notes[0].startswith("worker traceback") and "greedy_decode" in notes[0]
         assert decode_dataset(store, cfg, ds, max_len=4, batch_size=2) == clean
 
 
@@ -242,7 +277,8 @@ def _running(pid: int) -> bool:
 def test_no_worker_outlives_its_parent(end):
     if not Path("/proc/self/stat").exists():
         pytest.skip("needs /proc")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_ROOT, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, **ONE_BLAS_THREAD,
+               PYTHONPATH=os.pathsep.join([SRC_ROOT, os.environ.get("PYTHONPATH", "")]))
     parent = subprocess.Popen([sys.executable, "-c", _PARENT], stdin=subprocess.PIPE,
                               stdout=subprocess.PIPE, env=env, text=True)
     try:

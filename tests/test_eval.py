@@ -235,6 +235,8 @@ def test_decode_dataset_decodes_the_sources_of_make_batch(monkeypatch):
     for cpus in (1, 2):
         seen = []
         monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        for var in evaluation._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
         monkeypatch.setattr(evaluation, "greedy_decode",
                             lambda p, c, src, n: seen.append(src) or real(p, c, src, n))
         decodes.append(decode_dataset(store, cfg, ds, max_len=3, batch_size=4))
