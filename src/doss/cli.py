@@ -22,6 +22,7 @@ import logging
 import os
 from pathlib import Path
 
+from . import BLAS_THREAD_VARS, EXTENSION_MODES
 from .errors import ConfigError, DossError
 
 log = logging.getLogger("doss")
@@ -68,6 +69,13 @@ def write_meta(artifact: Path, key: str, stage: str, seed: int) -> None:
     _meta_path(artifact).write_text(
         f"config_hash={key}\nstage={stage}\nseed={seed}\n"
         f"sha256={_sha256_file(artifact)}\n", encoding="utf-8")
+
+
+def write_keyed(path: Path, key: str, body: str) -> None:
+    """Write a text artifact: a first line naming the stage key, as a comment
+    in the file's format (markdown or csv), then `body`."""
+    header = f"<!-- config_hash={key} -->" if path.suffix == ".md" else f"# config_hash={key}"
+    path.write_text(f"{header}\n{body}", encoding="utf-8")
 
 
 def artifact_valid(artifact: Path, key: str) -> bool:
@@ -222,11 +230,11 @@ class Pipeline:
         return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute,
                             train=man.train["pretrain"])
 
-    def make_masks(self, disjoint: bool | None = None) -> bool:
+    def make_masks(self) -> bool:
         from .masks import MaskSet, create_domain_mask, overlap_stats, save_mask
 
         man = self.man
-        disjoint = man.masks_disjoint if disjoint is None else disjoint
+        disjoint = man.masks_disjoint
         stats_path = self.out / "mask_stats.csv"
 
         def compute(key):
@@ -238,9 +246,7 @@ class Pipeline:
                                           disjoint_against=built if disjoint else None)
                 built = built.plus(mask)
                 save_mask(mask, self.mask_path(spec.name))
-            stats = overlap_stats(built)
-            stats_path.write_text(f"# config_hash={key}\n" + "\n".join(stats.to_lines()) + "\n",
-                                  encoding="utf-8")
+            write_keyed(stats_path, key, "\n".join(overlap_stats(built).to_lines()) + "\n")
 
         arts = [self.mask_path(d.name) for d in man.domains] + [stats_path]
         return self._cached("make_masks", arts, compute, train=man.train["masks"],
@@ -293,6 +299,8 @@ class Pipeline:
 
         man = self.man
         mode = mode or man.extend_mode
+        if mode not in EXTENSION_MODES:
+            raise ConfigError(f"unknown extension mode {mode!r}: one of {EXTENSION_MODES}")
         cfg = man.train["extend"]
         if steps is not None:
             cfg = dataclasses.replace(cfg, max_steps=steps).validate()
@@ -341,14 +349,11 @@ class Pipeline:
             diff_path.write_text("\n".join(diffs) + ("\n" if diffs else ""), encoding="utf-8")
             rep_new = eval_matrix([ext_variant], [ext_eval], man.model,
                                   man.eval_max_len, man.eval_batch)
-            report_md.write_text(
-                f"<!-- config_hash={key} -->\n"
-                + rep_old.to_markdown(f"Domain extension ({mode}): pre-existing domains")
-                + "\n" + rep_new.to_markdown(f"Domain extension ({mode}): new domain"),
-                encoding="utf-8")
+            write_keyed(report_md, key,
+                        rep_old.to_markdown(f"Domain extension ({mode}): pre-existing domains")
+                        + "\n" + rep_new.to_markdown(f"Domain extension ({mode}): new domain"))
             new_csv_rows = rep_new.to_csv().splitlines()[1:]
-            report_csv.write_text(f"# config_hash={key}\n" + rep_old.to_csv()
-                                  + "\n".join(new_csv_rows) + "\n", encoding="utf-8")
+            write_keyed(report_csv, key, rep_old.to_csv() + "\n".join(new_csv_rows) + "\n")
 
         arts = [new_mask_path, ext_ckpt, metrics, diff_path, report_md, report_csv]
         return self._cached(
@@ -377,10 +382,8 @@ class Pipeline:
                 trainable=count_params(lam0.layout, maskset.union_mask())["masked_ones"]))
             report = eval_matrix(variants, self.eval_sets(), man.model,
                                  man.eval_max_len, man.eval_batch)
-            report_md.write_text(f"<!-- config_hash={key} -->\n"
-                                 + report.to_markdown("Domain finetuning vs sub-networks"),
-                                 encoding="utf-8")
-            report_csv.write_text(f"# config_hash={key}\n" + report.to_csv(), encoding="utf-8")
+            write_keyed(report_md, key, report.to_markdown("Domain finetuning vs sub-networks"))
+            write_keyed(report_csv, key, report.to_csv())
 
         return self._cached("eval", [report_md, report_csv], compute,
                             eval=(man.eval_max_len, man.eval_batch),
@@ -431,18 +434,18 @@ class Pipeline:
             header = ["alpha", "beta", "status"]
             header += [f"bleu_{d}" for d in domain_ids] + [f"em_{d}" for d in domain_ids]
             header += ["avg_bleu", "avg_em"]
-            lines = [f"# config_hash={key}", ",".join(header)]
+            lines = [",".join(header)]
             for alpha, beta, status, bleus, ems, avg_bleu, avg_em in rows:
                 bleu_cols = [f"{x!r}" for x in bleus] or [""] * len(domain_ids)
                 em_cols = [f"{x!r}" for x in ems] or [""] * len(domain_ids)
                 lines.append(",".join([f"{alpha!r}", f"{beta!r}", status]
                                       + bleu_cols + em_cols + [f"{avg_bleu!r}", f"{avg_em!r}"]))
-            sweep_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_keyed(sweep_csv, key, "\n".join(lines) + "\n")
             ok_rows = [r for r in rows if r[2] == "ok"]
-            corr_lines = [f"# config_hash={key}", "coefficient,value"]
+            corr_lines = ["coefficient,value"]
             corr_lines.append(f"rho_alpha,{sweep_correlation([(r[0], r[5]) for r in ok_rows])!r}")
             corr_lines.append(f"rho_beta,{sweep_correlation([(r[1], r[5]) for r in ok_rows])!r}")
-            corr_csv.write_text("\n".join(corr_lines) + "\n", encoding="utf-8")
+            write_keyed(corr_csv, key, "\n".join(corr_lines) + "\n")
 
         return self._cached(
             "sweep", [sweep_csv, corr_csv], compute, grid=grid, doss_cfg=doss_cfg,
@@ -480,10 +483,6 @@ def sweep_correlation(points) -> float:
 # ---------------------------------------------------------------------------
 
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doss",
@@ -498,16 +497,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, help="cap BLAS thread pools")
 
     common(sub.add_parser("pretrain", help="train the base model"))
-    p = sub.add_parser("make-masks", help="create one mask per domain")
-    common(p)
-    p.add_argument("--disjoint", action="store_true",
-                   help="constrain each mask to be disjoint from earlier ones")
+    common(sub.add_parser("make-masks", help="create one mask per domain "
+                                             "(disjoint ones under [masks] disjoint)"))
     common(sub.add_parser("train-doss", help="structure-aware joint training"))
     common(sub.add_parser("finetune", help="per-domain and all-domain baselines"))
     p = sub.add_parser("extend", help="adapt the trained model to a new domain")
     common(p)
-    p.add_argument("--mode", choices=["ft_all_ones", "new_only_unconstrained",
-                                      "all_masks_joint", "new_only_disjoint"],
+    p.add_argument("--mode", choices=EXTENSION_MODES,
                    help="extension protocol (default: manifest [extend] mode)")
     p.add_argument("--steps", type=int, help="override extension training steps")
     common(sub.add_parser("eval", help="score all variants on all domains"))
@@ -527,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:  # BLAS reads a smaller count as no cap
             parser.error("--threads must be >= 1")
         # BLAS reads these when numpy is first imported, which is below
-        for var in _THREAD_VARS:
+        for var in BLAS_THREAD_VARS:
             os.environ[var] = str(args.threads)
     logging.basicConfig(
         level=getattr(logging, os.environ.get("DOSS_LOG", "INFO").upper(), logging.INFO),
@@ -539,17 +535,10 @@ def main(argv: list[str] | None = None) -> int:
         man = load_manifest(args.config, seed=args.seed)
         out = Path(args.out or man.out or f"runs/{Path(args.config).stem}")
         pipe = Pipeline(man, out)
-        command = args.command.replace("-", "_")
-        if command == "make_masks":
-            pipe.make_masks(disjoint=True if args.disjoint else None)
-        elif command == "extend":
+        if args.command == "extend":
             pipe.extend(mode=args.mode, steps=args.steps)
-        elif command == "eval":
-            pipe.evaluate()
-        elif command == "run":
-            pipe.run(args.stages)
         else:
-            getattr(pipe, command)()
+            pipe.run(args.stages if args.command == "run" else [args.command.replace("-", "_")])
     except DossError as exc:
         log.error("%s", exc)
         return 2

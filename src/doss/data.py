@@ -311,6 +311,10 @@ def _endless_batches(ds: DomainDataset, batch_tokens: int, seed: int) -> Iterato
         yield from epoch_batches(ds, batch_tokens, seed, epoch)
 
 
+# the strategies that pick each next domain of a multi-domain batch stream
+MIXINGS = ("round_robin", "proportional")
+
+
 def batch_iterator(datasets: Sequence[DomainDataset], strategy: str,
                    batch_tokens: int, seed: int) -> Iterator[Batch]:
     """Endless deterministic stream of single-domain batches.
@@ -321,8 +325,8 @@ def batch_iterator(datasets: Sequence[DomainDataset], strategy: str,
     """
     if not datasets:
         raise ConfigError("batch_iterator needs at least one dataset")
-    if strategy not in ("round_robin", "proportional"):
-        raise ConfigError(f"unknown batching strategy {strategy!r}")
+    if strategy not in MIXINGS:
+        raise ConfigError(f"unknown mixing strategy {strategy!r}")
     _check_budget(datasets, batch_tokens)
 
     streams = [_endless_batches(ds, batch_tokens, seed) for ds in datasets]

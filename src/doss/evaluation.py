@@ -23,7 +23,7 @@ import traceback
 
 import numpy as np
 
-from . import autograd as ag
+from . import BLAS_THREAD_VARS, autograd as ag
 from .data import DomainDataset, pad_sources
 from .errors import ConfigError, DossError, NumericsError, WorkerError
 from .masks import MaskSet, overlay
@@ -268,14 +268,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def blas_threads() -> int:
     """The threads one process's BLAS runs: the largest count that a BLAS
     thread variable sets (`--threads` sets them all), or `usable_cpus()`
     when none sets one, since BLAS then sizes its pool to the CPUs."""
-    counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+    counts = [int(v) for v in map(os.environ.get, BLAS_THREAD_VARS)
               if v is not None and v.strip().isdigit() and int(v) > 0]
     return max(counts, default=usable_cpus())
 

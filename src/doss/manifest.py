@@ -14,12 +14,13 @@ import configparser
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import EXTENSION_MODES
 from .autograd import derive_seed
 from .data import DomainDataset, FilterSpec, SyntheticTask, N_RESERVED, gen_domain
 from .errors import ConfigError
 from .masks import PruneSpec
 from .model import ModelConfig
-from .training import ExtensionMode, TrainConfig
+from .training import TrainConfig
 
 @dataclass
 class DomainSpec:
@@ -94,6 +95,12 @@ def _floats(raw: str) -> list[float]:
     return [float(x) for x in raw.split()]
 
 
+def _mode(raw: str) -> str:
+    if raw not in EXTENSION_MODES:
+        raise ValueError(raw)
+    return raw
+
+
 # every train section takes the optimizer keys; [masks] trains ft_epochs
 # epochs instead of steps, and only the masked stages mix domains
 _OPTIM = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int}
@@ -113,7 +120,7 @@ _SCHEMA = {
     "train": _TRAIN,
     "doss": _MIXED,
     "masks": _OPTIM | _PRUNE | {"disjoint": _bool},
-    "extend": _MIXED | _PRUNE | {"domain": str, "mode": lambda raw: ExtensionMode(raw).value},
+    "extend": _MIXED | _PRUNE | {"domain": str, "mode": _mode},
     "sweep": {"alphas": _floats, "betas": _floats, "steps": int},
     "eval": {"max_decode_len": int, "batch_size": int},
 }

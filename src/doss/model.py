@@ -19,6 +19,7 @@ target position, so `tgt_out[tgt_in != PAD_ID]` are their targets, in order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -243,20 +244,14 @@ class DropCtx:
     rng: np.random.Generator
 
 
-_PE_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
-    key = (max_len, d_model)
-    pe = _PE_CACHE.get(key)
-    if pe is None:
-        pos = np.arange(max_len)[:, None]
-        dim = np.arange(0, d_model, 2)[None, :]
-        angle = pos / np.power(10000.0, dim / d_model)
-        pe = np.zeros((max_len, d_model))
-        pe[:, 0::2] = np.sin(angle)
-        pe[:, 1::2] = np.cos(angle)
-        _PE_CACHE[key] = pe
+    pos = np.arange(max_len)[:, None]
+    dim = np.arange(0, d_model, 2)[None, :]
+    angle = pos / np.power(10000.0, dim / d_model)
+    pe = np.zeros((max_len, d_model))
+    pe[:, 0::2] = np.sin(angle)
+    pe[:, 1::2] = np.cos(angle)
     return pe
 
 

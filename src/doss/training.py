@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from . import autograd as ag
-from .data import Batch, DomainDataset, batch_iterator, concat_datasets, epoch_batches
+from . import EXTENSION_MODES, autograd as ag
+from .data import MIXINGS, Batch, DomainDataset, batch_iterator, concat_datasets, epoch_batches
 from .errors import ConfigError, NumericsError
 from .masks import MaskSet, StoreMask, create_domain_mask, full_mask, on_store
 from .model import DropCtx, ModelConfig, PAD_ID, ParamStore, forward, layout_views
@@ -59,7 +58,7 @@ class TrainConfig:
             raise ConfigError("max_steps must be >= 0")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.mixing not in ("round_robin", "proportional"):
+        if self.mixing not in MIXINGS:
             raise ConfigError(f"unknown mixing strategy {self.mixing!r}")
         return self
 
@@ -232,15 +231,8 @@ def train_doss(base: ParamStore, maskset: MaskSet, datasets: Sequence[DomainData
 # ---------------------------------------------------------------------------
 
 
-class ExtensionMode(str, Enum):
-    FT_ALL_ONES = "ft_all_ones"
-    NEW_ONLY_UNCONSTRAINED = "new_only_unconstrained"
-    ALL_MASKS_JOINT = "all_masks_joint"
-    NEW_ONLY_DISJOINT = "new_only_disjoint"
-
-
 def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
-                  new_data: DomainDataset, mode: ExtensionMode | str, spec,
+                  new_data: DomainDataset, mode: str, spec,
                   cfg: TrainConfig, *, model_cfg: ModelConfig,
                   mask_cfg: TrainConfig | None = None,
                   existing_data: Sequence[DomainDataset] | None = None,
@@ -254,18 +246,19 @@ def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
     unconstrained mask and jointly retrains all domains. Optimizer state
     starts fresh in every mode.
     """
-    mode = ExtensionMode(mode)
+    if mode not in EXTENSION_MODES:
+        raise ConfigError(f"unknown extension mode {mode!r}: one of {EXTENSION_MODES}")
     if new_data.domain_id in maskset.ids():
         raise ConfigError(f"domain {new_data.domain_id!r} already has a mask")
-    if mode is ExtensionMode.FT_ALL_ONES:
+    if mode == "ft_all_ones":
         new_mask = full_mask(base.layout, new_data.domain_id)
     else:
         if mask_cfg is None:
-            raise ConfigError(f"mode {mode.value} needs a mask-creation train config")
-        disjoint_against = maskset if mode is ExtensionMode.NEW_ONLY_DISJOINT else None
+            raise ConfigError(f"mode {mode} needs a mask-creation train config")
+        disjoint_against = maskset if mode == "new_only_disjoint" else None
         new_mask = create_domain_mask(base, new_data, spec, mask_cfg, model_cfg,
                                       disjoint_against=disjoint_against)
-    if mode is ExtensionMode.ALL_MASKS_JOINT:
+    if mode == "all_masks_joint":
         if existing_data is None:
             raise ConfigError("all_masks_joint needs the existing domains' data")
         new_set = maskset.plus(new_mask)

@@ -43,7 +43,7 @@ def trained():
     return cfg, store, layout, lam, [ds, other]
 
 
-ONE_BLAS_THREAD = {var: "1" for var in evaluation._BLAS_THREAD_VARS}
+ONE_BLAS_THREAD = {var: "1" for var in doss.BLAS_THREAD_VARS}
 
 
 @pytest.fixture
@@ -118,7 +118,7 @@ def test_participants_times_blas_threads_never_exceed_the_cpus(monkeypatch, thre
                     8, domain_id="c")
     close_decoders()
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 5)
-    for var in evaluation._BLAS_THREAD_VARS:
+    for var in doss.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in threads.items():
         monkeypatch.setenv(var, value)
@@ -227,21 +227,22 @@ def test_a_monkeypatch_in_the_caller_never_reaches_a_worker(monkeypatch, cpus, s
 
 
 def test_workers_inherit_the_callers_blas_thread_settings(monkeypatch, cpus):
-    # `doss --threads N` sets these variables in the caller's environment;
-    # NUMEXPR_NUM_THREADS is one of them and changes no numpy result
+    # `doss --threads N` sets these variables in the caller's environment
     if not Path("/proc/self/environ").exists():
         pytest.skip("needs /proc")
     cfg, store, _ = _mini()
     close_decoders()
-    monkeypatch.setenv("NUMEXPR_NUM_THREADS", "7")
-    cpus(2)
+    cpus(4)
+    for var in doss.BLAS_THREAD_VARS:  # 4 CPUs // 2 BLAS threads: 2 participants
+        monkeypatch.setenv(var, "2")
     try:
         decode_dataset(store, cfg, _five_batches(), max_len=4, batch_size=2)
         environ = Path(f"/proc/{evaluation._DECODERS[0].proc.pid}/environ").read_bytes()
     finally:
         close_decoders()
     want = {f"{k}={v}".encode() for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
-    assert b"NUMEXPR_NUM_THREADS=7" in want and want <= set(environ.split(b"\0"))
+    assert {f"{var}=2".encode() for var in doss.BLAS_THREAD_VARS} <= want
+    assert want <= set(environ.split(b"\0"))
 
 
 _PARENT = """

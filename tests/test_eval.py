@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doss import evaluation, model
+from doss import BLAS_THREAD_VARS, evaluation, model
 from doss.autograd import Tensor
 from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.errors import ConfigError, DossError, NumericsError
@@ -235,7 +235,7 @@ def test_decode_dataset_decodes_the_sources_of_make_batch(monkeypatch):
     for cpus in (1, 2):
         seen = []
         monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
-        for var in evaluation._BLAS_THREAD_VARS:
+        for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "1")
         monkeypatch.setattr(evaluation, "greedy_decode",
                             lambda p, c, src, n: seen.append(src) or real(p, c, src, n))

@@ -5,13 +5,15 @@ import csv
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doss import cli, evaluation, masks, training
-from doss.cli import _THREAD_VARS, Pipeline, artifact_valid, main, sweep_correlation, write_meta
+from doss import BLAS_THREAD_VARS, EXTENSION_MODES, cli, evaluation, masks, training
+from doss.cli import Pipeline, artifact_valid, main, sweep_correlation, write_meta
 from doss.errors import ConfigError, FormatError, NumericsError, RegistryMismatchError
 from doss.evaluation import decode_dataset, trim_eos
 from doss.manifest import load_manifest
@@ -251,19 +253,65 @@ def test_cli_seed_reaches_stage_seeds(tiny_manifest, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"]])
 def test_cli_threads_overrides_blas_env(flag, tiny_manifest, tmp_path, monkeypatch):
-    for var in _THREAD_VARS:
+    for var in BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "8")
     monkeypatch.setattr(Pipeline, "pretrain", lambda self: True)
     rc = main(["pretrain", "--config", str(tiny_manifest), "--out", str(tmp_path / "o"), *flag])
     assert rc == 0
-    assert [os.environ[var] for var in _THREAD_VARS] == ["2"] * len(_THREAD_VARS)
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["2"] * len(BLAS_THREAD_VARS)
+
+
+def test_cli_threads_sets_what_blas_threads_reads(tiny_manifest, tmp_path, monkeypatch):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "8")
+    monkeypatch.setattr(Pipeline, "pretrain", lambda self: True)
+    assert main(["pretrain", "--config", str(tiny_manifest), "--out", str(tmp_path / "o"),
+                 "--threads", "3"]) == 0
+    assert evaluation.blas_threads() == 3
+
+
+def test_one_tuple_names_the_extension_modes(tmp_path):
+    # extend_domain's side: test_training's test_extend_takes_exactly_the_extension_modes
+    extend = cli._build_parser()._subparsers._group_actions[0].choices["extend"]
+    assert next(a for a in extend._actions if a.dest == "mode").choices == EXTENSION_MODES
+    for mode in EXTENSION_MODES:
+        path = tmp_path / f"{mode}.ini"
+        path.write_text(TINY.replace("mode = new_only_disjoint", f"mode = {mode}"))
+        assert load_manifest(path).extend_mode == mode
+
+
+def test_cli_parses_its_arguments_before_numpy_is_imported():
+    # `--threads` must set the BLAS thread variables before numpy reads them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from doss import cli; cli._build_parser().parse_args(['extend', "
+            "'--config', 'x', '--mode', 'ft_all_ones']); print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_unknown_extension_mode_fails_before_any_directory(tiny_manifest, tmp_path):
+    pipe = Pipeline(load_manifest(tiny_manifest), tmp_path / "o")
+    with pytest.raises(ConfigError, match="unknown extension mode 'bogus'"):
+        pipe.extend(mode="bogus")
+    assert not pipe.extend_dir("bogus").exists()
+
+
+def test_make_masks_has_no_disjoint_flag(tiny_manifest, tmp_path, monkeypatch, capsys):
+    # [masks] disjoint is the one switch, the one `doss run` reads
+    monkeypatch.setattr(Pipeline, "make_masks", lambda self: pytest.fail("a stage ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["make-masks", "--config", str(tiny_manifest), "--out", str(tmp_path / "o"),
+              "--disjoint"])
+    assert exc.value.code == 2
+    assert "--disjoint" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_cli_threads_below_one_is_a_usage_error(threads, tiny_manifest, tmp_path, monkeypatch,
                                                 capsys):
     # BLAS reads a count below 1 as no cap, so it must never be exported
-    for var in _THREAD_VARS:
+    for var in BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "8")
     monkeypatch.setattr(Pipeline, "pretrain", lambda self: pytest.fail("a stage ran"))
     with pytest.raises(SystemExit) as exc:
@@ -271,7 +319,7 @@ def test_cli_threads_below_one_is_a_usage_error(threads, tiny_manifest, tmp_path
               "--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    assert [os.environ[var] for var in _THREAD_VARS] == ["8"] * len(_THREAD_VARS)
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["8"] * len(BLAS_THREAD_VARS)
 
 
 def test_parallel_extension_shares_base_vocabulary(tmp_path):
@@ -612,10 +660,13 @@ def test_extend_report_scores_the_checkpoint_on_disk(tiny_run, tmp_path, monkeyp
 
 def test_disjoint_mask_stage_emits_zero_overlaps(tiny_run):
     man_path, pipe = tiny_run
+    disjoint = man_path.with_name("tiny_disjoint.ini")
+    disjoint.write_text(TINY.replace("[masks]\n", "[masks]\ndisjoint = true\n"))
     out2 = pipe.out.parent / "run_disjoint"
-    pipe2 = Pipeline(load_manifest(man_path), out2)
+    pipe2 = Pipeline(load_manifest(disjoint), out2)
+    assert pipe2.man.masks_disjoint
     pipe2.pretrain()
-    pipe2.make_masks(disjoint=True)
+    pipe2.make_masks()
     stats = (out2 / "mask_stats.csv").read_text().splitlines()
     header = stats[1].split(",")
     for line in stats[2:]:

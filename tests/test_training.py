@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doss import autograd as ag
+from doss import EXTENSION_MODES, autograd as ag
 from doss import training
 from doss.autograd import Tensor
-from doss.data import SyntheticTask, batch_iterator, gen_domain, make_batch
+from doss.data import MIXINGS, SyntheticTask, batch_iterator, gen_domain, make_batch
 from doss.errors import ConfigError, NumericsError
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, on_store, overlay
 from doss.model import (EOS_ID, PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, forward,
                         layout_views)
-from doss.training import (ExtensionMode, MetricsLog, OptimizerState, TrainConfig,
+from doss.training import (MetricsLog, OptimizerState, TrainConfig,
                            _train_step, adam_step, clip_by_global_norm, extend_domain,
                            lr_schedule, train_doss, train_full)
 from support import padded_forward, param_names, pool_size, random_mask
@@ -179,8 +179,17 @@ def test_train_config_validation():
         TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, epochs=2).validate()
     with pytest.raises(ConfigError):
         TrainConfig(-1e-3, 10, 64, 0.1, max_steps=5).validate()
-    with pytest.raises(ConfigError):
+
+
+def test_train_config_and_batch_iterator_take_the_same_mixing_names():
+    ds = gen_domain(SyntheticTask("copy", seed=1), 10, domain_id="A")
+    for name in MIXINGS:
+        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, mixing=name).validate()
+        assert next(batch_iterator([ds], name, 64, seed=0)).domain_id == "A"
+    with pytest.raises(ConfigError, match="unknown mixing strategy 'nope'"):
         TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, mixing="nope").validate()
+    with pytest.raises(ConfigError, match="unknown mixing strategy 'nope'"):
+        next(batch_iterator([ds], "nope", 64, seed=0))
 
 
 def _tiny_setup(seed=4):
@@ -463,7 +472,7 @@ def test_extend_disjoint_mask_and_preservation():
 
 def test_extend_ft_all_ones_records_full_mask():
     cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
-    lam2, ms2 = extend_domain(lam, lam0, masks, new_data, ExtensionMode.FT_ALL_ONES,
+    lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "ft_all_ones",
                               PruneSpec(0.6, 0.6), tcfg,
                               model_cfg=cfg)
     assert ms2.get("sort").popcount() == pool_size(layout)
@@ -491,6 +500,17 @@ def test_extend_unconstrained_trains_more_than_disjoint():
     _, ms_dis = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
                               spec, tcfg, model_cfg=cfg, mask_cfg=mask_cfg)
     assert ms_dis.get("sort").popcount() < ms_unc.get("sort").popcount()
+
+
+def test_extend_takes_exactly_the_extension_modes():
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, mask_cfg = _extension_setup()
+    for mode in EXTENSION_MODES:  # a known mode gets as far as the duplicate-domain check
+        with pytest.raises(ConfigError, match="already has a mask"):
+            extend_domain(lam, lam0, masks, datasets[0], mode, PruneSpec(0.6, 0.6), tcfg,
+                          model_cfg=cfg, mask_cfg=mask_cfg, existing_data=datasets)
+    with pytest.raises(ConfigError, match="unknown extension mode 'bogus'"):
+        extend_domain(lam, lam0, masks, new_data, "bogus", PruneSpec(0.6, 0.6), tcfg,
+                      model_cfg=cfg, mask_cfg=mask_cfg, existing_data=datasets)
 
 
 def test_extend_rejects_duplicate_domain():
