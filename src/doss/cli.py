@@ -1,5 +1,4 @@
-"""Experiment command line: pretrain | make-masks | train-doss | finetune |
-extend | eval | sweep | run.
+"""Experiment command line: a subcommand per stage of doss.STAGES, and run.
 
 Every stage writes its artifacts plus a `<artifact>.meta` sidecar holding the
 producing config hash, the stage seed, and the artifact's sha256. A stage is
@@ -22,13 +21,10 @@ import logging
 import os
 from pathlib import Path
 
-from . import BLAS_THREAD_VARS, EXTENSION_MODES
+from . import BLAS_THREAD_VARS, EXTENSION_MODES, STAGES
 from .errors import ConfigError, DossError
 
 log = logging.getLogger("doss")
-
-# `doss run`'s stages in their default order; `--stages` may also name sweep
-RUN_STAGES = ("pretrain", "make_masks", "train_doss", "finetune", "extend", "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +178,20 @@ class Pipeline:
 
     # -- caching -----------------------------------------------------------
 
-    def _upstream(self, *roles: str) -> dict:
-        """sha256 of upstream artifacts by role."""
-        files = {"base": [self.base_ckpt], "doss": [self.doss_ckpt],
-                 "masks": [self.mask_path(d.name) for d in self.man.domains],
-                 "fts": [self.ft_ckpt(n) for n in self.ft_names]}
-        return {r: [_sha256_file(f) for f in files[r]] for r in roles}
-
     def _cached(self, stage: str, artifacts: list[Path], compute, **inputs) -> bool:
         """Run `compute(key)` unless every artifact is valid for the stage
-        key, then stamp each artifact's sidecar. True when it ran. `inputs`
-        are the configs and upstream artifact hashes the stage body reads;
-        the sidecar seed is that of the `train` config, else the global one."""
+        key, then stamp each artifact's sidecar. True when it ran. The key
+        covers `inputs`, the configs the stage body reads, and the sha256 of
+        the stage's upstream artifacts by role; the sidecar seed is that of
+        the `train` config, else the global one."""
         man = self.man
+        files = {"base": [self.base_ckpt], "doss": [self.doss_ckpt],
+                 "masks": [self.mask_path(d.name) for d in man.domains],
+                 "fts": [self.ft_ckpt(n) for n in self.ft_names]}
         payload = {"stage": stage, "code": _code_fingerprint(), "seed": man.seed,
                    "model": man.model, "domains": [_domain_input(d) for d in man.domains],
-                   **inputs}
+                   **inputs, **{role: [_sha256_file(f) for f in files[role]]
+                                for role in STAGES[stage].upstream}}
         text = json.dumps(payload, sort_keys=True, default=dataclasses.asdict)
         key = hashlib.sha256(text.encode()).hexdigest()[:16]
         if all(artifact_valid(a, key) for a in artifacts):
@@ -230,27 +224,40 @@ class Pipeline:
         return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute,
                             train=man.train["pretrain"])
 
-    def make_masks(self) -> bool:
-        from .masks import MaskSet, create_domain_mask, overlap_stats, save_mask
+    def _domain_masks(self, lam0, spec, finetuned: dict):
+        """One mask per base domain, in manifest order: its mask finetune of
+        `lam0` (kept in `finetuned` by domain) pruned by `spec`, less the ones
+        of the masks before it under [masks] disjoint."""
+        from . import training
+        from .masks import MaskSet, magnitude_prune_disjoint
 
         man = self.man
-        disjoint = man.masks_disjoint
+        built = MaskSet([])
+        for ds in self.train_sets():
+            if ds.domain_id not in finetuned:
+                log.info("mask finetune: domain %s", ds.domain_id)
+                finetuned[ds.domain_id] = training.train_full(
+                    lam0, ds, man.train["masks"], man.model)
+            claimed = built if man.masks_disjoint else MaskSet([])
+            built = built.plus(magnitude_prune_disjoint(finetuned[ds.domain_id], lam0.layout,
+                                                        spec, claimed, ds.domain_id))
+        return built
+
+    def make_masks(self) -> bool:
+        from .masks import overlap_stats, save_mask
+
+        man = self.man
         stats_path = self.out / "mask_stats.csv"
 
         def compute(key):
-            lam0 = self.load_base()
-            built = MaskSet([])
-            for spec, ds in zip(man.domains, self.train_sets()):
-                log.info("make_masks: domain %s%s", spec.name, " (disjoint)" if disjoint else "")
-                mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], man.model,
-                                          disjoint_against=built if disjoint else None)
-                built = built.plus(mask)
-                save_mask(mask, self.mask_path(spec.name))
+            built = self._domain_masks(self.load_base(), man.prune, {})
+            for mask in built:
+                save_mask(mask, self.mask_path(mask.domain_id))
             write_keyed(stats_path, key, "\n".join(overlap_stats(built).to_lines()) + "\n")
 
         arts = [self.mask_path(d.name) for d in man.domains] + [stats_path]
         return self._cached("make_masks", arts, compute, train=man.train["masks"],
-                            prune=man.prune, disjoint=disjoint, **self._upstream("base"))
+                            prune=man.prune, disjoint=man.masks_disjoint)
 
     def train_doss(self) -> bool:
         from .model import save_checkpoint
@@ -268,7 +275,7 @@ class Pipeline:
             mlog.write_csv(metrics)
 
         return self._cached("train_doss", [self.doss_ckpt, metrics], compute,
-                            train=man.train["doss"], **self._upstream("base", "masks"))
+                            train=man.train["doss"])
 
     def finetune(self) -> bool:
         from .model import save_checkpoint
@@ -288,8 +295,7 @@ class Pipeline:
 
         arts = [self.ft_ckpt(name) for name in self.ft_names]
         arts += [self.out / f"ft_{name}_metrics.csv" for name in self.ft_names]
-        return self._cached("finetune", arts, compute, train=man.train["finetune"],
-                            **self._upstream("base"))
+        return self._cached("finetune", arts, compute, train=man.train["finetune"])
 
     def extend(self, mode: str | None = None, steps: int | None = None) -> bool:
         from .evaluation import Variant, eval_matrix
@@ -359,7 +365,7 @@ class Pipeline:
         return self._cached(
             "extend", arts, compute, train=cfg, mode=mode, prune=man.extend_prune,
             mask_cfg=man.train["extend_mask"], extension=_domain_input(man.extension),
-            eval=(man.eval_max_len, man.eval_batch), **self._upstream("base", "doss", "masks"))
+            eval=(man.eval_max_len, man.eval_batch))
 
     def evaluate(self) -> bool:
         from .evaluation import Variant, eval_matrix
@@ -386,13 +392,12 @@ class Pipeline:
             write_keyed(report_csv, key, report.to_csv())
 
         return self._cached("eval", [report_md, report_csv], compute,
-                            eval=(man.eval_max_len, man.eval_batch),
-                            **self._upstream("base", "doss", "fts", "masks"))
+                            eval=(man.eval_max_len, man.eval_batch))
 
     def sweep(self) -> bool:
         from . import training
         from .evaluation import Variant, eval_matrix
-        from .masks import MaskSet, PruneSpec, magnitude_prune
+        from .masks import PruneSpec
 
         man = self.man
         if not man.sweep_alphas or not man.sweep_betas:
@@ -406,62 +411,48 @@ class Pipeline:
             lam0 = self.load_base()
             domain_ids = [d.name for d in man.domains]
             finetuned = {}  # domain -> its mask finetune, shared by every grid point
-            rows = []
+            lines = [",".join(["alpha", "beta", "status", *(f"bleu_{d}" for d in domain_ids),
+                               *(f"em_{d}" for d in domain_ids), "avg_bleu", "avg_em"])]
+            ran = []  # (alpha, beta, avg_bleu) of each point that ran
             for alpha, beta in grid:
                 log.info("sweep: alpha=%s beta=%s", alpha, beta)
                 try:
-                    spec = PruneSpec(alpha, beta)
-                    for ds in self.train_sets():
-                        if ds.domain_id not in finetuned:
-                            finetuned[ds.domain_id] = training.train_full(
-                                lam0, ds, man.train["masks"], man.model)
-                    masks = MaskSet([magnitude_prune(finetuned[ds.domain_id], lam0.layout,
-                                                     spec, ds.domain_id)
-                                     for ds in self.train_sets()])
+                    masks = self._domain_masks(lam0, PruneSpec(alpha, beta), finetuned)
                     lam = training.train_doss(lam0, masks, self.train_sets(), doss_cfg,
                                               man.model)
                     rep = eval_matrix([Variant("doss", lam, base=lam0, masks=masks)],
                                       self.eval_sets(), man.model,
                                       man.eval_max_len, man.eval_batch)
                     avg_bleu, avg_em = rep.averages("doss")
+                    ran.append((alpha, beta, avg_bleu))
                     cells = [rep.cell("doss", d) for d in domain_ids]
-                    rows.append((alpha, beta, "ok",
-                                 [c.bleu for c in cells], [c.exact_match for c in cells],
-                                 avg_bleu, avg_em))
+                    scores = [c.bleu for c in cells] + [c.exact_match for c in cells]
+                    cols = ["ok", *(f"{x!r}" for x in scores + [avg_bleu, avg_em])]
                 except DossError as exc:  # keep the rest of the grid running
                     log.warning("sweep point (%s, %s) failed: %s", alpha, beta, exc)
-                    rows.append((alpha, beta, "failed", [], [], float("nan"), float("nan")))
-            header = ["alpha", "beta", "status"]
-            header += [f"bleu_{d}" for d in domain_ids] + [f"em_{d}" for d in domain_ids]
-            header += ["avg_bleu", "avg_em"]
-            lines = [",".join(header)]
-            for alpha, beta, status, bleus, ems, avg_bleu, avg_em in rows:
-                bleu_cols = [f"{x!r}" for x in bleus] or [""] * len(domain_ids)
-                em_cols = [f"{x!r}" for x in ems] or [""] * len(domain_ids)
-                lines.append(",".join([f"{alpha!r}", f"{beta!r}", status]
-                                      + bleu_cols + em_cols + [f"{avg_bleu!r}", f"{avg_em!r}"]))
+                    cols = ["failed"] + [""] * (2 * len(domain_ids)) + ["nan", "nan"]
+                lines.append(",".join([f"{alpha!r}", f"{beta!r}", *cols]))
             write_keyed(sweep_csv, key, "\n".join(lines) + "\n")
-            ok_rows = [r for r in rows if r[2] == "ok"]
-            corr_lines = ["coefficient,value"]
-            corr_lines.append(f"rho_alpha,{sweep_correlation([(r[0], r[5]) for r in ok_rows])!r}")
-            corr_lines.append(f"rho_beta,{sweep_correlation([(r[1], r[5]) for r in ok_rows])!r}")
-            write_keyed(corr_csv, key, "\n".join(corr_lines) + "\n")
+            rho = [sweep_correlation([(r[axis], r[2]) for r in ran]) for axis in (0, 1)]
+            write_keyed(corr_csv, key, f"coefficient,value\nrho_alpha,{rho[0]!r}\n"
+                                       f"rho_beta,{rho[1]!r}\n")
 
         return self._cached(
             "sweep", [sweep_csv, corr_csv], compute, grid=grid, doss_cfg=doss_cfg,
-            mask_cfg=man.train["masks"], eval=(man.eval_max_len, man.eval_batch),
-            **self._upstream("base"))
+            mask_cfg=man.train["masks"], disjoint=man.masks_disjoint,
+            eval=(man.eval_max_len, man.eval_batch))
 
     def run(self, stages: list[str] | None = None) -> None:
-        """Run `stages` in order; by default every stage of RUN_STAGES, but
-        extend only when the manifest has an extension domain."""
+        """Run `stages` in the pipeline's order; by default every stage a plain
+        run includes, but extend only when the manifest has an extension domain."""
         if stages is None:
-            stages = list(RUN_STAGES)
+            stages = [s.name for s in STAGES.values() if s.default]
             if self.man.extension is None:
                 log.info("run: no extension domain configured, skipping extend")
                 stages.remove("extend")
-        for stage in stages:
-            getattr(self, stage if stage != "eval" else "evaluate")()
+        for stage in STAGES.values():
+            if stage.name in stages:
+                getattr(self, stage.method)()
 
 
 def sweep_correlation(points) -> float:
@@ -489,30 +480,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Domain-specific sub-network experiments on synthetic "
                     "sequence transduction benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="manifest path")
-        p.add_argument("--out", help="output directory (overrides [meta] out)")
-        p.add_argument("--seed", type=int, help="override the global seed")
-        p.add_argument("--threads", type=int, help="cap BLAS thread pools")
-
-    common(sub.add_parser("pretrain", help="train the base model"))
-    common(sub.add_parser("make-masks", help="create one mask per domain "
-                                             "(disjoint ones under [masks] disjoint)"))
-    common(sub.add_parser("train-doss", help="structure-aware joint training"))
-    common(sub.add_parser("finetune", help="per-domain and all-domain baselines"))
-    p = sub.add_parser("extend", help="adapt the trained model to a new domain")
-    common(p)
-    p.add_argument("--mode", choices=EXTENSION_MODES,
-                   help="extension protocol (default: manifest [extend] mode)")
-    p.add_argument("--steps", type=int, help="override extension training steps")
-    common(sub.add_parser("eval", help="score all variants on all domains"))
-    common(sub.add_parser("sweep", help="grid over prune fractions"))
-    p = sub.add_parser("run", help="execute the full pipeline with caching")
-    common(p)
-    p.add_argument("--stages", nargs="+",
-                   choices=RUN_STAGES + ("sweep",),
-                   help="run a subset of stages in order")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="manifest path")
+    common.add_argument("--out", help="output directory (overrides [meta] out)")
+    common.add_argument("--seed", type=int, help="override the global seed")
+    common.add_argument("--threads", type=int, help="cap BLAS thread pools")
+    for stage in STAGES.values():
+        p = sub.add_parser(stage.name.replace("_", "-"), parents=[common], help=stage.help)
+        p.set_defaults(stages=[stage.name])
+        if stage.name == "extend":
+            p.add_argument("--mode", choices=EXTENSION_MODES,
+                           help="extension protocol (default: manifest [extend] mode)")
+            p.add_argument("--steps", type=int, help="override extension training steps")
+    p = sub.add_parser("run", parents=[common], help="execute the full pipeline with caching")
+    p.add_argument("--stages", nargs="+", choices=list(STAGES),
+                   help="run a subset of stages, in pipeline order")
     return parser
 
 
@@ -538,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "extend":
             pipe.extend(mode=args.mode, steps=args.steps)
         else:
-            pipe.run(args.stages if args.command == "run" else [args.command.replace("-", "_")])
+            pipe.run(args.stages)
     except DossError as exc:
         log.error("%s", exc)
         return 2

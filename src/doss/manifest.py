@@ -14,7 +14,7 @@ import configparser
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import EXTENSION_MODES
+from . import EXTENSION_MODES, STAGES
 from .autograd import derive_seed
 from .data import DomainDataset, FilterSpec, SyntheticTask, N_RESERVED, gen_domain
 from .errors import ConfigError
@@ -60,7 +60,7 @@ class Manifest:
     extension: DomainSpec | None
     extend_mode: str
     extend_prune: PruneSpec
-    # pretrain / masks / doss / finetune / extend, and extend_mask: the
+    # each stage's train section (see doss.STAGES), and extend_mask: the
     # extension mask's finetune, [masks] trained [extend] ft_epochs epochs
     train: dict[str, TrainConfig]
     sweep_alphas: list[float]
@@ -71,11 +71,6 @@ class Manifest:
 
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.seed, stage) % (2 ** 31)
-
-
-# pipeline stage -> its [section] and key in Manifest.train, seeded by the stage
-_STAGE_TRAIN = {"pretrain": "pretrain", "make_masks": "masks", "train_doss": "doss",
-                "finetune": "finetune", "extend": "extend"}
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +121,7 @@ _SCHEMA = {
 }
 
 # the sections a manifest may hold besides [domain <name>] and [extension <name>]
-_SECTIONS = {"meta", "model", "sweep", "eval", *_STAGE_TRAIN.values()}
+_SECTIONS = {"meta", "model", "sweep", "eval", *(s.train for s in STAGES.values() if s.train)}
 
 _TRAIN_DEFAULTS = {"batch_tokens": 256, "mixing": "round_robin"}
 
@@ -266,8 +261,8 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         train={}, sweep_alphas=sweep["alphas"], sweep_betas=sweep["betas"],
         sweep_steps=sweep["steps"], eval_max_len=evals["max_decode_len"],
         eval_batch=evals["batch_size"])
-    for stage, name in _STAGE_TRAIN.items():
-        man.train[name] = _train_config(name, sections[name], man.stage_seed(stage))
+    man.train = {s.train: _train_config(s.train, sections[s.train], man.stage_seed(s.name))
+                 for s in STAGES.values() if s.train}
     man.train["extend_mask"] = _train_config("extend", {**masks, "ft_epochs": extend["ft_epochs"]},
-                                             man.stage_seed("make_masks"))
+                                             man.train["masks"].seed)
     return man

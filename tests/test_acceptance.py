@@ -178,7 +178,7 @@ def test_criterion_3_disjointness(trained):
     assert all(0.0 < jac < 1.0 for _, jac in off_diag)
     report(3, True, f"3 disjoint masks: all pairwise intersections 0; unconstrained "
                     f"overlaps nonzero with jaccard "
-                    f"{[round(j, 3) for _, j in off_diag]} (each strictly < 1)")
+                    f"{[round(float(j), 3) for _, j in off_diag]} (each strictly < 1)")
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ step, from the token array passed as the fifth argument of
 `evaluation.decode_logits`. A rename, or a train loop that
 pulls batches some other way, breaks only the traced benchmark run, so it is
 pinned here. So are the calls benchmarks/workloads.py makes outside the probe:
-its manifests, `build_model`'s (store, layout) pair and `magnitude_prune`.
+its manifests, `build_model`'s (store, layout) pair and `magnitude_prune`, and
+spans.py's copy of the stage table's method names.
 """
 
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from doss import evaluation, training
+from doss import STAGES, evaluation, training
 from doss.data import SyntheticTask, epoch_batches, gen_domain
 from doss.manifest import load_manifest
 from doss.masks import MaskSet, full_mask, on_store
@@ -92,6 +93,12 @@ def test_probe_counts_one_decoder_position_per_row_and_step():
     assert len(set(ends)) == 3
     assert probe.counts["decoder_positions"] == sum(
         max(sum(end >= step for end in ends), 2) for step in range(1, steps + 1))
+
+
+def test_benchmark_stage_methods_match_the_stage_table():
+    # the benchmark keeps its own copy of the stage -> cli.Pipeline method map
+    expected = {s.name: s.method for s in STAGES.values() if s.default}
+    assert _load_spans().STAGE_METHODS == expected
 
 
 def test_workloads_untraced_api_on_a_tiny_store(monkeypatch, tmp_path):

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doss import BLAS_THREAD_VARS, EXTENSION_MODES, cli, evaluation, masks, training
+from doss import BLAS_THREAD_VARS, EXTENSION_MODES, STAGES, cli, evaluation, masks, training
 from doss.cli import Pipeline, artifact_valid, main, sweep_correlation, write_meta
 from doss.errors import ConfigError, FormatError, NumericsError, RegistryMismatchError
 from doss.evaluation import decode_dataset, trim_eos
 from doss.manifest import load_manifest
+from doss.masks import overlap_stats
 from doss.model import load_checkpoint
 
 TINY = """
@@ -115,6 +116,18 @@ def test_manifest_stage_seeds_stable(tiny_manifest):
     for stage in ("pretrain", "train_doss", "eval"):
         assert a.stage_seed(stage) == b.stage_seed(stage)
     assert a.stage_seed("pretrain") != a.stage_seed("train_doss")
+
+
+def test_each_train_section_is_seeded_by_its_stage(tiny_manifest):
+    # a mis-paired row of the stage table would change every bit of a stage
+    man = load_manifest(tiny_manifest)
+    pairs = {"pretrain": "pretrain", "masks": "make_masks", "doss": "train_doss",
+             "finetune": "finetune", "extend": "extend"}
+    assert {s.train: s.name for s in STAGES.values() if s.train} == pairs
+    for section, stage in pairs.items():
+        assert man.train[section].seed == man.stage_seed(stage), section
+    # the extension mask's finetune is a [masks] finetune, with its seed
+    assert man.train["extend_mask"].seed == man.stage_seed("make_masks")
 
 
 def test_manifest_stage_keys_depend_on_seed(tiny_manifest, tmp_path):
@@ -516,6 +529,7 @@ def test_edited_registry_record_fails_make_masks(tiny_run, tmp_path, caplog, edi
 
 @pytest.mark.parametrize("edit,stage", [
     (("[doss]", "[doss]\nlearning_rate = 5e-3"), "sweep"),
+    (("[masks]", "[masks]\ndisjoint = true"), "sweep"),
     (("[masks]", "[masks]\nlearning_rate = 5e-3"), "sweep"),
     (("max_decode_len = 7", "max_decode_len = 3"), "extend"),
     (("max_decode_len = 7", "max_decode_len = 3"), "sweep"),
@@ -599,16 +613,23 @@ def test_run_skips_extend_only_in_its_default_stages(tmp_path, monkeypatch):
     path = tmp_path / "no_ext.ini"
     path.write_text(text.replace("domain = sort\n", ""), encoding="utf-8")
     ran = []
-    for stage in cli.RUN_STAGES:
-        if stage != "extend":
-            method = "evaluate" if stage == "eval" else stage
-            monkeypatch.setattr(Pipeline, method, lambda self, s=stage: ran.append(s))
+    for stage in STAGES.values():
+        if stage.name != "extend":
+            monkeypatch.setattr(Pipeline, stage.method, lambda self, s=stage.name: ran.append(s))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert ran == ["pretrain", "make_masks", "train_doss", "finetune", "eval"]
     for argv in (["run", "--stages", "extend"], ["extend"]):
         assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
     assert not list(out.glob("extend_*"))
+
+
+def test_run_stages_run_in_pipeline_order(tiny_manifest, tmp_path):
+    # finetune loads the base model, so it can only run after pretrain
+    out = tmp_path / "out"
+    argv = ["run", "--stages", "finetune", "pretrain", "--config", str(tiny_manifest)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert (out / "base.ckpt").exists() and (out / "ft_all.ckpt").exists()
 
 
 def test_ft_all_ones_preservation_diff_matches_fresh_decodes(tiny_run, tmp_path, monkeypatch):
@@ -725,6 +746,32 @@ def test_sweep_finetunes_each_domain_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["copy", "reverse"]
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[2:]
     assert [r.split(",")[2] for r in rows] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("disjoint", ["false", "true"])
+def test_sweep_at_the_masks_fractions_trains_the_masks_make_masks_writes(tmp_path, monkeypatch,
+                                                                         disjoint):
+    text = (TINY.replace("alphas = 0.5", "alphas = 0.6").replace("betas = 0.5", "betas = 0.6")
+            .replace("steps = 10", "steps = 2")
+            .replace("[masks]\n", f"[masks]\ndisjoint = {disjoint}\n"))
+    man_path = tmp_path / "m.ini"
+    man_path.write_text(text, encoding="utf-8")
+    pipe = Pipeline(load_manifest(man_path), tmp_path / "out")
+    assert (pipe.man.prune.alpha, pipe.man.prune.beta) == (0.6, 0.6)
+    pipe.pretrain()
+    pipe.make_masks()
+    trained = []
+    train_doss = training.train_doss
+
+    def spy(lam0, maskset, *args, **kwargs):
+        trained.append(maskset)
+        return train_doss(lam0, maskset, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_doss", spy)
+    assert pipe.sweep() is True
+    [swept] = trained
+    assert list(swept) == list(pipe.load_masks())
+    assert (overlap_stats(swept).shared_ones[0, 1] == 0) == (disjoint == "true")
 
 
 def test_sweep_rows_sorted_by_alpha_beta(tmp_path):
