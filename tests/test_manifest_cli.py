@@ -529,10 +529,10 @@ def test_edited_registry_record_fails_make_masks(tiny_run, tmp_path, caplog, edi
 
 @pytest.mark.parametrize("edit,stage", [
     (("[doss]", "[doss]\nlearning_rate = 5e-3"), "sweep"),
-    (("[masks]", "[masks]\ndisjoint = true"), "sweep"),
     (("[masks]", "[masks]\nlearning_rate = 5e-3"), "sweep"),
     (("max_decode_len = 7", "max_decode_len = 3"), "extend"),
     (("max_decode_len = 7", "max_decode_len = 3"), "sweep"),
+    (("[masks]", "[masks]\ndisjoint = true"), "sweep"),
 ])
 def test_config_a_stage_reads_reruns_it(tiny_run, tmp_path, edit, stage):
     man_path, pipe = tiny_run
