@@ -278,48 +278,37 @@ def blas_threads() -> int:
 
 
 def decode_dataset(effective: ParamStore, model_cfg: ModelConfig, ds: DomainDataset,
-                   max_len: int, batch_size: int = 64) -> list[list[int]]:
+                   max_len: int, batch_size: int = 64, *,
+                   deal: _Deal | None = None) -> list[list[int]]:
     """Greedy-decode every source in dataset order with a fixed batch split.
 
-    P = min(usable_cpus() // blas_threads(), batch count) participants
-    share the batches, so that P processes of blas_threads() BLAS threads
-    each fit on the CPUs: batch i goes to participant i mod P, where 0 is the
-    caller and the others are worker processes that outlive the call
-    (`_decoders`). Each decodes whole batches with `greedy_decode` and the
-    results merge in batch order, so the hypotheses have the same bits for
-    every P. A set of one batch, or a process whose BLAS may use every CPU,
-    starts no worker. Each participant stops at its first failing batch, and
-    the error of the lowest failing batch is raised, as by one loop over the
-    batches, with a note naming that batch and the process that decoded it;
-    a worker that dies raises WorkerError.
+    The batches are dealt as a one-cell matrix (`_Deal`): P =
+    min(usable_cpus() // blas_threads(), batch count) participants, so that
+    P processes of blas_threads() BLAS threads each fit on the CPUs, and
+    batch i goes to participant i mod P, where 0 is the caller and the
+    others are worker processes that outlive the call (`_decoders`). Each
+    decodes whole batches with `greedy_decode` and the results merge in
+    batch order, so the hypotheses have the same bits for every P. A set of
+    one batch, or a process whose BLAS may use every CPU, starts no worker.
+    Each participant stops at its first failing batch, and the error of the
+    lowest failing batch is raised, as by one loop over the batches, with a
+    note naming that batch and the process that decoded it; a worker that
+    dies raises WorkerError.
+
+    With `deal`, a matrix that `eval_matrix` has dealt, the call merges the
+    deal's next cell instead, which must be `effective` on `ds`.
     """
+    if deal is None:
+        deal = _Deal([(effective, ds, _batches(ds, batch_size))], model_cfg, max_len)
+    return deal.merge(effective, ds)
+
+
+def _batches(ds: DomainDataset, batch_size: int) -> list[np.ndarray]:
+    """The padded sources of `ds`, in dataset order, `batch_size` to a batch."""
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
-    batches = [pad_sources(ds.pairs[ofs:ofs + batch_size])
-               for ofs in range(0, ds.size, batch_size)]
-    n = max(1, min(usable_cpus() // blas_threads(), len(batches)))
-    workers = _decoders(n - 1)
-    try:
-        for k, worker in enumerate(workers, 1):
-            worker.send((effective.layout, effective.vector, model_cfg, max_len,
-                         batches[k::n]))
-        shares = [_decode_share(effective, model_cfg, batches[::n], max_len)]
-        shares += [worker.receive() for worker in workers]
-    except BaseException:
-        close_decoders()  # a worker may still owe a reply
-        raise
-    decoded: list = [None] * len(batches)
-    failures = []
-    for k, (done, exc) in enumerate(shares):
-        decoded[k:k + n * len(done):n] = done
-        if exc is not None:
-            failures.append((k + n * len(done), k, exc))
-    if failures:
-        batch, k, exc = min(failures, key=lambda f: f[0])
-        where = f"decode worker {workers[k - 1].proc.pid}" if k else "the calling process"
-        exc.add_note(f"decode_dataset: batch {batch} of {len(batches)}, decoded in {where}")
-        raise exc
-    return [h for hyps in decoded for h in hyps]
+    return [pad_sources(ds.pairs[ofs:ofs + batch_size])
+            for ofs in range(0, ds.size, batch_size)]
 
 
 def _decode_share(effective: ParamStore, model_cfg: ModelConfig, batches: list,
@@ -335,6 +324,76 @@ def _decode_share(effective: ParamStore, model_cfg: ModelConfig, batches: list,
     return done, None
 
 
+class _Deal:
+    """An evaluation matrix dealt to the caller and the decode workers:
+    `cells` are (effective store, eval set, its batches) in grid order, and
+    batch j of their flat list goes to participant j mod P (P as in
+    `decode_dataset`). Each worker is sent one task, its batches of every
+    cell with each cell's parameter vector (pickle's memo writes an array
+    that several cells share once), and replies once per cell, so it decodes
+    the next cell while the caller merges this one (`merge`). Every write
+    comes before the first reply is owed, so no reply size can block the
+    pipes; replies still owed when the deal is given up (`abandon`) would
+    reach the next deal, so then the workers are closed.
+    """
+
+    def __init__(self, cells: list, model_cfg: ModelConfig, max_len: int):
+        self.cells, self.model_cfg, self.max_len = cells, model_cfg, max_len
+        self.offsets = list(itertools.accumulate((len(b) for *_, b in cells), initial=0))
+        self.n = max(1, min(usable_cpus() // blas_threads(), self.offsets[-1]))
+        self.workers = _decoders(self.n - 1)
+        self.merged = 0  # the cells whose every reply has been read
+        try:
+            for k, worker in enumerate(self.workers, 1):
+                worker.send((model_cfg, max_len,
+                             [(store.layout, store.vector, self.share(c, k))
+                              for c, (store, *_) in enumerate(cells)]))
+        except BaseException:
+            close_decoders()  # a worker may hold part of a task
+            raise
+
+    def first(self, c: int, k: int) -> int:
+        """The first batch of cell `c` that participant `k` decodes."""
+        return (k - self.offsets[c]) % self.n
+
+    def share(self, c: int, k: int) -> list[np.ndarray]:
+        return self.cells[c][2][self.first(c, k)::self.n]
+
+    def merge(self, effective: ParamStore, ds: DomainDataset) -> list[list[int]]:
+        """The hypotheses of the next cell, which must be `effective` on `ds`:
+        the caller decodes its batches, then reads each worker's reply."""
+        c = self.merged
+        store, eval_set, batches = self.cells[c]
+        try:
+            if store is not effective or eval_set is not ds:
+                raise DossError("decode_dataset: the deal's next cell is another store or set")
+            shares = [_decode_share(store, self.model_cfg, self.share(c, 0), self.max_len)]
+            shares += [worker.receive() for worker in self.workers]
+        except BaseException:
+            close_decoders()  # a worker may still owe a reply
+            raise
+        self.merged += 1
+        decoded: list = [None] * len(batches)
+        failures = []
+        for k, (done, exc) in enumerate(shares):
+            first = self.first(c, k)
+            decoded[first:first + self.n * len(done):self.n] = done
+            if exc is not None:
+                failures.append((first + self.n * len(done), k, exc))
+        if failures:
+            batch, k, exc = min(failures, key=lambda f: f[0])
+            where = (f"decode worker {self.workers[k - 1].proc.pid}" if k
+                     else "the calling process")
+            exc.add_note(f"decode_dataset: batch {batch} of {len(batches)}, decoded in {where}")
+            raise exc
+        return [h for hyps in decoded for h in hyps]
+
+    def abandon(self) -> None:
+        """Close the workers if they still owe a reply for a cell."""
+        if self.workers and self.merged < len(self.cells):
+            close_decoders()
+
+
 # A worker is a new interpreter, not a fork: it imports this package afresh
 # from the caller's source tree, so nothing set in the caller's memory (a
 # patched function included) reaches its decodes. It inherits the caller's
@@ -345,8 +404,8 @@ _DECODERS: list["_Decoder"] = []  # this process's decode workers, started on de
 
 
 class _Decoder:
-    """A decode worker process (`_serve`): one pickled task in on its stdin,
-    one pickled reply out on its stdout."""
+    """A decode worker process (`_serve`): one pickled task per matrix in on
+    its stdin, one pickled reply per cell out on its stdout."""
 
     def __init__(self):
         import subprocess
@@ -396,28 +455,31 @@ atexit.register(close_decoders)
 
 
 def _serve() -> None:
-    """A decode worker's loop: decode each task's batches with `_decode_share`
-    and reply with its result, until stdin ends or a reply cannot be sent."""
+    """A decode worker's loop: for each task, decode its batches of every
+    cell with `_decode_share` and reply with each cell's result in turn,
+    until stdin ends or a reply cannot be sent."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when a worker stops
     tasks, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
     while True:
         try:
-            layout, vector, model_cfg, max_len, batches = pickle.load(tasks)
+            model_cfg, max_len, cells = pickle.load(tasks)
         except (EOFError, pickle.UnpicklingError):
             return
-        effective = ParamStore({n: ag.Tensor(v) for n, v in layout_views(vector, layout).items()})
-        reply = _decode_share(effective, model_cfg, batches, max_len)
-        if reply[1] is not None:  # a pickled error loses its traceback; keep it as text
-            reply[1].add_note("worker traceback (most recent call last):\n"
-                              + "".join(traceback.format_tb(reply[1].__traceback__)).rstrip())
-        try:
-            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-            replies.flush()
-        except BrokenPipeError:  # the caller is gone; drop the unsent reply
-            with contextlib.suppress(OSError):
-                replies.close()
-            return
+        for layout, vector, batches in cells:
+            effective = ParamStore({n: ag.Tensor(v)
+                                    for n, v in layout_views(vector, layout).items()})
+            reply = _decode_share(effective, model_cfg, batches, max_len)
+            if reply[1] is not None:  # a pickled error loses its traceback; keep it as text
+                reply[1].add_note("worker traceback (most recent call last):\n"
+                                  + "".join(traceback.format_tb(reply[1].__traceback__)).rstrip())
+            try:
+                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                replies.flush()
+            except BrokenPipeError:  # the caller is gone; drop the unsent reply
+                with contextlib.suppress(OSError):
+                    replies.close()
+                return
 
 
 def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig,
@@ -426,31 +488,54 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
 
     Sub-network variants are evaluated through overlay with that domain's
     mask; a missing mask is an error. Each domain's eos-trimmed references
-    are built once, for every variant.
+    and batches are built once, for every variant.
+
+    The whole matrix is one deal (`_Deal`): every cell's batches, variants
+    then domains then batches, form one flat list dealt round-robin as by
+    `decode_dataset`, with P capped by the matrix's batch count, so a matrix
+    of one batch starts no worker. Each worker gets one message per matrix,
+    holding each distinct parameter vector once, and replies once per cell;
+    `decode_dataset` is called once per cell, in grid order, to merge it.
+    The error of the lowest failing (cell, batch) is raised, with a note
+    naming the cell.
     """
     refs = [[trim_eos(t) for _, t in ds.pairs] for ds in eval_sets]
+    batches = [_batches(ds, batch_size) for ds in eval_sets]
+    grid = [(v, [_effective(v, ds) for ds in eval_sets]) for v in variants]
+    deal = _Deal([cell for _, stores in grid for cell in zip(stores, eval_sets, batches)],
+                 model_cfg, max_len)
     rows = []
-    for v in variants:
-        cells: dict[str, EvalCell] = {}
-        for ds, ds_refs in zip(eval_sets, refs):
-            if v.masks is not None:
-                if v.base is None:
-                    raise DossError(f"variant {v.name!r} has masks but no base store")
+    try:
+        for v, stores in grid:
+            cells: dict[str, EvalCell] = {}
+            for ds, ds_refs, effective in zip(eval_sets, refs, stores):
                 try:
-                    mask = v.masks.get(ds.domain_id)
-                except KeyError as exc:
-                    raise DossError(
-                        f"variant {v.name!r} has no mask for domain {ds.domain_id!r}") from exc
-                effective = overlay(v.base, v.params, mask)
-            else:
-                effective = v.params
-            hyps = [trim_eos(h) for h in
-                    decode_dataset(effective, model_cfg, ds, max_len, batch_size)]
-            cells[ds.domain_id] = EvalCell(
-                bleu=corpus_bleu(hyps, ds_refs),
-                exact_match=exact_match(hyps, ds_refs),
-                n_sentences=ds.size,
-                hyps=hyps,
-            )
-        rows.append((v.name, cells, v.trainable))
+                    hyps = [trim_eos(h) for h in decode_dataset(
+                        effective, model_cfg, ds, max_len, batch_size, deal=deal)]
+                except Exception as exc:
+                    exc.add_note(f"eval_matrix: variant {v.name!r}, domain {ds.domain_id!r}")
+                    raise
+                cells[ds.domain_id] = EvalCell(
+                    bleu=corpus_bleu(hyps, ds_refs),
+                    exact_match=exact_match(hyps, ds_refs),
+                    n_sentences=ds.size,
+                    hyps=hyps,
+                )
+            rows.append((v.name, cells, v.trainable))
+    finally:
+        deal.abandon()
     return EvalReport([ds.domain_id for ds in eval_sets], rows)
+
+
+def _effective(v: Variant, ds: DomainDataset) -> ParamStore:
+    """The parameters `v` decodes `ds` with: the overlay through the mask of
+    `ds`'s domain for a sub-network variant, `v.params` otherwise."""
+    if v.masks is None:
+        return v.params
+    if v.base is None:
+        raise DossError(f"variant {v.name!r} has masks but no base store")
+    try:
+        mask = v.masks.get(ds.domain_id)
+    except KeyError as exc:
+        raise DossError(f"variant {v.name!r} has no mask for domain {ds.domain_id!r}") from exc
+    return overlay(v.base, v.params, mask)

@@ -2,6 +2,7 @@
 participant count, typed errors, and no worker left behind."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -91,6 +92,155 @@ def test_eval_matrix_reports_equal_one_participant_in_every_field(trained, cpus)
     assert pool.to_csv() == one.to_csv() and pool.to_markdown() == one.to_markdown()
 
 
+def _random_masks(layout, domains, seed):
+    r = np.random.default_rng(seed)
+    return MaskSet([DomainMask(d, {name: r.random(int(np.prod(shape))) < 0.5
+                                   for name, shape in region_pool(layout)},
+                               PruneSpec(0.5, 0.5)) for d in domains])
+
+
+def test_a_matrix_of_one_batch_cells_equals_one_participant(trained, cpus):
+    # as in the micro manifest: several variants, each eval set one batch
+    cfg, base, layout, lam, sets = trained
+    small = [DomainDataset(ds.domain_id, ds.pairs[:20]) for ds in sets]
+    small.append(DomainDataset("copy_b", sets[0].pairs[20:44]))
+    variants = [Variant("base", base, trainable=9), Variant("ft", lam, trainable=7),
+                Variant("doss", lam, base=base,
+                        masks=_random_masks(layout, [ds.domain_id for ds in small], 4),
+                        trainable=5)]
+    reports = []
+    for n in (1, 2, 3):
+        close_decoders()
+        cpus(n)
+        reports.append(eval_matrix(variants, small, cfg, max_len=8, batch_size=24))
+        assert len(evaluation._DECODERS) == n - 1
+    one = reports[0]
+    for pool in reports[1:]:
+        assert pool.domain_ids == one.domain_ids
+        assert pool.rows == one.rows
+        for (_, cells, _), (_, ref, _) in zip(pool.rows, one.rows):
+            for d in one.domain_ids:
+                assert repr(cells[d].bleu) == repr(ref[d].bleu)
+                assert repr(cells[d].exact_match) == repr(ref[d].exact_match)
+        assert pool.to_csv() == one.to_csv() and pool.to_markdown() == one.to_markdown()
+
+
+def test_the_caller_decodes_batch_j_mod_p_of_the_flat_matrix(monkeypatch, cpus):
+    # a caller-side patch marks the batches that the caller decodes
+    cfg, store, _ = _mini()
+    sets = [_five_batches(domain=d) for d in ("c", "d")]
+    variants = [Variant("a", store), Variant("b", store)]
+    cpus(1)
+    want = eval_matrix(variants, sets, cfg, max_len=4, batch_size=2)
+    monkeypatch.setattr(evaluation, "greedy_decode",
+                        lambda p, c, src, n: [[EOS_ID]] * src.shape[0])
+
+    def callers_batches(report):
+        return [[i for i in range(5)
+                 if cells[ds.domain_id].hyps[2 * i:2 * i + 2]
+                 != want.cell(name, ds.domain_id).hyps[2 * i:2 * i + 2]]
+                for name, cells, _ in report.rows for ds in sets]
+
+    # 4 cells of 5 batches: flat batch j = 5 * cell + batch goes to j mod P
+    cpus(3)
+    assert callers_batches(eval_matrix(variants, sets, cfg, max_len=4, batch_size=2)) \
+        == [[0, 3], [1, 4], [2], [0, 3]]
+    cpus(2)
+    assert callers_batches(eval_matrix(variants, sets, cfg, max_len=4, batch_size=2)) \
+        == [[0, 2, 4], [1, 3], [0, 2, 4], [1, 3]]
+    # one-batch cells: the caller decodes cells 0, 2, 4 ... of the grid
+    one_batch = [DomainDataset(d, _five_batches().pairs[:2]) for d in ("c", "d", "e")]
+    got = eval_matrix(variants, one_batch, cfg, max_len=4, batch_size=2)
+    assert [cells[ds.domain_id].hyps == [[], []] for _, cells, _ in got.rows
+            for ds in one_batch] == [True, False, True, False, True, False]
+
+
+def test_a_deal_merges_only_its_own_next_cell(cpus):
+    cfg, store, _ = _mini()
+    sets = [_five_batches(domain=d) for d in ("c", "d")]
+    cpus(2)
+    deal = evaluation._Deal([(store, ds, evaluation._batches(ds, 2)) for ds in sets], cfg, 4)
+    with pytest.raises(DossError, match="the deal's next cell is another store or set"):
+        decode_dataset(store, cfg, sets[1], max_len=4, batch_size=2, deal=deal)
+    assert evaluation._DECODERS == []  # the worker owed replies for both cells
+
+
+def test_a_failure_mid_matrix_raises_the_lowest_and_leaves_no_stale_reply(cpus):
+    # the broken variant's cell (broken, d) has non-finite embeddings in
+    # batches 1 and 3; cells after it still owe replies when it raises
+    cfg, store, _ = _mini()
+    sets = [_five_batches(domain="c"), _five_batches({1: 9, 3: 9}, domain="d")]
+    broken = store.copy()
+    broken.array("enc.embed")[9] = np.nan
+    clean = [Variant("clean", store), Variant("after", store)]
+    cpus(1)
+    want = eval_matrix(clean, sets, cfg, max_len=4, batch_size=2)
+    for n in (1, 2, 3):
+        close_decoders()
+        cpus(n)
+        assert eval_matrix(clean, sets, cfg, max_len=4, batch_size=2).rows == want.rows
+        pids = [w.proc.pid for w in evaluation._DECODERS]
+        variants = [clean[0], Variant("broken", broken), clean[1]]
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as caught:
+            eval_matrix(variants, sets, cfg, max_len=4, batch_size=2)
+        # flat batch 16 = cell 3, batch 1: the caller for P = 1 and 2,
+        # the first worker for P = 3 (where the caller fails at batch 3)
+        where = f"decode worker {pids[0]}" if n == 3 else "the calling process"
+        assert str(caught.value) == "non-finite logits at decode step 0"
+        assert caught.value.__notes__[-2:] == [
+            f"decode_dataset: batch 1 of 5, decoded in {where}",
+            "eval_matrix: variant 'broken', domain 'd'"]
+        if n > 1:  # the replies owed for cells 4 and 5 went with their workers
+            assert evaluation._DECODERS == []
+        assert eval_matrix(clean, sets, cfg, max_len=4, batch_size=2).rows == want.rows
+
+
+def test_a_worker_killed_mid_matrix_raises_worker_error(monkeypatch, cpus):
+    # the worker is stopped before the matrix is dealt and killed while the
+    # caller decodes its first batch, so it dies owing every reply
+    cfg = ModelConfig(vocab_size=14, d_model=8, ffn_dim=16, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=16)
+    store, _ = build_model(cfg, seed=11)  # small enough that a task fits in a pipe
+    sets = [_five_batches(domain=d) for d in ("c", "d")]
+    variants = [Variant("a", store)]
+    cpus(1)
+    want = eval_matrix(variants, sets, cfg, max_len=4, batch_size=2)
+    cpus(3)
+    assert eval_matrix(variants, sets, cfg, max_len=4, batch_size=2).rows == want.rows
+    dead = evaluation._DECODERS[1].proc
+    os.kill(dead.pid, signal.SIGSTOP)
+    real = evaluation.greedy_decode
+
+    def kill_first(p, c, src, n):
+        if dead.poll() is None:
+            dead.kill()
+            dead.wait()
+        return real(p, c, src, n)
+
+    monkeypatch.setattr(evaluation, "greedy_decode", kill_first)
+    with pytest.raises(WorkerError, match=f"decode worker {dead.pid} stopped"):
+        eval_matrix(variants, sets, cfg, max_len=4, batch_size=2)
+    assert evaluation._DECODERS == []
+    assert eval_matrix(variants, sets, cfg, max_len=4, batch_size=2).rows == want.rows
+
+
+def test_each_distinct_vector_crosses_once_per_matrix(trained, monkeypatch, cpus):
+    cfg, _, _, lam, sets = trained
+    three = sets + [DomainDataset("copy_b", sets[0].pairs[:40])]
+    sent = []
+    real = evaluation._Decoder.send
+
+    def record(self, task):
+        sent.append(task)
+        return real(self, task)
+
+    monkeypatch.setattr(evaluation._Decoder, "send", record)
+    cpus(2)
+    eval_matrix([Variant("ft", lam)], three, cfg, max_len=8, batch_size=24)
+    assert len(sent) == 1  # one task for the one worker
+    assert len(pickle.dumps(sent[0], pickle.HIGHEST_PROTOCOL)) < 2 * lam.vector.nbytes
+
+
 def test_one_batch_or_one_cpu_starts_no_worker(cpus):
     cfg, store, _ = _mini()
     ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=1, max_len=6, seed=4),
@@ -129,15 +279,15 @@ def test_participants_times_blas_threads_never_exceed_the_cpus(monkeypatch, thre
         close_decoders()
 
 
-def _five_batches(marks=None):
-    """Ten pairs in batches of two; the first source of batch i starts with
-    token marks[i] where `marks` has one."""
+def _five_batches(marks=None, domain="c"):
+    """Ten pairs of domain `domain` in batches of two; the first source of
+    batch i starts with token marks[i] where `marks` has one."""
     a, b = np.array([5, 6]), np.array([6, 5, 7])
     marks = marks or {}
     pairs = []
     for i in range(5):
         pairs += [(np.array([marks[i], 5]) if i in marks else a, a), (b, b)]
-    return DomainDataset("c", pairs)
+    return DomainDataset(domain, pairs)
 
 
 def test_a_workers_numerics_error_reaches_the_caller(cpus):
