@@ -3,10 +3,13 @@
 Every operation builds a node that records its parent nodes and a backward
 rule, which maps the node's gradient to one gradient per parent; `backward`
 replays the tape in reverse topological order, sums the gradients reaching
-each node, and returns a name -> gradient map for the named leaves. All
-training math runs in float64. A non-finite value is an error state, not
-something to propagate, but the ops do not check their outputs: the checks run
-at step boundaries. A train step checks its loss before `backward`
+each node, and returns a name -> gradient map for the named leaves. It
+consumes the tape as it walks: a node drops its rule and parents once the
+rule has run, so each saved array, and each activation once its last
+consumer is done, is freed before the walk ends; a tape runs backward once.
+All training math runs in float64. A non-finite value is an error state, not
+something to propagate, but the ops do not check their outputs: the checks
+run at step boundaries. A train step checks its loss before `backward`
 (`check_finite`, which then names the first op in `topo_order` whose output is
 not finite, from the op name each node keeps), Adam checks the gradient
 vector, greedy decoding checks each step's logits, and checkpoints are checked
@@ -38,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import DossError, NumericsError, ShapeError
 
 _grad_enabled = True
 
@@ -266,10 +269,16 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         raise ShapeError(f"dropout rate must be in [0, 1): {rate}")
     if rate == 0.0:
         return a
-    keep = rng.random(a.data.shape)  # the values of (draw >= rate) / (1 - rate)
-    np.greater_equal(keep, rate, out=keep)
-    keep *= 1.0 / (1.0 - rate)
-    return _node(a.data * keep, "dropout", (a,), lambda g: (g * keep,))
+    keep = rng.random(a.data.shape) >= rate  # one byte an element on the tape
+    scale = 1.0 / (1.0 - rate)
+
+    def kept(x):
+        """x * scale * keep: the bits of x * ((draw >= rate) * scale), signed
+        zeros included, since scale > 0."""
+        out = x * scale
+        out *= keep
+        return out
+    return _node(kept(a.data), "dropout", (a,), lambda g: (kept(g),))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -334,27 +343,39 @@ def backward(loss: Tensor, into: dict[str, np.ndarray] | None = None) -> dict[st
     that require grad, in `topo_order`. This dict is the only record of the
     gradients: each call starts from zero, and unnamed leaves get none.
 
+    The walk consumes the tape: once a node's rule has run, the node drops
+    its rule and its parents, and with them the arrays the rule saved; a
+    node's own value goes when its last consumer is done. A second call on
+    the same loss, or on a loss built on a consumed node, is an error.
+
     With `into` (leaf name -> zeroed array of the leaf's shape), each of
-    those gradients is copied into its array, and the returned dict holds the
-    arrays: a train step passes its views of one gradient vector."""
+    those gradients is copied into its array as the walk reaches its leaf,
+    and the returned dict holds the arrays: a train step passes its views of
+    one gradient vector."""
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = topo_order(loss)
+    if any(node.op is not None and node.requires_grad and node._backward is None
+           for node in order):
+        raise DossError("backward: the tape was consumed by an earlier backward")
     store: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    named: list[tuple[str, np.ndarray]] = []  # reverse topo order
+    while order:
+        node = order.pop()
+        g = store.pop(id(node), None)
         if node._backward is None:
+            if node.requires_grad and node.name is not None:
+                if into is not None:
+                    np.copyto(into[node.name], g)
+                    g = into[node.name]
+                named.append((node.name, g))
             continue
-        for parent, g in zip(node._parents, node._backward(store.pop(id(node)))):
+        for parent, pg in zip(node._parents, node._backward(g)):
             if parent.requires_grad:
                 key = id(parent)
-                store[key] = store[key] + g if key in store else g
-    grads = {node.name: store[id(node)] for node in order
-             if node._backward is None and node.requires_grad and node.name is not None}
-    if into is None:
-        return grads
-    for name, g in grads.items():
-        np.copyto(into[name], g)
-    return {name: into[name] for name in grads}
+                store[key] = store[key] + pg if key in store else pg
+        node._backward, node._parents = None, ()
+    return dict(reversed(named))
 
 
 # ---------------------------------------------------------------------------

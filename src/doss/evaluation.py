@@ -329,9 +329,10 @@ class _Deal:
     `cells` are (effective store, eval set, its batches) in grid order, and
     batch j of their flat list goes to participant j mod P (P as in
     `decode_dataset`). Each worker is sent one task, its batches of every
-    cell with each cell's parameter vector (pickle's memo writes an array
-    that several cells share once), and replies once per cell, so it decodes
-    the next cell while the caller merges this one (`merge`). Every write
+    cell with the cell's layout and parameter vector where it has batches
+    there (pickle's memo writes an array that several cells share once), and
+    replies once per cell, so it decodes the next cell while the caller
+    merges this one (`merge`). Every write
     comes before the first reply is owed, so no reply size can block the
     pipes; replies still owed when the deal is given up (`abandon`) would
     reach the next deal, so then the workers are closed.
@@ -345,9 +346,10 @@ class _Deal:
         self.merged = 0  # the cells whose every reply has been read
         try:
             for k, worker in enumerate(self.workers, 1):
+                shares = [(store, self.share(c, k)) for c, (store, *_) in enumerate(cells)]
                 worker.send((model_cfg, max_len,
-                             [(store.layout, store.vector, self.share(c, k))
-                              for c, (store, *_) in enumerate(cells)]))
+                             [(store.layout, store.vector, share) if share else (None, None, [])
+                              for store, share in shares]))
         except BaseException:
             close_decoders()  # a worker may hold part of a task
             raise
@@ -457,7 +459,9 @@ atexit.register(close_decoders)
 def _serve() -> None:
     """A decode worker's loop: for each task, decode its batches of every
     cell with `_decode_share` and reply with each cell's result in turn,
-    until stdin ends or a reply cannot be sent."""
+    until stdin ends or a reply cannot be sent. A cell with no batches here
+    is sent no vector and builds no store, and a cell whose vector is the
+    one the last store was built from reuses that store."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when a worker stops
     tasks, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a reply
@@ -466,9 +470,11 @@ def _serve() -> None:
             model_cfg, max_len, cells = pickle.load(tasks)
         except (EOFError, pickle.UnpicklingError):
             return
+        effective = built_from = None
         for layout, vector, batches in cells:
-            effective = ParamStore({n: ag.Tensor(v)
-                                    for n, v in layout_views(vector, layout).items()})
+            if batches and vector is not built_from:
+                effective, built_from = ParamStore(
+                    {n: ag.Tensor(v) for n, v in layout_views(vector, layout).items()}), vector
             reply = _decode_share(effective, model_cfg, batches, max_len)
             if reply[1] is not None:  # a pickled error loses its traceback; keep it as text
                 reply[1].add_note("worker traceback (most recent call last):\n"
@@ -494,7 +500,8 @@ def eval_matrix(variants, eval_sets: list[DomainDataset], model_cfg: ModelConfig
     then domains then batches, form one flat list dealt round-robin as by
     `decode_dataset`, with P capped by the matrix's batch count, so a matrix
     of one batch starts no worker. Each worker gets one message per matrix,
-    holding each distinct parameter vector once, and replies once per cell;
+    holding once each distinct parameter vector of the cells where it has
+    batches, and replies once per cell;
     `decode_dataset` is called once per cell, in grid order, to merge it.
     The error of the lowest failing (cell, batch) is raised, with a note
     naming the cell.

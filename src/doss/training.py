@@ -65,9 +65,10 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments laid out like the store's vector, two scratch vectors so
-    that an update allocates no temporaries, and the train step's gradient
-    vector with a view per tensor, made once for the store's layout."""
+    """Adam moments laid out like the store's vector, two scratch buffers of
+    one `adam_step` chunk so that an update allocates no vector temporaries,
+    and the train step's gradient vector with a view per tensor, made once
+    for the store's layout."""
     m: np.ndarray
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
@@ -79,7 +80,7 @@ class OptimizerState:
     def zeros(cls, params: ParamStore) -> "OptimizerState":
         n = params.vector.size
         grad = np.zeros(n)
-        return cls(np.zeros(n), np.zeros(n), (np.empty(n), np.empty(n)),
+        return cls(np.zeros(n), np.zeros(n), (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)),
                    grad, layout_views(grad, params.layout))
 
 
@@ -135,10 +136,13 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
         name = next(n for n, ok in layout_views(finite, params.layout).items() if not ok.all())
         raise NumericsError(f"non-finite gradient for {name!r} at optimizer step {t}")
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    delta, scratch = state.scratch
-    for lo in range(0, grad.size, _ADAM_CHUNK):
+    bounds = range(0, grad.size, _ADAM_CHUNK)
+    if mask is not None:  # the mask's ones in each chunk
+        cuts = np.searchsorted(mask.ones, [*bounds, grad.size])
+    for i, lo in enumerate(bounds):
         part = slice(lo, lo + _ADAM_CHUNK)
-        g, m, v, s1, s2 = grad[part], state.m[part], state.v[part], delta[part], scratch[part]
+        g, m, v = grad[part], state.m[part], state.v[part]
+        s1, s2 = (s[:g.size] for s in state.scratch)
         # in place, with the same elementwise ops in the same order as
         # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); delta = lr*m_hat / (sqrt(v_hat) + eps)
         np.add(np.multiply(b1, m, out=m), np.multiply(1.0 - b1, g, out=s1), out=m)
@@ -148,8 +152,9 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
                   np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2), out=s1)
         if mask is None:
             params.vector[part] -= s1
-    if mask is not None:
-        params.vector[mask.ones] -= delta[mask.ones]
+        else:
+            ones = mask.ones[cuts[i]:cuts[i + 1]]
+            params.vector[ones] -= s1[ones - lo]
     return params, state
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doss import autograd as ag
-from doss.errors import NumericsError, ShapeError
-from support import layer_norm_backward_long_form, mul, sum_all
+from doss.errors import DossError, NumericsError, ShapeError
+from doss.model import BOS_ID, PAD_ID, DropCtx, build_model, forward
+from support import layer_norm_backward_long_form, mini_config, mul, sum_all
 
 H = 1e-5
 REL_TOL = 1e-4
@@ -327,6 +329,35 @@ def test_tape_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0  # nothing on the tape was cyclic garbage
     finally:
         gc.enable()
+
+
+def test_backward_frees_each_activation_as_it_walks_and_consumes_the_tape():
+    cfg = mini_config()
+    store, _ = build_model(cfg, seed=5)
+    src = np.array([[5, 6, 7, 0], [8, 9, 0, 0]])
+    tgt_in = np.array([[BOS_ID, 5, 6], [BOS_ID, 8, PAD_ID]])
+    loss = ag.cross_entropy(forward(store, cfg, src, tgt_in, DropCtx(0.2, ag.derived_rng(9, 3))),
+                            np.array([6, 7, 2, 9, 2]))
+    ops = [node for node in ag.topo_order(loss) if node.op is not None]
+    assert len(ops) == 84
+    values = [weakref.ref(node.data) for node in ops[:-1]]  # every activation but the loss
+    rule, alive = ops[0]._backward, []
+    # the walk runs the first op's rule last: by then only that op's value is left
+    ops[0]._backward = lambda g: (alive.append(sum(ref() is not None for ref in values)),
+                                  rule(g))[1]
+    del ops
+    gc.disable()
+    try:
+        grads = ag.backward(loss)
+        assert alive == [1]
+        assert [ref for ref in values if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert sorted(grads) == sorted(name for name, _ in store.items())
+    with pytest.raises(DossError, match="consumed by an earlier backward"):
+        ag.backward(loss)
+    with pytest.raises(DossError, match="consumed by an earlier backward"):
+        ag.backward(sum_all(mul(loss, loss)))  # a new loss on a consumed node
 
 
 def test_topo_order_visits_each_node_once():

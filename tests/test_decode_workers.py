@@ -241,6 +241,29 @@ def test_each_distinct_vector_crosses_once_per_matrix(trained, monkeypatch, cpus
     assert len(pickle.dumps(sent[0], pickle.HIGHEST_PROTOCOL)) < 2 * lam.vector.nbytes
 
 
+def test_a_worker_is_sent_only_the_vectors_of_its_cells(trained, monkeypatch, cpus):
+    # 3 variants x 1 one-batch set: the caller decodes cells 0 and 2, the worker cell 1
+    cfg, base, _, lam, sets = trained
+    other = lam.copy()
+    other.vector[0] += 1.0
+    one_batch = [DomainDataset("copy", sets[0].pairs[:20])]
+    variants = [Variant("base", base), Variant("ft", lam), Variant("other", other)]
+    cpus(1)
+    want = eval_matrix(variants, one_batch, cfg, max_len=8, batch_size=24)
+    sent = []
+    real = evaluation._Decoder.send
+
+    def record(self, task):
+        sent.append(task)
+        return real(self, task)
+
+    monkeypatch.setattr(evaluation._Decoder, "send", record)
+    cpus(2)
+    assert eval_matrix(variants, one_batch, cfg, max_len=8, batch_size=24).rows == want.rows
+    assert [batches != [] for *_, batches in sent[0][2]] == [False, True, False]
+    assert len(pickle.dumps(sent[0], pickle.HIGHEST_PROTOCOL)) < 2 * lam.vector.nbytes
+
+
 def test_one_batch_or_one_cpu_starts_no_worker(cpus):
     cfg, store, _ = _mini()
     ds = gen_domain(SyntheticTask("copy", content_hi=14, min_len=1, max_len=6, seed=4),

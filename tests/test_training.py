@@ -135,8 +135,16 @@ def _adam_reference(arrays, grads, m, v, t, lr, bits=None):
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16), masked=st.booleans())
-def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked):
+@given(seed=st.integers(min_value=0, max_value=2**16), masked=st.booleans(),
+       chunk=st.sampled_from([5, 28, training._ADAM_CHUNK]))
+def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked, chunk):
+    # a chunk of 5 cuts the 28-element layout inside tensors and between mask ones
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_ADAM_CHUNK", chunk)
+        _check_flat_adam(seed, masked, chunk)
+
+
+def _check_flat_adam(seed, masked, chunk):
     r = np.random.default_rng(seed)
     shapes = {"enc.w": (3, 4), "enc.b": (4,), "dec.w": (5, 2), "dec.g": (2,)}
     store = ParamStore({n: Tensor(r.normal(size=s)) for n, s in shapes.items()})
@@ -148,6 +156,7 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit(seed, masked):
     mask = (on_store(DomainMask("d", bits, PruneSpec(0.5, 0.5)), store)
             if masked else None)
     state = OptimizerState.zeros(store)
+    assert [s.size for s in state.scratch] == [chunk, chunk]
     for t in range(1, 6):
         # the caller's masking: 0 outside the ones, on unnamed tensors too
         grads = {n: r.normal(size=s) * (1.0 if bits is None else bits.get(n, 0.0))
