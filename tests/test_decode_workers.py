@@ -224,24 +224,30 @@ def test_a_worker_killed_mid_matrix_raises_worker_error(monkeypatch, cpus):
     assert eval_matrix(variants, sets, cfg, max_len=4, batch_size=2).rows == want.rows
 
 
-def test_each_distinct_vector_crosses_once_per_matrix(trained, monkeypatch, cpus):
-    cfg, _, _, lam, sets = trained
-    three = sets + [DomainDataset("copy_b", sets[0].pairs[:40])]
-    sent = []
+@pytest.fixture
+def sent(monkeypatch):
+    """The tasks sent to decode workers, in order."""
+    tasks = []
     real = evaluation._Decoder.send
 
     def record(self, task):
-        sent.append(task)
+        tasks.append(task)
         return real(self, task)
 
     monkeypatch.setattr(evaluation._Decoder, "send", record)
+    return tasks
+
+
+def test_each_distinct_vector_crosses_once_per_matrix(trained, sent, cpus):
+    cfg, _, _, lam, sets = trained
+    three = sets + [DomainDataset("copy_b", sets[0].pairs[:40])]
     cpus(2)
     eval_matrix([Variant("ft", lam)], three, cfg, max_len=8, batch_size=24)
     assert len(sent) == 1  # one task for the one worker
     assert len(pickle.dumps(sent[0], pickle.HIGHEST_PROTOCOL)) < 2 * lam.vector.nbytes
 
 
-def test_a_worker_is_sent_only_the_vectors_of_its_cells(trained, monkeypatch, cpus):
+def test_a_worker_is_sent_only_the_vectors_of_its_cells(trained, sent, cpus):
     # 3 variants x 1 one-batch set: the caller decodes cells 0 and 2, the worker cell 1
     cfg, base, _, lam, sets = trained
     other = lam.copy()
@@ -250,14 +256,6 @@ def test_a_worker_is_sent_only_the_vectors_of_its_cells(trained, monkeypatch, cp
     variants = [Variant("base", base), Variant("ft", lam), Variant("other", other)]
     cpus(1)
     want = eval_matrix(variants, one_batch, cfg, max_len=8, batch_size=24)
-    sent = []
-    real = evaluation._Decoder.send
-
-    def record(self, task):
-        sent.append(task)
-        return real(self, task)
-
-    monkeypatch.setattr(evaluation._Decoder, "send", record)
     cpus(2)
     assert eval_matrix(variants, one_batch, cfg, max_len=8, batch_size=24).rows == want.rows
     assert [batches != [] for *_, batches in sent[0][2]] == [False, True, False]
