@@ -309,7 +309,7 @@ class Pipeline:
             raise ConfigError(f"unknown extension mode {mode!r}: one of {EXTENSION_MODES}")
         cfg = man.train["extend"]
         if steps is not None:
-            cfg = dataclasses.replace(cfg, max_steps=steps).validate()
+            cfg = dataclasses.replace(cfg, max_steps=steps)
         if man.extension is None:
             raise ConfigError("manifest has no [extension <name>] section")
         edir = self.extend_dir(mode)

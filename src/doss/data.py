@@ -81,7 +81,7 @@ class SyntheticTask:
     shift: int = 1
     seed: int = 0
 
-    def validate(self) -> "SyntheticTask":
+    def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"unknown task kind {self.kind!r}")
         if self.content_hi <= self.content_lo:
@@ -90,7 +90,6 @@ class SyntheticTask:
             raise ConfigError("content range overlaps reserved token ids")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("bad length range")
-        return self
 
     def apply(self, src: np.ndarray) -> np.ndarray:
         if self.kind == "copy":
@@ -100,14 +99,11 @@ class SyntheticTask:
         if self.kind == "shift":
             span = self.content_hi - self.content_lo
             return (src - self.content_lo + self.shift) % span + self.content_lo
-        if self.kind == "sort":
-            return np.sort(src)
-        raise ConfigError(f"unknown task kind {self.kind!r}")
+        return np.sort(src)
 
 
 def gen_domain(task: SyntheticTask, n_pairs: int, domain_id: str | None = None) -> DomainDataset:
     """Generate `n_pairs` (source, target) pairs; deterministic under seed."""
-    task.validate()
     if n_pairs < 1:
         raise ConfigError("n_pairs must be >= 1")
     rng = np.random.Generator(np.random.PCG64(derive_seed("gen-domain", task.seed)))
@@ -130,10 +126,9 @@ class FilterSpec:
     min_ratio: float = 0.67
     max_ratio: float = 1.5
 
-    def validate(self) -> "FilterSpec":
+    def __post_init__(self):
         if not 0 < self.min_ratio < self.max_ratio:
             raise ConfigError(f"bad ratio bounds: {self}")
-        return self
 
 
 @dataclass
@@ -146,7 +141,6 @@ class FilterStats:
 def filter_corpus(pairs, spec: FilterSpec):
     """Keep pairs with both sides non-empty and within the length cap, and
     within the source/target length ratio bounds."""
-    spec.validate()
     kept = []
     stats = FilterStats()
     for src, tgt in pairs:

@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import configparser
+from copy import copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -96,80 +97,90 @@ def _mode(raw: str) -> str:
     return raw
 
 
-# every train section takes the optimizer keys; [masks] trains ft_epochs
-# epochs instead of steps, and only the masked stages mix domains
-_OPTIM = {"learning_rate": float, "warmup": int, "dropout": float, "batch_tokens": int}
-_TRAIN = _OPTIM | {"steps": int}
-_MIXED = _TRAIN | {"mixing": str}
-_PRUNE = {"alpha": float, "beta": float, "ft_epochs": int}
+def _optim(learning_rate: float, warmup: int, dropout: float) -> dict:
+    return {"learning_rate": (float, learning_rate), "warmup": (int, warmup),
+            "dropout": (float, dropout), "batch_tokens": (int, 256)}
 
-# section kind -> every key a section of that kind may hold -> its parser
-_SCHEMA = {
-    "meta": {"seed": int, "out": str},
-    "model": {"vocab_content": int, "d_model": int, "ffn_dim": int, "enc_layers": int,
-              "dec_layers": int, "heads": int, "dropout": float, "max_len": int},
-    "domain": {"kind": str, "shift": int, "min_len": int, "max_len": int,
-               "train_pairs": int, "eval_pairs": int, "seed": int, "src_file": str,
-               "tgt_file": str, "filter_max_len": int, "min_ratio": float,
-               "max_ratio": float},
-    "train": _TRAIN,
-    "doss": _MIXED,
-    "masks": _OPTIM | _PRUNE | {"disjoint": _bool},
-    "extend": _MIXED | _PRUNE | {"domain": str, "mode": _mode},
-    "sweep": {"alphas": _floats, "betas": _floats, "steps": int},
-    "eval": {"max_decode_len": int, "batch_size": int},
+
+def _prune(fraction: float) -> dict:
+    return {"alpha": (float, fraction), "beta": (float, fraction), "ft_epochs": (int, 5)}
+
+
+# section -> every key it may hold -> (its parser, its value when the section
+# does not set it). [domain <name>] and [extension <name>] read "domain", with
+# the caller's seed default. Every train section takes the optimizer keys, at
+# desk-scale defaults per training regime (dropout per regime; rates scaled
+# for the model size, see README); [masks] trains ft_epochs epochs instead of
+# steps, and only the masked stages take mixing.
+_KEYS = {
+    "meta": {"seed": (int, 0), "out": (str, "")},
+    "model": {"vocab_content": (int, 16), "d_model": (int, 64), "ffn_dim": (int, 128),
+              "enc_layers": (int, 2), "dec_layers": (int, 2), "heads": (int, 4),
+              "dropout": (float, ModelConfig.dropout), "max_len": (int, 24)},
+    "domain": {"kind": (str, ""), "shift": (int, SyntheticTask.shift), "min_len": (int, 3),
+               "max_len": (int, 6), "train_pairs": (int, DomainSpec.train_pairs),
+               "eval_pairs": (int, DomainSpec.eval_pairs), "seed": (int, None),
+               "src_file": (str, None), "tgt_file": (str, None),
+               "filter_max_len": (int, FilterSpec.max_len),
+               "min_ratio": (float, FilterSpec.min_ratio),
+               "max_ratio": (float, FilterSpec.max_ratio)},
+    "pretrain": _optim(2e-3, 200, 0.1) | {"steps": (int, 7000)},
+    "masks": _optim(1e-3, 50, 0.3) | _prune(0.6) | {"disjoint": (_bool, False)},
+    "doss": _optim(1e-3, 50, 0.1) | {"steps": (int, 4500), "mixing": (str, "proportional")},
+    "finetune": _optim(1e-3, 50, 0.3) | {"steps": (int, 1200)},
+    "extend": _optim(1.25e-3, 100, 0.1) | _prune(0.1) | {
+        "steps": (int, 4500), "mixing": (str, TrainConfig.mixing), "domain": (str, None),
+        "mode": (_mode, "new_only_disjoint")},
+    "sweep": {"alphas": (_floats, []), "betas": (_floats, []), "steps": (int, 1500)},
+    "eval": {"max_decode_len": (int, 10), "batch_size": (int, 64)},
 }
 
 # the sections a manifest may hold besides [domain <name>] and [extension <name>]
-_SECTIONS = {"meta", "model", "sweep", "eval", *(s.train for s in STAGES.values() if s.train)}
-
-_TRAIN_DEFAULTS = {"batch_tokens": 256, "mixing": "round_robin"}
+_SECTIONS = _KEYS.keys() - {"domain"}
 
 
-def _read(parser, section: str, kind: str, defaults: dict) -> dict:
-    """The typed values of `section` over `defaults` (all of them when the
-    section is absent). Keys outside the kind's schema and values that do not
-    parse are ConfigErrors."""
-    values = dict(defaults)
+def _read(parser, section: str, kind: str | None = None, **defaults) -> dict:
+    """The typed values of `section`, whose keys are those of `_KEYS[kind]`
+    (`kind` defaults to `section`): each key the section does not set takes
+    its `defaults` value, else (a copy of) its table default. Keys outside the
+    table and values that do not parse are ConfigErrors."""
+    keys = _KEYS[kind or section]
+    values = {key: copy(default) for key, (_, default) in keys.items()} | defaults
     if section not in parser:
         return values
-    schema = _SCHEMA[kind]
-    unknown = set(parser[section]) - set(schema)
+    unknown = set(parser[section]) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
     for key, raw in parser[section].items():
         try:
-            values[key] = schema[key](raw)
+            values[key] = keys[key][0](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key} in [{section}]: {raw!r}") from exc
     return values
 
 
 def _train_config(section: str, t: dict, seed: int) -> TrainConfig:
-    """[section]'s TrainConfig: `steps` steps, or `ft_epochs` epochs for [masks]."""
+    """[section]'s TrainConfig: `steps` steps, or `ft_epochs` epochs for [masks],
+    and TrainConfig's own mixing when the section takes none."""
     length = {"max_steps": t["steps"]} if "steps" in t else {"epochs": t["ft_epochs"]}
-    cfg = TrainConfig(
-        learning_rate=t["learning_rate"], warmup_steps=t["warmup"],
-        batch_tokens=t["batch_tokens"], dropout=t["dropout"], seed=seed, mixing=t["mixing"],
-        **length)
+    mixing = {"mixing": t["mixing"]} if "mixing" in t else {}
     try:
-        return cfg.validate()
+        return TrainConfig(
+            learning_rate=t["learning_rate"], warmup_steps=t["warmup"],
+            batch_tokens=t["batch_tokens"], dropout=t["dropout"], seed=seed, **length, **mixing)
     except ConfigError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _parse_domain(parser, section: str, default_seed: int, content: int) -> DomainSpec:
     name = section.split(None, 1)[1]
-    d = _read(parser, section, "domain", {
-        "kind": "", "train_pairs": 1500, "eval_pairs": 150, "filter_max_len": 250,
-        "min_ratio": 0.67, "max_ratio": 1.5, "min_len": 3, "max_len": 6, "shift": 1,
-        "seed": default_seed, "src_file": None, "tgt_file": None})
+    d = _read(parser, section, "domain", seed=default_seed)
     if d["train_pairs"] < 1 or d["eval_pairs"] < 1:
         raise ConfigError(f"[{section}] train_pairs and eval_pairs must be >= 1: "
                           f"{d['train_pairs']}, {d['eval_pairs']}")
     spec = DomainSpec(
         name=name, train_pairs=d["train_pairs"], eval_pairs=d["eval_pairs"],
-        filter=FilterSpec(d["filter_max_len"], d["min_ratio"], d["max_ratio"]).validate())
+        filter=FilterSpec(d["filter_max_len"], d["min_ratio"], d["max_ratio"]))
     if d["kind"] == "parallel":
         for key in ("src_file", "tgt_file"):
             if d[key] is None:
@@ -180,8 +191,7 @@ def _parse_domain(parser, section: str, default_seed: int, content: int) -> Doma
         return spec
     spec.task = SyntheticTask(
         kind=d["kind"] or "copy", content_lo=N_RESERVED, content_hi=N_RESERVED + content,
-        min_len=d["min_len"], max_len=d["max_len"], shift=d["shift"], seed=d["seed"],
-    ).validate()
+        min_len=d["min_len"], max_len=d["max_len"], shift=d["shift"], seed=d["seed"])
     return spec
 
 
@@ -195,18 +205,19 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
         raise ConfigError(f"manifest {path} does not parse: {exc}") from exc
     if not found:
         raise ConfigError(f"manifest not found: {path}")
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] would set {sorted(parser.defaults())} in every section; "
+                          f"give each key in its own section")
     if "meta" not in parser:
         raise ConfigError("manifest needs a [meta] section with the global seed")
-    meta = _read(parser, "meta", "meta", {"seed": 0, "out": ""})
+    meta = _read(parser, "meta")
 
-    m = _read(parser, "model", "model", {
-        "vocab_content": 16, "d_model": 64, "ffn_dim": 128, "enc_layers": 2,
-        "dec_layers": 2, "heads": 4, "dropout": 0.1, "max_len": 24})
+    m = _read(parser, "model")
     content = m["vocab_content"]
     model = ModelConfig(
         vocab_size=N_RESERVED + content, d_model=m["d_model"], ffn_dim=m["ffn_dim"],
         n_enc_layers=m["enc_layers"], n_dec_layers=m["dec_layers"], n_heads=m["heads"],
-        dropout=m["dropout"], max_len=m["max_len"]).validate()
+        dropout=m["dropout"], max_len=m["max_len"])
 
     named = {kind: [s for s in parser.sections() if s.startswith(kind + " ")]
              for kind in ("domain", "extension")}
@@ -222,42 +233,24 @@ def load_manifest(path, seed: int | None = None) -> Manifest:
                           f"unlike every [domain <name>]: {named['extension']}")
     extension = exts[0] if exts else None
 
-    # desk-scale defaults per training regime (dropout per regime; rates
-    # scaled for the model size, see README)
-    sections = {
-        "pretrain": _read(parser, "pretrain", "train", _TRAIN_DEFAULTS | {
-            "learning_rate": 2e-3, "warmup": 200, "dropout": 0.1, "steps": 7000}),
-        "masks": _read(parser, "masks", "masks", _TRAIN_DEFAULTS | {
-            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3,
-            "alpha": 0.6, "beta": 0.6, "ft_epochs": 5, "disjoint": False}),
-        "doss": _read(parser, "doss", "doss", _TRAIN_DEFAULTS | {
-            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.1, "steps": 4500,
-            "mixing": "proportional"}),
-        "finetune": _read(parser, "finetune", "train", _TRAIN_DEFAULTS | {
-            "learning_rate": 1e-3, "warmup": 50, "dropout": 0.3, "steps": 1200}),
-        "extend": _read(parser, "extend", "extend", _TRAIN_DEFAULTS | {
-            "learning_rate": 1.25e-3, "warmup": 100, "dropout": 0.1, "steps": 4500,
-            "alpha": 0.1, "beta": 0.1, "ft_epochs": 5, "mode": "new_only_disjoint",
-            "domain": None}),
-    }
+    sections = {s.train: _read(parser, s.train) for s in STAGES.values() if s.train}
     masks, extend = sections["masks"], sections["extend"]
     ext_name = extend["domain"]
     if ext_name is not None and (extension is None or extension.name != ext_name):
         raise ConfigError(f"[extend] references domain {ext_name!r} without a "
                           f"matching [extension {ext_name}] section")
-    sweep = _read(parser, "sweep", "sweep", {"alphas": [], "betas": [], "steps": 1500})
+    sweep = _read(parser, "sweep")
     if sweep["steps"] < 0 or not all(0.0 <= f <= 1.0 for f in sweep["alphas"] + sweep["betas"]):
         raise ConfigError(f"[sweep] needs steps >= 0 and alphas/betas in [0, 1]: {sweep}")
-    evals = _read(parser, "eval", "eval", {"max_decode_len": 10, "batch_size": 64})
+    evals = _read(parser, "eval")
     if evals["max_decode_len"] < 1 or evals["batch_size"] < 1:
         raise ConfigError(f"[eval] max_decode_len and batch_size must be >= 1: {evals}")
 
     man = Manifest(
         seed=meta["seed"] if seed is None else seed, out=meta["out"] or None,
-        model=model, domains=domains,
-        prune=PruneSpec(masks["alpha"], masks["beta"]).validate(),
+        model=model, domains=domains, prune=PruneSpec(masks["alpha"], masks["beta"]),
         masks_disjoint=masks["disjoint"], extension=extension, extend_mode=extend["mode"],
-        extend_prune=PruneSpec(extend["alpha"], extend["beta"]).validate(),
+        extend_prune=PruneSpec(extend["alpha"], extend["beta"]),
         train={}, sweep_alphas=sweep["alphas"], sweep_betas=sweep["betas"],
         sweep_steps=sweep["steps"], eval_max_len=evals["max_decode_len"],
         eval_batch=evals["batch_size"])

@@ -36,10 +36,9 @@ class PruneSpec:
     alpha: float
     beta: float
 
-    def validate(self) -> "PruneSpec":
+    def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ConfigError(f"prune fractions must be in [0, 1]: {self}")
-        return self
 
 
 class DomainMask:
@@ -154,7 +153,6 @@ def magnitude_prune(finetuned: ParamStore, layout: Layout, spec: PruneSpec,
                     domain_id: str = "") -> DomainMask:
     """Keep the top (1-alpha)/(1-beta) fraction by |value| per region of
     `layout`, which must be the store's."""
-    spec.validate()
     if finetuned.layout != tuple(layout):
         raise RegistryMismatchError("store does not match the layout's names and shapes")
     flags = np.concatenate([_keep_flags(finetuned, _region_pool(layout, pool), frac)
@@ -174,17 +172,15 @@ def magnitude_prune_disjoint(finetuned: ParamStore, layout: Layout, spec: PruneS
 
 
 def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg, model_cfg,
-                       disjoint_against: MaskSet | None = None) -> DomainMask:
+                       claimed: MaskSet | tuple = ()) -> DomainMask:
     """Finetune a copy of the base on one domain with `train_cfg` (the
-    manifest's mask-creation config), then magnitude-prune it; the base is
-    never mutated."""
+    manifest's mask-creation config), then magnitude-prune it, less the ones
+    of the `claimed` masks; the base is never mutated."""
     from . import training  # circular at module level: training drives the finetune
 
     finetuned = training.train_full(base, domain_data, train_cfg, model_cfg)
-    if disjoint_against is not None:
-        return magnitude_prune_disjoint(finetuned, base.layout, spec, disjoint_against,
-                                        domain_id=domain_data.domain_id)
-    return magnitude_prune(finetuned, base.layout, spec, domain_id=domain_data.domain_id)
+    return magnitude_prune_disjoint(finetuned, base.layout, spec, claimed,
+                                    domain_id=domain_data.domain_id)
 
 
 def full_mask(layout: Layout, domain_id: str) -> DomainMask:
@@ -282,6 +278,10 @@ def load_mask(path) -> DomainMask:
     with open(path, "rb") as fh:
         reader = FramedReader(fh, MASK_MAGIC, MASK_VERSION, "mask")
         alpha, beta = reader.unpack("<dd")
+        try:
+            spec = PruneSpec(alpha, beta)
+        except ConfigError as exc:
+            raise FormatError(f"bad mask header: {exc}") from exc
         domain_id = reader.string()
         (count,) = reader.unpack("<I")
         bits: dict[str, np.ndarray] = {}
@@ -293,4 +293,4 @@ def load_mask(path) -> DomainMask:
                 raise FormatError(f"mask holds tensor {name!r} twice")
             bits[name] = np.unpackbits(packed, count=size, bitorder="little").astype(bool)
         reader.end()
-    return DomainMask(domain_id, bits, PruneSpec(alpha, beta))
+    return DomainMask(domain_id, bits, spec)

@@ -69,7 +69,7 @@ class ModelConfig:
     dropout: float = 0.1
     max_len: int = 64
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         extents = (self.vocab_size, self.d_model, self.ffn_dim,
                    self.n_enc_layers, self.n_dec_layers, self.n_heads, self.max_len)
         if any(int(e) < 1 for e in extents):
@@ -78,7 +78,6 @@ class ModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
-        return self
 
 
 def region(name: str) -> str:
@@ -97,7 +96,6 @@ def maskable(shape: tuple[int, ...]) -> bool:
 
 def param_shapes(cfg: ModelConfig) -> Layout:
     """Canonical (name, shape) layout for a config, without allocating values."""
-    cfg.validate()
     d, f, v = cfg.d_model, cfg.ffn_dim, cfg.vocab_size
     layout: list[tuple[str, tuple[int, ...]]] = []
 

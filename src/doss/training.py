@@ -46,7 +46,7 @@ class TrainConfig:
     seed: int = 0
     mixing: str = "round_robin"
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         if not 0 < self.learning_rate < math.inf or self.warmup_steps < 1 or self.batch_tokens < 1:
             raise ConfigError(f"learning_rate/warmup/batch_tokens must be finite and positive: "
                               f"{self}")
@@ -60,7 +60,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.mixing not in MIXINGS:
             raise ConfigError(f"unknown mixing strategy {self.mixing!r}")
-        return self
 
 
 @dataclass
@@ -201,7 +200,6 @@ def _train(start: ParamStore, batches, cfg: TrainConfig, model_cfg: ModelConfig,
 def train_full(start: ParamStore, data, cfg: TrainConfig, model_cfg: ModelConfig,
                log: MetricsLog | None = None) -> ParamStore:
     """Finetune every parameter on one dataset (or a concatenation of several)."""
-    cfg.validate()
     ds = concat_datasets(list(data)) if isinstance(data, (list, tuple)) else data
     if ds.size == 0:
         raise ConfigError("training data is empty")
@@ -219,7 +217,6 @@ def train_doss(base: ParamStore, maskset: MaskSet, datasets: Sequence[DomainData
                log: MetricsLog | None = None) -> ParamStore:
     """Structure-aware joint training: each single-domain mini-batch updates
     only that domain's masked parameters."""
-    cfg.validate()
     if cfg.max_steps is None:
         raise ConfigError("train_doss is step-based; set max_steps")
     ids = sorted(m.domain_id for m in maskset)
@@ -260,9 +257,8 @@ def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
     else:
         if mask_cfg is None:
             raise ConfigError(f"mode {mode} needs a mask-creation train config")
-        disjoint_against = maskset if mode == "new_only_disjoint" else None
         new_mask = create_domain_mask(base, new_data, spec, mask_cfg, model_cfg,
-                                      disjoint_against=disjoint_against)
+                                      claimed=maskset if mode == "new_only_disjoint" else ())
     if mode == "all_masks_joint":
         if existing_data is None:
             raise ConfigError("all_masks_joint needs the existing domains' data")

@@ -160,7 +160,7 @@ def test_criterion_3_disjointness(trained):
     built = MaskSet([])
     for ds in trained.train_sets():
         mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], man.model,
-                                  disjoint_against=built)
+                                  claimed=built)
         built = built.plus(mask)
     assert is_pairwise_disjoint(built)
     inter = [int((a.bits[n] & b.bits[n]).sum())

@@ -33,11 +33,11 @@ def test_sort_task():
 
 def test_task_validation():
     with pytest.raises(ConfigError):
-        SyntheticTask("nope").validate()
+        SyntheticTask("nope")
     with pytest.raises(ConfigError):
-        SyntheticTask("copy", content_lo=8, content_hi=8).validate()
+        SyntheticTask("copy", content_lo=8, content_hi=8)
     with pytest.raises(ConfigError):
-        SyntheticTask("copy", content_lo=2).validate()  # collides with reserved ids
+        SyntheticTask("copy", content_lo=2)  # collides with reserved ids
     with pytest.raises(ConfigError):
         gen_domain(SyntheticTask("copy"), 0)
 

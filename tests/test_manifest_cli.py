@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,12 +14,15 @@ import numpy as np
 import pytest
 
 from doss import BLAS_THREAD_VARS, EXTENSION_MODES, STAGES, cli, evaluation, masks, training
+from doss.autograd import derive_seed
 from doss.cli import Pipeline, artifact_valid, main, sweep_correlation, write_meta
+from doss.data import N_RESERVED, FilterSpec, SyntheticTask
 from doss.errors import ConfigError, FormatError, NumericsError, RegistryMismatchError
 from doss.evaluation import decode_dataset, trim_eos
-from doss.manifest import load_manifest
-from doss.masks import overlap_stats
-from doss.model import load_checkpoint
+from doss.manifest import DomainSpec, Manifest, load_manifest
+from doss.masks import PruneSpec, overlap_stats
+from doss.model import ModelConfig, load_checkpoint
+from doss.training import TrainConfig
 
 TINY = """
 [meta]
@@ -230,6 +234,8 @@ def test_manifest_rejects_bad_eval_and_sweep_values(tmp_path, old, new):
                  id="two_extensions"),
     pytest.param([("[extension sort]", "[extension copy]"), ("domain = sort", "domain = copy")],
                  id="extension_named_as_domain"),
+    # configparser would copy the key into every section
+    pytest.param([("[meta]", "[DEFAULT]\nsteps = 3\n[meta]")], id="default_section"),
 ])
 def test_manifest_rejects_bad_sections(tmp_path, edits):
     text = TINY
@@ -237,8 +243,57 @@ def test_manifest_rejects_bad_sections(tmp_path, edits):
         text = text.replace(old, new)
     path = tmp_path / "s.ini"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError):
+    # the error names the first section the edits write
+    section = edits[0][1].split("]")[0].lstrip("[")
+    with pytest.raises(ConfigError, match=re.escape(section)):
         load_manifest(path)
+
+
+def test_manifest_defaults(tmp_path):
+    path = tmp_path / "minimal.ini"
+    path.write_text("[meta]\nseed = 1\n[domain a]\nkind = copy\n", encoding="utf-8")
+    seed = {stage: derive_seed(1, stage) % 2 ** 31 for stage in STAGES}
+    mask_cfg = TrainConfig(1e-3, 50, 256, 0.3, epochs=5, seed=seed["make_masks"],
+                           mixing="round_robin")
+    expected = Manifest(
+        seed=1, out=None,
+        model=ModelConfig(vocab_size=N_RESERVED + 16, d_model=64, ffn_dim=128, n_enc_layers=2,
+                          n_dec_layers=2, n_heads=4, dropout=0.1, max_len=24),
+        domains=[DomainSpec(
+            "a", SyntheticTask("copy", content_lo=N_RESERVED, content_hi=N_RESERVED + 16,
+                               min_len=3, max_len=6, shift=1, seed=10),
+            train_pairs=1500, eval_pairs=150, filter=FilterSpec(250, 0.67, 1.5))],
+        prune=PruneSpec(0.6, 0.6), masks_disjoint=False, extension=None,
+        extend_mode="new_only_disjoint", extend_prune=PruneSpec(0.1, 0.1),
+        train={"pretrain": TrainConfig(2e-3, 200, 256, 0.1, max_steps=7000,
+                                       seed=seed["pretrain"], mixing="round_robin"),
+               "masks": mask_cfg,
+               "doss": TrainConfig(1e-3, 50, 256, 0.1, max_steps=4500,
+                                   seed=seed["train_doss"], mixing="proportional"),
+               "finetune": TrainConfig(1e-3, 50, 256, 0.3, max_steps=1200,
+                                       seed=seed["finetune"], mixing="round_robin"),
+               "extend": TrainConfig(1.25e-3, 100, 256, 0.1, max_steps=4500,
+                                     seed=seed["extend"], mixing="round_robin"),
+               "extend_mask": mask_cfg},
+        sweep_alphas=[], sweep_betas=[], sweep_steps=1500, eval_max_len=10, eval_batch=64)
+    man = load_manifest(path)
+    for f in dataclasses.fields(Manifest):
+        assert getattr(man, f.name) == getattr(expected, f.name), f.name
+
+
+@pytest.mark.parametrize("valid,bad", [
+    pytest.param(TrainConfig(1e-3, 10, 64, 0.1, max_steps=5), {"max_steps": -3}, id="train"),
+    pytest.param(ModelConfig(16, 16, 32, 1, 1, 2), {"n_heads": 3}, id="model"),
+    pytest.param(PruneSpec(0.5, 0.5), {"beta": 1.5}, id="prune"),
+    pytest.param(FilterSpec(), {"min_ratio": 2.0}, id="filter"),
+    pytest.param(SyntheticTask("copy"), {"min_len": 0}, id="task"),
+])
+def test_config_objects_check_themselves(valid, bad):
+    # at construction, and so under dataclasses.replace, which constructs anew
+    with pytest.raises(ConfigError):
+        type(valid)(**dataclasses.asdict(valid) | bad)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(valid, **bad)
 
 
 @pytest.mark.parametrize("section,key", [

@@ -357,6 +357,13 @@ def test_mask_file_errors(tmp_path):
     huge.write_bytes(raw.replace(count, b"\x01\x00w" + struct.pack("<Q", 2**64 - 1)))
     with pytest.raises(FormatError, match="truncated"):
         load_mask(huge)
+    # a prune fraction outside [0, 1] in the header is the file's fault
+    fractions = struct.pack("<dd", mask.spec.alpha, mask.spec.beta)
+    assert raw.count(fractions) == 1
+    wide = tmp_path / "f.mask"
+    wide.write_bytes(raw.replace(fractions, struct.pack("<dd", 2.0, mask.spec.beta)))
+    with pytest.raises(FormatError, match="prune fractions"):
+        load_mask(wide)
 
 
 def test_mask_file_refuses_a_repeated_tensor_name(tmp_path):
@@ -405,6 +412,8 @@ def test_create_domain_mask_behaviour():
     m2 = create_domain_mask(lam0, data, spec, tcfg, cfg)
     assert lam0.checksum() == before  # the base is never mutated
     assert m1 == m2                   # same seed -> identical masks
+    # the same finetune keeps the same ones, every one of them claimed by m1
+    assert create_domain_mask(lam0, data, spec, tcfg, cfg, claimed=MaskSet([m1])).popcount() == 0
     all_ones = create_domain_mask(lam0, data, PruneSpec(0.0, 0.0), tcfg, cfg)
     assert all_ones.popcount() == pool_size(layout)
     m1.require_matches(layout)

@@ -87,11 +87,11 @@ def test_build_model_deterministic():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ModelConfig(32, 30, 64, 2, 2, 4).validate()  # d_model % heads != 0
+        ModelConfig(32, 30, 64, 2, 2, 4)  # d_model % heads != 0
     with pytest.raises(ConfigError):
-        ModelConfig(0, 32, 64, 2, 2, 2).validate()
+        ModelConfig(0, 32, 64, 2, 2, 2)
     with pytest.raises(ConfigError):
-        ModelConfig(32, 32, 64, 2, 2, 2, dropout=1.0).validate()
+        ModelConfig(32, 32, 64, 2, 2, 2, dropout=1.0)
 
 
 def _toy_batch():

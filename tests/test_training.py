@@ -183,20 +183,20 @@ def test_clip_by_global_norm():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(1e-3, 10, 64, 0.1).validate()  # neither steps nor epochs
+        TrainConfig(1e-3, 10, 64, 0.1)  # neither steps nor epochs
     with pytest.raises(ConfigError):
-        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, epochs=2).validate()
+        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, epochs=2)
     with pytest.raises(ConfigError):
-        TrainConfig(-1e-3, 10, 64, 0.1, max_steps=5).validate()
+        TrainConfig(-1e-3, 10, 64, 0.1, max_steps=5)
 
 
 def test_train_config_and_batch_iterator_take_the_same_mixing_names():
     ds = gen_domain(SyntheticTask("copy", seed=1), 10, domain_id="A")
     for name in MIXINGS:
-        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, mixing=name).validate()
+        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, mixing=name)
         assert next(batch_iterator([ds], name, 64, seed=0)).domain_id == "A"
     with pytest.raises(ConfigError, match="unknown mixing strategy 'nope'"):
-        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, mixing="nope").validate()
+        TrainConfig(1e-3, 10, 64, 0.1, max_steps=5, mixing="nope")
     with pytest.raises(ConfigError, match="unknown mixing strategy 'nope'"):
         next(batch_iterator([ds], "nope", 64, seed=0))
 
