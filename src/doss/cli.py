@@ -22,7 +22,7 @@ import os
 from pathlib import Path
 
 from . import BLAS_THREAD_VARS, EXTENSION_MODES, STAGES
-from .errors import ConfigError, DossError
+from .errors import ConfigError, DossError, FormatError
 
 log = logging.getLogger("doss")
 
@@ -195,9 +195,9 @@ class Pipeline:
         text = json.dumps(payload, sort_keys=True, default=dataclasses.asdict)
         key = hashlib.sha256(text.encode()).hexdigest()[:16]
         if all(artifact_valid(a, key) for a in artifacts):
-            log.info("%s: cache hit (key %s), skipping", stage, key)
+            log.info("%s: cache hit (key %s) for %s, skipping", stage, key, artifacts[0].name)
             return False
-        log.info("%s: running (key %s)", stage, key)
+        log.info("%s: running (key %s) for %s", stage, key, artifacts[0].name)
         compute(key)
         for a in artifacts:
             write_meta(a, key, stage, inputs.get("train", man).seed)
@@ -224,23 +224,37 @@ class Pipeline:
         return self._cached("pretrain", [self.base_ckpt, self.base_reg, metrics], compute,
                             train=man.train["pretrain"])
 
-    def _domain_masks(self, lam0, spec, finetuned: dict):
-        """One mask per base domain, in manifest order: its mask finetune of
-        `lam0` (kept in `finetuned` by domain) pruned by `spec`, less the ones
-        of the masks before it under [masks] disjoint."""
+    def _mask_finetune(self, lam0, spec, data, cfg):
+        """`lam0` finetuned with `cfg` on `data`, `spec`'s train set, run once: mask_ft_*.npy."""
+        import numpy as np
+
         from . import training
+
+        path = self.out / f"mask_ft_{spec.name}.npy"
+
+        def compute(key):  # float64: rounding can reorder near-tied magnitudes
+            np.save(path, training.train_full(lam0, data, cfg, self.man.model).vector)
+
+        self._cached("make_masks", [path], compute, train=cfg, domain=_domain_input(spec))
+        try:
+            vector = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise FormatError(f"{path} is not the base's float64 vector: {exc}") from exc
+        if vector.dtype != np.float64 or vector.shape != lam0.vector.shape:
+            raise FormatError(f"{path} is a {vector.dtype} {vector.shape}, not the base's vector")
+        finetuned = lam0.copy()
+        finetuned.vector[:] = vector
+        return finetuned
+
+    def _domain_masks(self, lam0, spec):
+        """Each base domain's mask finetune pruned by `spec` (less earlier masks if disjoint)."""
         from .masks import MaskSet, magnitude_prune_disjoint
 
-        man = self.man
-        built = MaskSet([])
-        for ds in self.train_sets():
-            if ds.domain_id not in finetuned:
-                log.info("mask finetune: domain %s", ds.domain_id)
-                finetuned[ds.domain_id] = training.train_full(
-                    lam0, ds, man.train["masks"], man.model)
+        man, built = self.man, MaskSet([])
+        for d, ds in zip(man.domains, self.train_sets()):
+            ft = self._mask_finetune(lam0, d, ds, man.train["masks"])
             claimed = built if man.masks_disjoint else MaskSet([])
-            built = built.plus(magnitude_prune_disjoint(finetuned[ds.domain_id], lam0.layout,
-                                                        spec, claimed, ds.domain_id))
+            built = built.plus(magnitude_prune_disjoint(ft, lam0.layout, spec, claimed, d.name))
         return built
 
     def make_masks(self) -> bool:
@@ -250,7 +264,7 @@ class Pipeline:
         stats_path = self.out / "mask_stats.csv"
 
         def compute(key):
-            built = self._domain_masks(self.load_base(), man.prune, {})
+            built = self._domain_masks(self.load_base(), man.prune)
             for mask in built:
                 save_mask(mask, self.mask_path(mask.domain_id))
             write_keyed(stats_path, key, "\n".join(overlap_stats(built).to_lines()) + "\n")
@@ -329,8 +343,9 @@ class Pipeline:
             maskset = self.load_masks()
             mlog = MetricsLog()
             lam2, maskset2 = extend_domain(
-                lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg,
-                model_cfg=man.model, mask_cfg=man.train["extend_mask"],
+                lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg, model_cfg=man.model,
+                finetuned=None if mode == "ft_all_ones" else self._mask_finetune(
+                    lam0, man.extension, ext_train, man.train["extend_mask"]),
                 existing_data=self.train_sets(), log=mlog)
             new_mask = maskset2.get(ext_train.domain_id)
             save_mask(new_mask, new_mask_path)
@@ -410,14 +425,13 @@ class Pipeline:
         def compute(key):
             lam0 = self.load_base()
             domain_ids = [d.name for d in man.domains]
-            finetuned = {}  # domain -> its mask finetune, shared by every grid point
             lines = [",".join(["alpha", "beta", "status", *(f"bleu_{d}" for d in domain_ids),
                                *(f"em_{d}" for d in domain_ids), "avg_bleu", "avg_em"])]
             ran = []  # (alpha, beta, avg_bleu) of each point that ran
             for alpha, beta in grid:
                 log.info("sweep: alpha=%s beta=%s", alpha, beta)
                 try:
-                    masks = self._domain_masks(lam0, PruneSpec(alpha, beta), finetuned)
+                    masks = self._domain_masks(lam0, PruneSpec(alpha, beta))
                     lam = training.train_doss(lam0, masks, self.train_sets(), doss_cfg,
                                               man.model)
                     rep = eval_matrix([Variant("doss", lam, base=lam0, masks=masks)],

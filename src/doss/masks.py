@@ -173,14 +173,12 @@ def magnitude_prune_disjoint(finetuned: ParamStore, layout: Layout, spec: PruneS
 
 def create_domain_mask(base: ParamStore, domain_data, spec: PruneSpec, train_cfg, model_cfg,
                        claimed: MaskSet | tuple = ()) -> DomainMask:
-    """Finetune a copy of the base on one domain with `train_cfg` (the
-    manifest's mask-creation config), then magnitude-prune it, less the ones
-    of the `claimed` masks; the base is never mutated."""
+    """magnitude_prune_disjoint of a copy of the base finetuned on one domain. Kept
+    only for benchmarks/spans.py, which rebinds it: the pipeline prunes cached finetunes."""
     from . import training  # circular at module level: training drives the finetune
 
-    finetuned = training.train_full(base, domain_data, train_cfg, model_cfg)
-    return magnitude_prune_disjoint(finetuned, base.layout, spec, claimed,
-                                    domain_id=domain_data.domain_id)
+    return magnitude_prune_disjoint(training.train_full(base, domain_data, train_cfg, model_cfg),
+                                    base.layout, spec, claimed, domain_data.domain_id)
 
 
 def full_mask(layout: Layout, domain_id: str) -> DomainMask:

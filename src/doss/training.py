@@ -23,7 +23,8 @@ import numpy as np
 from . import EXTENSION_MODES, autograd as ag
 from .data import MIXINGS, Batch, DomainDataset, batch_iterator, concat_datasets, epoch_batches
 from .errors import ConfigError, NumericsError
-from .masks import MaskSet, StoreMask, create_domain_mask, full_mask, on_store
+from .masks import MaskSet, StoreMask, full_mask, magnitude_prune_disjoint, on_store
+from .masks import create_domain_mask  # noqa: F401  no caller; benchmarks/spans.py rebinds it
 from .model import DropCtx, ModelConfig, PAD_ID, ParamStore, forward, layout_views
 
 
@@ -236,17 +237,17 @@ def train_doss(base: ParamStore, maskset: MaskSet, datasets: Sequence[DomainData
 def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
                   new_data: DomainDataset, mode: str, spec,
                   cfg: TrainConfig, *, model_cfg: ModelConfig,
-                  mask_cfg: TrainConfig | None = None,
+                  finetuned: ParamStore | None = None,
                   existing_data: Sequence[DomainDataset] | None = None,
                   log: MetricsLog | None = None) -> tuple[ParamStore, MaskSet]:
     """Adapt a jointly trained model to one new domain.
 
     Modes: ft_all_ones records an all-ones mask and continues training on the
-    new data; new_only_unconstrained / new_only_disjoint create a fresh mask
-    from the base model (the latter disjoint from the union of existing
-    masks) and train on the new data only; all_masks_joint creates an
-    unconstrained mask and jointly retrains all domains. Optimizer state
-    starts fresh in every mode.
+    new data; new_only_unconstrained / new_only_disjoint prune `finetuned`, the
+    base's mask finetune on the new data, into a fresh mask (the latter less
+    the union of the existing masks) and train on the new data only;
+    all_masks_joint prunes an unconstrained mask the same way and jointly
+    retrains all domains. Optimizer state starts fresh in every mode.
     """
     if mode not in EXTENSION_MODES:
         raise ConfigError(f"unknown extension mode {mode!r}: one of {EXTENSION_MODES}")
@@ -255,10 +256,12 @@ def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
     if mode == "ft_all_ones":
         new_mask = full_mask(base.layout, new_data.domain_id)
     else:
-        if mask_cfg is None:
-            raise ConfigError(f"mode {mode} needs a mask-creation train config")
-        new_mask = create_domain_mask(base, new_data, spec, mask_cfg, model_cfg,
-                                      claimed=maskset if mode == "new_only_disjoint" else ())
+        if finetuned is None:
+            raise ConfigError(f"mode {mode} needs the base's mask finetune on the new domain")
+        claimed = maskset if mode == "new_only_disjoint" else MaskSet([])
+        new_mask = magnitude_prune_disjoint(finetuned, base.layout, spec, claimed,
+                                            new_data.domain_id)
+        del finetuned  # the caller holds no other reference: free it before training
     if mode == "all_masks_joint":
         if existing_data is None:
             raise ConfigError("all_masks_joint needs the existing domains' data")

@@ -7,6 +7,7 @@ or delete the directory to recompute from scratch.
 """
 
 import csv
+import dataclasses
 import math
 import os
 from fractions import Fraction
@@ -20,7 +21,7 @@ from doss.data import SyntheticTask, gen_domain
 from doss.errors import ConfigError
 from doss.evaluation import corpus_bleu
 from doss.manifest import load_manifest
-from doss.masks import MaskSet, PruneSpec, create_domain_mask, load_mask, magnitude_prune
+from doss.masks import PruneSpec, load_mask, magnitude_prune
 from doss.model import (ModelConfig, PAD_ID, build_model, count_params, forward,
                         load_checkpoint)
 from doss.training import TrainConfig
@@ -32,6 +33,11 @@ MANIFEST = REPO / "configs" / "desk.ini"
 H = 1e-5
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
+
+
+def rounded(scores: dict) -> dict:
+    """`scores` with each value rounded to 3 places, for a readable report line."""
+    return {k: round(v, 3) for k, v in scores.items()}
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -150,34 +156,36 @@ def test_criterion_2_mask_density_grid():
 
 
 # --------------------------------------------------------------------------
-# 3. disjoint construction and unconstrained overlap (real mask finetunes)
+# 3. disjoint construction and unconstrained overlap (the cached mask finetunes)
 # --------------------------------------------------------------------------
 
 
 def test_criterion_3_disjointness(trained):
+    from doss.cli import Pipeline
+    from doss.masks import overlap_stats
+
+    # make_masks' own code under [masks] disjoint, over the cached mask finetunes
     man = trained.man
-    lam0 = trained.load_base()
-    built = MaskSet([])
-    for ds in trained.train_sets():
-        mask = create_domain_mask(lam0, ds, man.prune, man.train["masks"], man.model,
-                                  claimed=built)
-        built = built.plus(mask)
+    disjoint = Pipeline(dataclasses.replace(man, masks_disjoint=True), trained.out)
+    built = disjoint._domain_masks(trained.load_base(), man.prune)
     assert is_pairwise_disjoint(built)
     inter = [int((a.bits[n] & b.bits[n]).sum())
              for i, a in enumerate(built) for b in list(built)[i + 1:] for n in a.bits]
     assert max(inter) == 0
 
-    from doss.masks import overlap_stats
-
     unconstrained = trained.load_masks()
+    assert built.ids() == unconstrained.ids()
+    subsets = all(not np.any(d.vector & ~u.vector) for d, u in zip(built, unconstrained))
+    assert subsets
     stats = overlap_stats(unconstrained)
     n = len(unconstrained)
     off_diag = [(stats.shared_ones[i, j], stats.jaccard[i, j])
                 for i in range(n) for j in range(i + 1, n)]
     assert all(shared > 0 for shared, _ in off_diag)
     assert all(0.0 < jac < 1.0 for _, jac in off_diag)
-    report(3, True, f"3 disjoint masks: all pairwise intersections 0; unconstrained "
-                    f"overlaps nonzero with jaccard "
+    report(3, True, f"3 disjoint masks, popcounts {[m.popcount() for m in built]}: all "
+                    f"pairwise intersections 0, each within its domain's unconstrained mask: "
+                    f"{subsets}; unconstrained overlaps nonzero with jaccard "
                     f"{[round(float(j), 3) for _, j in off_diag]} (each strictly < 1)")
 
 
@@ -243,9 +251,9 @@ def test_criterion_6_multi_domain_separation(trained):
                 for v in domains for d in domains if v != d}
     ok_c = all(v >= 0.9 for v in ft_own.values()) and all(v <= 0.2 for v in ft_cross.values())
 
-    detail = (f"doss EM {doss} (all >= 0.8: {ok_a}); "
+    detail = (f"doss EM {rounded(doss)} (all >= 0.8: {ok_a}); "
               f"all-FT avg EM {allft_avg:.3f} (<= 0.5: {ok_b}); "
-              f"per-domain FT own {ft_own} >= 0.9 and cross max "
+              f"per-domain FT own {rounded(ft_own)} >= 0.9 and cross max "
               f"{max(ft_cross.values()):.3f} <= 0.2: {ok_c}")
     report(6, ok_a and ok_b and ok_c, detail)
 
@@ -282,7 +290,7 @@ def test_criterion_7_extension_quality(trained):
 
     report(7, ok_gap and ok_drop,
            f"new-domain EM disjoint {em_dis:.3f} vs unconstrained {em_unc:.3f} "
-           f"(gap {gap:.3f} <= 0.05: {ok_gap}); ft_all_ones EM drops {drops} "
+           f"(gap {gap:.3f} <= 0.05: {ok_gap}); ft_all_ones EM drops {rounded(drops)} "
            f"(max >= 0.2: {ok_drop})")
 
 

@@ -803,6 +803,89 @@ def test_sweep_finetunes_each_domain_once(tmp_path, monkeypatch):
     assert [r.split(",")[2] for r in rows] == ["ok", "ok"]
 
 
+def _mask_finetunes(monkeypatch, man) -> list[str]:
+    """The domains that `training.train_full` finetunes with a mask-creation
+    config from now on, in call order."""
+    calls = []
+    train_full = training.train_full
+
+    def spy(start, data, cfg, *args, **kwargs):
+        if cfg in (man.train["masks"], man.train["extend_mask"]):
+            calls.append(data.domain_id)
+        return train_full(start, data, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train_full", spy)
+    return calls
+
+
+def test_each_mask_finetune_runs_once_across_run_sweep_and_extend(tiny_manifest, tmp_path,
+                                                                  monkeypatch):
+    calls = _mask_finetunes(monkeypatch, load_manifest(tiny_manifest))
+    common = ["--config", str(tiny_manifest), "--out", str(tmp_path / "out")]
+    assert main(["run"] + common) == 0
+    assert main(["sweep"] + common) == 0
+    for mode in ("new_only_disjoint", "new_only_unconstrained", "all_masks_joint"):
+        assert main(["extend", "--mode", mode] + common) == 0
+        assert (tmp_path / "out" / f"extend_{mode}" / "mask_sort.mask").exists()
+    assert calls == ["copy", "reverse", "sort"]
+    assert sorted(p.name for p in (tmp_path / "out").glob("mask_ft_*.npy")) == [
+        "mask_ft_copy.npy", "mask_ft_reverse.npy", "mask_ft_sort.npy"]
+
+
+@pytest.mark.parametrize("edit,finetunes", [
+    (("alpha = 0.6", "alpha = 0.5"), []),
+    (("[masks]\n", "[masks]\ndisjoint = true\n"), []),
+    (("[masks]\n", "[masks]\nlearning_rate = 5e-3\n"), ["copy", "reverse"]),
+], ids=["alpha", "disjoint", "learning_rate"])
+def test_masks_edit_reruns_the_finetunes_only_for_a_train_key(tiny_run, tmp_path, monkeypatch,
+                                                               edit, finetunes):
+    man_path, pipe = tiny_run
+    out = shutil.copytree(pipe.out, tmp_path / "run")
+    edited = tmp_path / "edited.ini"
+    edited.write_text(TINY.replace(*edit), encoding="utf-8")
+    man = load_manifest(edited)
+    calls = _mask_finetunes(monkeypatch, man)
+    assert Pipeline(man, out).make_masks() is True
+    assert calls == finetunes
+
+
+def test_corrupted_mask_finetune_reruns_only_its_own(tiny_run, tmp_path, monkeypatch):
+    man_path, pipe = tiny_run
+    out = shutil.copytree(pipe.out, tmp_path / "run")
+    before = {p.name: p.read_bytes() for p in out.glob("mask_*")}
+    ft = out / "mask_ft_copy.npy"
+    raw = bytearray(ft.read_bytes())
+    raw[-1] ^= 0xFF
+    ft.write_bytes(bytes(raw))
+    (out / "mask_copy.mask").unlink()  # make_masks reruns and reads every finetune
+    man = load_manifest(man_path)
+    calls = _mask_finetunes(monkeypatch, man)
+    assert Pipeline(man, out).make_masks() is True
+    assert calls == ["copy"]
+    assert {p.name: p.read_bytes() for p in out.glob("mask_*")} == before
+
+
+@pytest.mark.parametrize("vector", [
+    lambda n: np.zeros(n, dtype=np.float32),
+    lambda n: np.zeros(n + 1),
+    lambda n: np.zeros((n, 1)),
+    lambda n: np.array([None] * n, dtype=object),
+], ids=["float32", "size", "rank", "pickle"])
+def test_mask_finetune_of_another_dtype_or_size_is_a_format_error(tiny_run, tmp_path, vector):
+    # a sidecar that vouches for the file: only the read can catch it
+    man_path, pipe = tiny_run
+    out = shutil.copytree(pipe.out, tmp_path / "run")
+    ft = out / "mask_ft_copy.npy"
+    meta = dict(line.split("=", 1) for line in (out / "mask_ft_copy.npy.meta").read_text()
+                .splitlines())
+    np.save(ft, vector(load_checkpoint(pipe.base_ckpt).vector.size), allow_pickle=True)
+    write_meta(ft, meta["config_hash"], meta["stage"], int(meta["seed"]))
+    (out / "mask_copy.mask").unlink()
+    with pytest.raises(FormatError, match=r"mask_ft_copy\.npy is (not the base's float64|a) "):
+        Pipeline(load_manifest(man_path), out).make_masks()
+    assert not (out / "mask_copy.mask").exists()
+
+
 @pytest.mark.parametrize("disjoint", ["false", "true"])
 def test_sweep_at_the_masks_fractions_trains_the_masks_make_masks_writes(tmp_path, monkeypatch,
                                                                          disjoint):
