@@ -311,7 +311,7 @@ class Pipeline:
         arts += [self.out / f"ft_{name}_metrics.csv" for name in self.ft_names]
         return self._cached("finetune", arts, compute, train=man.train["finetune"])
 
-    def extend(self, mode: str | None = None, steps: int | None = None) -> bool:
+    def extend(self, mode: str | None = None) -> bool:
         from .evaluation import Variant, eval_matrix
         from .masks import save_mask
         from .model import count_params, load_checkpoint, save_checkpoint
@@ -321,9 +321,6 @@ class Pipeline:
         mode = mode or man.extend_mode
         if mode not in EXTENSION_MODES:
             raise ConfigError(f"unknown extension mode {mode!r}: one of {EXTENSION_MODES}")
-        cfg = man.train["extend"]
-        if steps is not None:
-            cfg = dataclasses.replace(cfg, max_steps=steps)
         if man.extension is None:
             raise ConfigError("manifest has no [extension <name>] section")
         edir = self.extend_dir(mode)
@@ -342,21 +339,19 @@ class Pipeline:
             lam = load_checkpoint(self.doss_ckpt)
             maskset = self.load_masks()
             mlog = MetricsLog()
-            lam2, maskset2 = extend_domain(
-                lam, lam0, maskset, ext_train, mode, man.extend_prune, cfg, model_cfg=man.model,
-                finetuned=None if mode == "ft_all_ones" else self._mask_finetune(
-                    lam0, man.extension, ext_train, man.train["extend_mask"]),
+            lam2, maskset2, trained = extend_domain(
+                lam, lam0, maskset, ext_train, mode, man.extend_prune, man.train["extend"],
+                model_cfg=man.model, finetune=functools.partial(
+                    self._mask_finetune, lam0, man.extension, ext_train, man.train["extend_mask"]),
                 existing_data=self.train_sets(), log=mlog)
-            new_mask = maskset2.get(ext_train.domain_id)
-            save_mask(new_mask, new_mask_path)
+            save_mask(maskset2.get(ext_train.domain_id), new_mask_path)
             save_checkpoint(lam2, ext_ckpt)
             lam2 = load_checkpoint(ext_ckpt)  # score the float32 model on disk
             mlog.write_csv(metrics)
 
-            trained_count = (count_params(lam0.layout, maskset2.union_mask())["masked_ones"]
-                             if mode == "all_masks_joint" else new_mask.popcount())
-            ext_variant = Variant(f"extended[{mode}]", lam2, base=lam0, masks=maskset2,
-                                  trainable=trained_count)
+            ext_variant = Variant(
+                f"extended[{mode}]", lam2, base=lam0, masks=maskset2,
+                trainable=count_params(lam0.layout, trained.union_mask())["masked_ones"])
             # the pre-extension model has no mask for the new domain, so it is
             # scored on the old domains only
             rep_old = eval_matrix([Variant("doss", lam, base=lam0, masks=maskset), ext_variant],
@@ -378,7 +373,7 @@ class Pipeline:
 
         arts = [new_mask_path, ext_ckpt, metrics, diff_path, report_md, report_csv]
         return self._cached(
-            "extend", arts, compute, train=cfg, mode=mode, prune=man.extend_prune,
+            "extend", arts, compute, train=man.train["extend"], mode=mode, prune=man.extend_prune,
             mask_cfg=man.train["extend_mask"], extension=_domain_input(man.extension),
             eval=(man.eval_max_len, man.eval_batch))
 
@@ -505,7 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if stage.name == "extend":
             p.add_argument("--mode", choices=EXTENSION_MODES,
                            help="extension protocol (default: manifest [extend] mode)")
-            p.add_argument("--steps", type=int, help="override extension training steps")
     p = sub.add_parser("run", parents=[common], help="execute the full pipeline with caching")
     p.add_argument("--stages", nargs="+", choices=list(STAGES),
                    help="run a subset of stages, in pipeline order")
@@ -532,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out or man.out or f"runs/{Path(args.config).stem}")
         pipe = Pipeline(man, out)
         if args.command == "extend":
-            pipe.extend(mode=args.mode, steps=args.steps)
+            pipe.extend(mode=args.mode)
         else:
             pipe.run(args.stages)
     except DossError as exc:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import EXTENSION_MODES, autograd as ag
+from . import EXTENSION_MODES, autograd as ag, masks
 from .data import MIXINGS, Batch, DomainDataset, batch_iterator, concat_datasets, epoch_batches
 from .errors import ConfigError, NumericsError
-from .masks import MaskSet, StoreMask, full_mask, magnitude_prune_disjoint, on_store
+from .masks import MaskSet, StoreMask, full_mask, on_store
 from .masks import create_domain_mask  # noqa: F401  no caller; benchmarks/spans.py rebinds it
 from .model import DropCtx, ModelConfig, PAD_ID, ParamStore, forward, layout_views
 
@@ -237,17 +237,19 @@ def train_doss(base: ParamStore, maskset: MaskSet, datasets: Sequence[DomainData
 def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
                   new_data: DomainDataset, mode: str, spec,
                   cfg: TrainConfig, *, model_cfg: ModelConfig,
-                  finetuned: ParamStore | None = None,
-                  existing_data: Sequence[DomainDataset] | None = None,
-                  log: MetricsLog | None = None) -> tuple[ParamStore, MaskSet]:
-    """Adapt a jointly trained model to one new domain.
+                  finetune: Callable[[], ParamStore],
+                  existing_data: Sequence[DomainDataset],
+                  log: MetricsLog | None = None) -> tuple[ParamStore, MaskSet, MaskSet]:
+    """Adapt a jointly trained model to one new domain; returns the trained
+    store, the extended mask set and the mask set that trained.
 
     Modes: ft_all_ones records an all-ones mask and continues training on the
-    new data; new_only_unconstrained / new_only_disjoint prune `finetuned`, the
-    base's mask finetune on the new data, into a fresh mask (the latter less
-    the union of the existing masks) and train on the new data only;
+    new data; new_only_unconstrained / new_only_disjoint prune `finetune()`,
+    the base's mask finetune on the new data, into a fresh mask (the latter
+    less the union of the existing masks) and train it on the new data only;
     all_masks_joint prunes an unconstrained mask the same way and jointly
-    retrains all domains. Optimizer state starts fresh in every mode.
+    retrains all domains' masks on all the data. Only the three pruning modes
+    call `finetune`. Optimizer state starts fresh in every mode.
     """
     if mode not in EXTENSION_MODES:
         raise ConfigError(f"unknown extension mode {mode!r}: one of {EXTENSION_MODES}")
@@ -255,19 +257,13 @@ def extend_domain(lam: ParamStore, base: ParamStore, maskset: MaskSet,
         raise ConfigError(f"domain {new_data.domain_id!r} already has a mask")
     if mode == "ft_all_ones":
         new_mask = full_mask(base.layout, new_data.domain_id)
-    else:
-        if finetuned is None:
-            raise ConfigError(f"mode {mode} needs the base's mask finetune on the new domain")
+    else:  # through the module, so that a rebinding of the prune reaches this call
         claimed = maskset if mode == "new_only_disjoint" else MaskSet([])
-        new_mask = magnitude_prune_disjoint(finetuned, base.layout, spec, claimed,
-                                            new_data.domain_id)
-        del finetuned  # the caller holds no other reference: free it before training
+        new_mask = masks.magnitude_prune_disjoint(finetune(), base.layout, spec, claimed,
+                                                  new_data.domain_id)
+    extended = maskset.plus(new_mask)
     if mode == "all_masks_joint":
-        if existing_data is None:
-            raise ConfigError("all_masks_joint needs the existing domains' data")
-        new_set = maskset.plus(new_mask)
-        trained = train_doss(lam, new_set, list(existing_data) + [new_data],
-                             cfg, model_cfg, log=log)
-        return trained, new_set
-    trained = train_doss(lam, MaskSet([new_mask]), [new_data], cfg, model_cfg, log=log)
-    return trained, maskset.plus(new_mask)
+        trained, data = extended, [*existing_data, new_data]
+    else:
+        trained, data = MaskSet([new_mask]), [new_data]
+    return train_doss(lam, trained, data, cfg, model_cfg, log=log), extended, trained

@@ -264,10 +264,15 @@ def test_criterion_6_multi_domain_separation(trained):
 
 
 def test_criterion_7_extension_quality(trained):
+    from doss.cli import Pipeline
+
     man = trained.man
     trained.extend(mode="new_only_disjoint")
     trained.extend(mode="new_only_unconstrained")
-    trained.extend(mode="ft_all_ones", steps=1500)
+    # ft_all_ones trains 1,500 steps: a manifest copy whose [extend] says so
+    ext_1500 = dataclasses.replace(man.train["extend"], max_steps=1500)
+    Pipeline(dataclasses.replace(man, train={**man.train, "extend": ext_1500}),
+             trained.out).extend(mode="ft_all_ones")
     new_dom = man.extension.name
     domains = [d.name for d in man.domains]
 

@@ -21,7 +21,7 @@ import numpy as np
 from doss import STAGES, evaluation, training
 from doss.data import SyntheticTask, epoch_batches, gen_domain
 from doss.manifest import load_manifest
-from doss.masks import MaskSet, full_mask, on_store
+from doss.masks import MaskSet, PruneSpec, full_mask, on_store
 from doss.model import DECODER, ENCODER, ModelConfig, build_model
 from doss.training import TrainConfig
 from support import pool_size
@@ -71,6 +71,25 @@ def test_probe_opens_one_step_span_per_train_step_and_uninstalls():
     assert all(s[2] is not None and s[2] >= s[1] for s in probe.spans)
     assert [b.keys() for b in before] == [a.keys() for a in after]
     assert all(a[k] is b[k] for b, a in zip(before, after) for k in b)
+
+
+def test_probe_times_the_prune_of_a_mask_creating_extension():
+    spans = _load_spans()
+    cfg = ModelConfig(vocab_size=14, d_model=16, ffn_dim=32, n_enc_layers=1,
+                      n_dec_layers=1, n_heads=2, max_len=16)
+    lam0, layout = build_model(cfg, seed=4)
+    copy, sort = (gen_domain(SyntheticTask(kind, content_hi=14, min_len=3, max_len=5, seed=s),
+                             40, domain_id=kind) for kind, s in (("copy", 1), ("sort", 2)))
+    tcfg = TrainConfig(1e-3, 10, 64, 0.1, max_steps=2, seed=3)
+    probe = spans.Probe(timing=True)
+    probe.install()
+    try:
+        training.extend_domain(lam0, lam0, MaskSet([full_mask(layout, "copy")]), sort,
+                               "new_only_unconstrained", PruneSpec(0.5, 0.5), tcfg,
+                               model_cfg=cfg, finetune=lambda: lam0, existing_data=[copy])
+    finally:
+        probe.uninstall()
+    assert len([s for s in probe.spans if s[0] == "masks.prune_disjoint"]) == 1
 
 
 def test_probe_counts_one_decoder_position_per_row_and_step():

@@ -641,7 +641,7 @@ def test_extend_cache_hit_reads_no_data(tiny_run, monkeypatch):
     assert Pipeline(load_manifest(man_path), pipe.out).extend() is False
 
 
-def test_extend_bad_steps_fails_before_any_training(tiny_run, tmp_path, monkeypatch):
+def test_extend_ft_all_ones_runs_no_mask_finetune(tiny_run, tmp_path, monkeypatch, capsys):
     man_path, pipe = tiny_run
     for name in ("base.ckpt", "base.reg", "doss.ckpt", "mask_copy.mask", "mask_reverse.mask"):
         (tmp_path / name).write_bytes((pipe.out / name).read_bytes())
@@ -653,12 +653,15 @@ def test_extend_bad_steps_fails_before_any_training(tiny_run, tmp_path, monkeypa
 
     real = training.train_full
     monkeypatch.setattr(training, "train_full", spy)
-    rc = main(["extend", "--config", str(man_path), "--out", str(tmp_path), "--steps", "-3"])
-    assert rc == 2
-    assert calls == []
-    with pytest.raises(ConfigError, match="max_steps"):
-        Pipeline(load_manifest(man_path), tmp_path).extend(steps=-3)
-    assert calls == []
+    argv = ["extend", "--config", str(man_path), "--out", str(tmp_path), "--mode", "ft_all_ones"]
+    assert main(argv) == 0
+    assert calls == []  # the mask finetune runs only in the modes that prune it
+    assert not (tmp_path / "mask_ft_sort.npy").exists()
+    # [extend] steps is the one place to set the extension's length
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--steps", "3"])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
 
 
 def test_run_skips_extend_only_in_its_default_stages(tmp_path, monkeypatch):

@@ -459,15 +459,16 @@ def _extension_setup():
     new_data = mk("sort", 9)
     # the base's mask finetune on the new domain, which every mask-creating mode prunes
     finetuned = train_full(lam0, new_data, TrainConfig(1e-3, 10, 64, 0.3, epochs=1, seed=8), cfg)
-    return cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned
+    return cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, lambda: finetuned
 
 
 def test_extend_disjoint_mask_and_preservation():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
-    lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
-                              PruneSpec(0.2, 0.2), tcfg,
-                              model_cfg=cfg, finetuned=finetuned)
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetune = _extension_setup()
+    lam2, ms2, trained = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
+                                       PruneSpec(0.2, 0.2), tcfg, model_cfg=cfg,
+                                       finetune=finetune, existing_data=datasets)
     new_mask = ms2.get("sort")
+    assert trained.ids() == ["sort"]
     union = masks.union_bits()
     for name, bits in new_mask.bits.items():
         assert not np.any(bits & union[name])
@@ -481,61 +482,57 @@ def test_extend_disjoint_mask_and_preservation():
 
 
 def test_extend_ft_all_ones_records_full_mask():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
-    lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "ft_all_ones",
-                              PruneSpec(0.6, 0.6), tcfg,
-                              model_cfg=cfg)
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, _ = _extension_setup()
+
+    def finetune():
+        raise AssertionError("ft_all_ones prunes no finetune")
+
+    lam2, ms2, trained = extend_domain(lam, lam0, masks, new_data, "ft_all_ones",
+                                       PruneSpec(0.6, 0.6), tcfg, model_cfg=cfg,
+                                       finetune=finetune, existing_data=datasets)
     assert ms2.get("sort").popcount() == pool_size(layout)
+    assert trained.ids() == ["sort"]
     assert lam2.checksum() != lam.checksum()
 
 
 def test_extend_all_masks_joint_needs_existing_data():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
-    with pytest.raises(ConfigError):
-        extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
-                      PruneSpec(0.6, 0.6), tcfg,
-                      model_cfg=cfg, finetuned=finetuned)
-    lam2, ms2 = extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
-                              PruneSpec(0.6, 0.6), tcfg,
-                              model_cfg=cfg, finetuned=finetuned,
-                              existing_data=datasets)
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetune = _extension_setup()
+    lam2, ms2, trained = extend_domain(lam, lam0, masks, new_data, "all_masks_joint",
+                                       PruneSpec(0.6, 0.6), tcfg, model_cfg=cfg,
+                                       finetune=finetune, existing_data=datasets)
     assert len(ms2) == 3
+    assert trained is ms2  # every domain's mask trained, on every domain's data
 
 
 def test_extend_unconstrained_trains_more_than_disjoint():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetune = _extension_setup()
     spec = PruneSpec(0.5, 0.5)
-    _, ms_unc = extend_domain(lam, lam0, masks, new_data, "new_only_unconstrained",
-                              spec, tcfg, model_cfg=cfg, finetuned=finetuned)
-    _, ms_dis = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
-                              spec, tcfg, model_cfg=cfg, finetuned=finetuned)
+    _, ms_unc, _ = extend_domain(lam, lam0, masks, new_data, "new_only_unconstrained",
+                                 spec, tcfg, model_cfg=cfg, finetune=finetune,
+                                 existing_data=datasets)
+    _, ms_dis, _ = extend_domain(lam, lam0, masks, new_data, "new_only_disjoint",
+                                 spec, tcfg, model_cfg=cfg, finetune=finetune,
+                                 existing_data=datasets)
     assert ms_dis.get("sort").popcount() < ms_unc.get("sort").popcount()
     # the disjoint mask is the unconstrained one less the existing masks' ones
     expect = ms_unc.get("sort").vector & ~masks.union_mask().vector
     assert np.array_equal(ms_dis.get("sort").vector, expect)
 
 
-def test_extend_mask_modes_need_the_finetune():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
-    for mode in ("new_only_unconstrained", "new_only_disjoint", "all_masks_joint"):
-        with pytest.raises(ConfigError, match="mask finetune"):
-            extend_domain(lam, lam0, masks, new_data, mode, PruneSpec(0.6, 0.6), tcfg,
-                          model_cfg=cfg, existing_data=datasets)
-
-
 def test_extend_takes_exactly_the_extension_modes():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetune = _extension_setup()
     for mode in EXTENSION_MODES:  # a known mode gets as far as the duplicate-domain check
         with pytest.raises(ConfigError, match="already has a mask"):
             extend_domain(lam, lam0, masks, datasets[0], mode, PruneSpec(0.6, 0.6), tcfg,
-                          model_cfg=cfg, finetuned=finetuned, existing_data=datasets)
+                          model_cfg=cfg, finetune=finetune, existing_data=datasets)
     with pytest.raises(ConfigError, match="unknown extension mode 'bogus'"):
         extend_domain(lam, lam0, masks, new_data, "bogus", PruneSpec(0.6, 0.6), tcfg,
-                      model_cfg=cfg, finetuned=finetuned, existing_data=datasets)
+                      model_cfg=cfg, finetune=finetune, existing_data=datasets)
 
 
 def test_extend_rejects_duplicate_domain():
-    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetuned = _extension_setup()
+    cfg, layout, lam0, lam, masks, datasets, new_data, tcfg, finetune = _extension_setup()
     with pytest.raises(ConfigError):
         extend_domain(lam, lam0, masks, datasets[0], "ft_all_ones",
-                      PruneSpec(0.6, 0.6), tcfg, model_cfg=cfg)
+                      PruneSpec(0.6, 0.6), tcfg, model_cfg=cfg, finetune=finetune,
+                      existing_data=datasets)
