@@ -379,7 +379,7 @@ def backward(loss: Tensor, into: dict[str, np.ndarray] | None = None) -> dict[st
 
 
 # ---------------------------------------------------------------------------
-# seeded rng derivation (stage seeds, one dropout generator per train step)
+# seeded rng derivation (stage seeds and every seeded generator)
 # ---------------------------------------------------------------------------
 
 

@@ -18,11 +18,12 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 from pathlib import Path
 
 from . import BLAS_THREAD_VARS, EXTENSION_MODES, STAGES
-from .errors import ConfigError, DossError, FormatError
+from .errors import ConfigError, DossError, FormatError, NumericsError
 
 log = logging.getLogger("doss")
 
@@ -437,7 +438,7 @@ class Pipeline:
                     cells = [rep.cell("doss", d) for d in domain_ids]
                     scores = [c.bleu for c in cells] + [c.exact_match for c in cells]
                     cols = ["ok", *(f"{x!r}" for x in scores + [avg_bleu, avg_em])]
-                except DossError as exc:  # keep the rest of the grid running
+                except NumericsError as exc:  # a diverged point: the rest of the grid runs
                     log.warning("sweep point (%s, %s) failed: %s", alpha, beta, exc)
                     cols = ["failed"] + [""] * (2 * len(domain_ids)) + ["nan", "nan"]
                 lines.append(",".join([f"{alpha!r}", f"{beta!r}", *cols]))
@@ -465,17 +466,21 @@ class Pipeline:
 
 
 def sweep_correlation(points) -> float:
-    """Pearson correlation between a prune fraction and the average score.
+    """Pearson correlation, in float64, of (prune fraction, average score)
+    points.
 
     Degenerate series (fewer than two successful grid points, or a constant
-    fraction axis) yield nan rather than failing the sweep.
+    axis) yield nan rather than failing the sweep.
     """
-    from .evaluation import pearson
+    import numpy as np
 
-    try:
-        return pearson([p[0] for p in points], [p[1] for p in points])
-    except DossError:
+    if len(points) < 2:
         return float("nan")
+    xs, ys = (np.asarray(axis, dtype=np.float64) for axis in zip(*points))
+    dx = xs - xs.mean()
+    dy = ys - ys.mean()
+    denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
+    return float((dx * dy).sum()) / denom if denom else float("nan")
 
 
 # ---------------------------------------------------------------------------

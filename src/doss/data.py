@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .autograd import derive_seed
+from .autograd import derived_rng
 from .errors import ConfigError, FormatError
 from .model import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 
@@ -51,14 +51,13 @@ class DomainDataset:
         return max(max(len(s), len(t) + 1) for s, t in self.pairs)
 
 
-def concat_datasets(datasets: Sequence[DomainDataset],
-                    domain_id: str | None = None) -> DomainDataset:
+def concat_datasets(datasets: Sequence[DomainDataset]) -> DomainDataset:
     if not datasets:
         raise ConfigError("cannot concatenate zero datasets")
     merged = []
     for ds in datasets:
         merged.extend(ds.pairs)
-    return DomainDataset(domain_id or "+".join(d.domain_id for d in datasets), merged)
+    return DomainDataset("+".join(d.domain_id for d in datasets), merged)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,7 @@ def gen_domain(task: SyntheticTask, n_pairs: int, domain_id: str | None = None) 
     """Generate `n_pairs` (source, target) pairs; deterministic under seed."""
     if n_pairs < 1:
         raise ConfigError("n_pairs must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(derive_seed("gen-domain", task.seed)))
+    rng = derived_rng("gen-domain", task.seed)
     pairs = []
     for _ in range(n_pairs):
         length = int(rng.integers(task.min_len, task.max_len + 1))
@@ -293,7 +292,7 @@ def epoch_batches(ds: DomainDataset, batch_tokens: int, seed: int,
                   epoch: int = 0) -> list[Batch]:
     """One shuffled pass over a dataset; every pair appears exactly once."""
     _check_budget([ds], batch_tokens)
-    rng = np.random.Generator(np.random.PCG64(derive_seed("epoch", seed, ds.domain_id, epoch)))
+    rng = derived_rng("epoch", seed, ds.domain_id, epoch)
     order = rng.permutation(ds.size)
     return [make_batch(ds.domain_id, [ds.pairs[i] for i in group])
             for group in _pack_indices(ds, order, batch_tokens)]
@@ -329,7 +328,7 @@ def batch_iterator(datasets: Sequence[DomainDataset], strategy: str,
     else:
         sizes = np.array([ds.size for ds in datasets], dtype=np.float64)
         probs = sizes / sizes.sum()
-        rng = np.random.Generator(np.random.PCG64(derive_seed("mix", seed)))
+        rng = derived_rng("mix", seed)
         picks = (streams[int(rng.choice(len(streams), p=probs))] for _ in itertools.count())
     for stream in picks:
         yield next(stream)

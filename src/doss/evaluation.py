@@ -31,12 +31,12 @@ from .model import (BOS_ID, EOS_ID, ModelConfig, ParamStore, decode_logits, enco
                     keep_decoding, layout_views)
 
 
-def trim_eos(seq, eos: int = EOS_ID) -> list[int]:
+def trim_eos(seq) -> list[int]:
     """The tokens of `seq` before its first eos, as a list; a list without
     an eos is returned as it is, any other sequence as a list of ints."""
     if not isinstance(seq, list):
         seq = np.asarray(seq).tolist()
-    return seq[:seq.index(eos)] if eos in seq else seq
+    return seq[:seq.index(EOS_ID)] if EOS_ID in seq else seq
 
 
 def rows_to_decode(finished: np.ndarray) -> np.ndarray:
@@ -172,19 +172,6 @@ def exact_match(hyps, refs) -> float:
     _check_corpus(hyps, refs)
     hits = sum(trim_eos(h) == trim_eos(r) for h, r in zip(hyps, refs))
     return hits / len(hyps)
-
-
-def pearson(xs, ys) -> float:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.size != ys.size or xs.size < 2:
-        raise DossError("pearson needs two equal-length series of >= 2 points")
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
-    if denom == 0.0:
-        raise DossError("pearson undefined for a constant series")
-    return float((dx * dy).sum()) / denom
 
 
 # ---------------------------------------------------------------------------

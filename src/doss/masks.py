@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FormatError, RegistryMismatchError
-from .model import (DECODER, ENCODER, FramedReader, Layout, ParamStore, layout_views,
-                    maskable, region)
+from .model import (DECODER, ENCODER, FramedReader, Layout, ParamStore, framed_string,
+                    layout_views, maskable, region)
 
 MASK_MAGIC = b"DOSSMASK"
 MASK_VERSION = 1
@@ -108,11 +108,11 @@ class MaskSet:
     def union_bits(self) -> dict[str, np.ndarray]:
         return self.union_mask().bits if self.masks else {}
 
-    def union_mask(self, domain_id: str = "union") -> "DomainMask":
+    def union_mask(self) -> "DomainMask":
         if not self.masks:
             raise RegistryMismatchError("union of an empty mask set")
         union = np.logical_or.reduce(_vectors(self.masks))
-        return DomainMask(domain_id, layout_views(union, self.masks[0].layout),
+        return DomainMask("union", layout_views(union, self.masks[0].layout),
                           self.masks[0].spec)
 
 
@@ -260,14 +260,10 @@ def save_mask(mask: DomainMask, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MASK_MAGIC)
         fh.write(struct.pack("<Hdd", MASK_VERSION, mask.spec.alpha, mask.spec.beta))
-        raw = mask.domain_id.encode("utf-8")
-        fh.write(struct.pack("<H", len(raw)))
-        fh.write(raw)
+        fh.write(framed_string(mask.domain_id))
         fh.write(struct.pack("<I", len(mask.bits)))
         for name, bits in mask.bits.items():
-            nraw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nraw)))
-            fh.write(nraw)
+            fh.write(framed_string(name))
             fh.write(struct.pack("<Q", bits.size))
             fh.write(np.packbits(bits, bitorder="little").tobytes())
 

@@ -208,7 +208,7 @@ def _init_array(name: str, shape: tuple[int, ...], d_model: int,
 
 def build_model(cfg: ModelConfig, seed: int) -> tuple[ParamStore, Layout]:
     """Initialize parameters (scaled uniform); returns the store and its layout."""
-    rng = np.random.Generator(np.random.PCG64(ag.derive_seed("init", seed)))
+    rng = ag.derived_rng("init", seed)
     store = ParamStore({name: Tensor(_init_array(name, shape, cfg.d_model, rng), name=name)
                         for name, shape in param_shapes(cfg)})
     return store, store.layout
@@ -426,14 +426,18 @@ def save_checkpoint(store: ParamStore, path) -> None:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<HI", CKPT_VERSION, len(store)))
         for name, t in store.items():
-            raw = name.encode("utf-8")
             arr = t.data
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+            fh.write(framed_string(name))
             fh.write(struct.pack("<B", arr.ndim))
             for extent in arr.shape:
                 fh.write(struct.pack("<I", extent))
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def framed_string(text: str) -> bytes:
+    """`text` as `FramedReader.string` reads it: a u16 length, then UTF-8."""
+    raw = text.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
 
 
 class FramedReader:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +33,9 @@ from .model import DropCtx, ModelConfig, PAD_ID, ParamStore, forward, layout_vie
 # ---------------------------------------------------------------------------
 
 GRAD_CLIP = 1.0  # every train step clips the gradient's global L2 norm to this
+# Adam's moment decay rates and the term added to its denominator
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 _ADAM_CHUNK = 32768  # elements: adam_step's 6 vector chunks, 256 KB each, fit a 2 MB L2
 
 
@@ -123,12 +126,11 @@ def clip_by_global_norm(grad: np.ndarray, grads: dict[str, np.ndarray], max_norm
 
 
 def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
-              lr: float, betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              mask: StoreMask | None = None) -> tuple[ParamStore, OptimizerState]:
+              lr: float, mask: StoreMask | None = None) -> None:
     """One Adam update with bias correction, in place over `params.vector`;
     `grad` and the moments share its layout. Under a mask only its ones are
     written; the caller zeroes the gradient outside them."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     finite = np.isfinite(grad)
@@ -149,13 +151,12 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: OptimizerState,
         np.add(np.multiply(b2, v, out=v),
                np.multiply(1.0 - b2, np.multiply(g, g, out=s1), out=s1), out=v)
         np.divide(np.multiply(lr, np.divide(m, c1, out=s1), out=s1),
-                  np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2), out=s1)
+                  np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), ADAM_EPS, out=s2), out=s1)
         if mask is None:
             params.vector[part] -= s1
         else:
             ones = mask.ones[cuts[i]:cuts[i + 1]]
             params.vector[ones] -= s1[ones - lo]
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +205,10 @@ def train_full(start: ParamStore, data, cfg: TrainConfig, model_cfg: ModelConfig
     ds = concat_datasets(list(data)) if isinstance(data, (list, tuple)) else data
     if ds.size == 0:
         raise ConfigError("training data is empty")
-    if cfg.epochs is not None:
-        batches = (batch for epoch in range(cfg.epochs)
-                   for batch in epoch_batches(ds, cfg.batch_tokens, cfg.seed, epoch))
-    else:
-        batches = islice(batch_iterator([ds], "round_robin", cfg.batch_tokens, cfg.seed),
-                         cfg.max_steps)
+    epochs = count() if cfg.epochs is None else range(cfg.epochs)
+    batches = islice((batch for epoch in epochs
+                      for batch in epoch_batches(ds, cfg.batch_tokens, cfg.seed, epoch)),
+                     cfg.max_steps)
     return _train(start, batches, cfg, model_cfg, None, log)
 
 

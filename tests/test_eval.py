@@ -12,7 +12,7 @@ from doss.autograd import Tensor
 from doss.data import SyntheticTask, gen_domain, make_batch
 from doss.errors import ConfigError, DossError, NumericsError
 from doss.evaluation import (EvalCell, Variant, bleu_stats, corpus_bleu, decode_dataset,
-                             eval_matrix, exact_match, greedy_decode, pearson,
+                             eval_matrix, exact_match, greedy_decode,
                              rows_to_decode, trim_eos)
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask
 from doss.model import EOS_ID, PAD_ID, ModelConfig, ParamStore, build_model
@@ -141,15 +141,6 @@ def test_exact_match_trims_eos():
     assert got == [5, 6] and all(type(t) is int for t in got)
     seq = [5, 6]
     assert trim_eos(seq) is seq  # nothing to trim: no copy
-
-
-def test_pearson():
-    assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-    with pytest.raises(DossError):
-        pearson([1, 1, 1], [1, 2, 3])
-    with pytest.raises(DossError):
-        pearson([1], [2])
 
 
 def _mini():

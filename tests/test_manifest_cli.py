@@ -17,7 +17,8 @@ from doss import BLAS_THREAD_VARS, EXTENSION_MODES, STAGES, cli, evaluation, mas
 from doss.autograd import derive_seed
 from doss.cli import Pipeline, artifact_valid, main, sweep_correlation, write_meta
 from doss.data import N_RESERVED, FilterSpec, SyntheticTask
-from doss.errors import ConfigError, FormatError, NumericsError, RegistryMismatchError
+from doss.errors import (ConfigError, FormatError, NumericsError, RegistryMismatchError,
+                         WorkerError)
 from doss.evaluation import decode_dataset, trim_eos
 from doss.manifest import DomainSpec, Manifest, load_manifest
 from doss.masks import PruneSpec, overlap_stats
@@ -764,23 +765,35 @@ def test_sweep_single_point_and_sorted_rows(tiny_run):
     assert data[0].startswith("0.5,0.5,ok")
 
 
-def test_sweep_records_dosserrors_and_reraises_bugs(tiny_run, tmp_path, monkeypatch):
+def test_sweep_records_numerics_errors_and_reraises_the_rest(tiny_run, tmp_path, monkeypatch):
+    # only a diverged grid point becomes a failed row; any other error leaves
+    # sweep.csv without a sidecar, so the next sweep does not serve it
     man_path, pipe = tiny_run
-    for name in ("base.ckpt", "base.reg"):
-        (tmp_path / name).write_bytes((pipe.out / name).read_bytes())
-    pipe2 = Pipeline(load_manifest(man_path), tmp_path)
+
+    def fresh(name):
+        out = tmp_path / name
+        out.mkdir()
+        for f in ("base.ckpt", "base.reg"):
+            (out / f).write_bytes((pipe.out / f).read_bytes())
+        return Pipeline(load_manifest(man_path), out)
 
     def raising(exc):
-        def train_full(*args, **kwargs):
+        def train(*args, **kwargs):
             raise exc
-        return train_full
+        return train
 
-    monkeypatch.setattr(training, "train_full", raising(TypeError("bug")))
-    with pytest.raises(TypeError):
-        pipe2.sweep()
+    for attr, exc in (("train_full", TypeError("bug")), ("train_doss", WorkerError("killed")),
+                      ("train_doss", FormatError("bad mask_ft_copy.npy"))):
+        pipe2 = fresh(type(exc).__name__)
+        monkeypatch.setattr(training, attr, raising(exc))
+        with pytest.raises(type(exc)):
+            pipe2.sweep()
+        monkeypatch.undo()
+        assert not (pipe2.out / "sweep.csv.meta").exists()
+    pipe2 = fresh("NumericsError")
     monkeypatch.setattr(training, "train_full", raising(NumericsError("diverged")))
     assert pipe2.sweep() is True
-    data = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    data = (pipe2.out / "sweep.csv").read_text().splitlines()[2:]
     assert len(data) == 1 and data[0].startswith("0.5,0.5,failed")
 
 
@@ -939,8 +952,16 @@ def test_sweep_correlation_matches_reference_fixture():
     assert sweep_correlation(betas) == pytest.approx(-0.54, abs=0.05)
 
 
+def test_sweep_correlation_of_a_line_is_one_or_minus_one():
+    assert sweep_correlation([(1, 2), (2, 4), (3, 6)]) == pytest.approx(1.0)
+    assert sweep_correlation([(1, 3), (2, 2), (3, 1)]) == pytest.approx(-1.0)
+
+
 def test_sweep_correlation_degenerate_is_nan():
     assert np.isnan(sweep_correlation([(0.5, 1.0), (0.5, 2.0)]))
+    assert np.isnan(sweep_correlation([(1, 1), (1, 2), (1, 3)]))
+    assert np.isnan(sweep_correlation([(1, 1), (2, 1), (3, 1)]))
+    assert np.isnan(sweep_correlation([(1, 2)]))
     assert np.isnan(sweep_correlation([]))
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from doss import EXTENSION_MODES, autograd as ag
 from doss import training
 from doss.autograd import Tensor
-from doss.data import MIXINGS, SyntheticTask, batch_iterator, gen_domain, make_batch
+from doss.data import (MIXINGS, SyntheticTask, batch_iterator, epoch_batches, gen_domain,
+                       make_batch)
 from doss.errors import ConfigError, NumericsError
 from doss.masks import DomainMask, MaskSet, PruneSpec, full_mask, on_store, overlay
 from doss.model import (EOS_ID, PAD_ID, DropCtx, ModelConfig, ParamStore, build_model, forward,
@@ -217,6 +218,21 @@ def test_train_full_zero_steps_returns_start_unchanged():
                      cfg)
     assert out.checksum() == lam0.checksum()
     assert out is not lam0
+
+
+def test_train_full_in_epochs_and_in_steps_is_one_stream():
+    # epochs=2 trains on the same batches, with the same dropout draws, as
+    # max_steps set to those two epochs' batch count
+    cfg, lam0, _, mk = _tiny_setup()
+    ds = mk("copy", 1)
+    steps = sum(len(epoch_batches(ds, 64, 3, e)) for e in range(2))
+
+    def trained(**length):
+        tcfg = TrainConfig(1e-3, 10, 64, 0.1, seed=3, **length)
+        return train_full(lam0, ds, tcfg, cfg).checksum()
+
+    assert trained(epochs=2) == trained(max_steps=steps)
+    assert trained(epochs=2) != trained(max_steps=steps - 1)
 
 
 def test_train_full_decreases_loss_and_logs():
